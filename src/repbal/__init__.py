@@ -38,7 +38,6 @@ from .repfn import (
     r2_profile_naive,
     r3,
     r3_profile,
-    r_cross,
 )
 from .solver import (
     STATUS_COMPLETED,

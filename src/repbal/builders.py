@@ -230,12 +230,15 @@ def build_ef(u: int) -> tuple[BoundedSet, BoundedSet]:
     for offset in (block + 1, 2 * block + 1):
         moved_odious, dropped_o = odious.shift(offset)
         moved_evil, dropped_e = evil.shift(offset)
-        assert dropped_o == 0 and dropped_e == 0  # top translate ends at bound - 2
+        if dropped_o or dropped_e:  # the top translate ends at bound - 2
+            raise RuntimeError(f"translate by {offset} left the window of size {bound}")
         e = e | moved_odious
         f = f | moved_evil
     f = f | BoundedSet.from_elements([bound - 1], bound)
-    assert e.isdisjoint(f)
-    assert (e | f) == BoundedSet.full(bound) - BoundedSet.from_elements([block], bound)
+    if not e.isdisjoint(f):
+        raise RuntimeError(f"window pair for u={u} overlaps")
+    if (e | f) != BoundedSet.full(bound) - BoundedSet.from_elements([block], bound):
+        raise RuntimeError(f"window pair for u={u} does not cover the window minus {block}")
     return e, f
 
 

@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .builders import (
@@ -41,26 +40,11 @@ OUTPUT_DIR_ENV = "REPBAL_OUTPUT_DIR"
 CSV_HEADER = "r,m,status,family,l,contradiction_at,forced_value"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Defaults shared by the subcommands; all randomness is seeded, never timed."""
-
-    bound: int = 4096
-    m_max: int = 33
-    r_max_factor: int = 2
-    grid_bound: int = 2048
-    output_dir: str | None = None
-    format: str = "csv"
-    seed: int = DEFAULT_SEED
-
-    def __post_init__(self) -> None:
-        if self.bound < 4:
-            raise ValueError(f"bound must be >= 4, got {self.bound}")
-        if self.m_max < 2:
-            raise ValueError(f"m_max must be >= 2, got {self.m_max}")
-
-
-DEFAULTS = RunConfig()
+# Subcommand defaults; all randomness is seeded, never timed.
+DEFAULT_BOUND = 4096
+DEFAULT_M_MAX = 33
+DEFAULT_R_MAX_FACTOR = 2
+DEFAULT_GRID_BOUND = 2048
 
 
 class _Parser(argparse.ArgumentParser):
@@ -101,7 +85,7 @@ def _build_sets(token: str, bound: int | None) -> list[tuple[str, BoundedSet]]:
             raise ValueError("ef:<u> fixes its own bound; drop --bound")
         e, f = build_ef(param)
         return [("E", e), ("F", f)]
-    bound = DEFAULTS.bound if bound is None else bound
+    bound = DEFAULT_BOUND if bound is None else bound
     if bound < 4:
         raise ValueError(f"bound must be >= 4, got {bound}")
     if name == "uv":
@@ -197,24 +181,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def classification_to_csv(records: list[ClassificationRecord]) -> str:
-    def cell(value: int | str | None) -> str:
-        return "" if value is None else str(value)
-
     lines = [CSV_HEADER]
     for rec in records:
-        lines.append(
-            ",".join(
-                (
-                    str(rec.r),
-                    str(rec.m),
-                    rec.status,
-                    cell(rec.family),
-                    cell(rec.l),
-                    cell(rec.contradiction_at),
-                    cell(rec.forced_value),
-                )
-            )
-        )
+        fields = (rec.r, rec.m, rec.status, rec.family, rec.l, rec.contradiction_at, rec.forced_value)
+        lines.append(",".join("" if value is None else str(value) for value in fields))
     return "\n".join(lines) + "\n"
 
 
@@ -243,7 +213,11 @@ def cmd_classify(args: argparse.Namespace) -> int:
     if args.m_max < 2 or args.bound < 4 or args.r_max_factor < 0:
         print("repbal classify: need m-max >= 2, bound >= 4, r-max-factor >= 0", file=sys.stderr)
         return EXIT_USAGE
-    records = classify_grid(args.m_max, args.r_max_factor, args.bound)
+    try:
+        records = classify_grid(args.m_max, args.r_max_factor, args.bound)
+    except ValueError as exc:
+        print(f"repbal classify: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     text = classification_to_csv(records)
     out = _resolve_out(args.out, args.output_dir)
     if out is None:
@@ -283,7 +257,7 @@ def build_parser() -> _Parser:
 
     p_build = sub.add_parser("build", help="construct a named set family")
     p_build.add_argument("family", help="s1t1:<l> | s2t2:<l> | s1t1+1:<l> | ef:<u> | xy | uv")
-    p_build.add_argument("--bound", type=int, default=None, help=f"window size (default {DEFAULTS.bound})")
+    p_build.add_argument("--bound", type=int, default=None, help=f"window size (default {DEFAULT_BOUND})")
     p_build.add_argument("--format", choices=("text", "json"), default="text")
     p_build.set_defaults(handler=cmd_build)
 
@@ -299,14 +273,14 @@ def build_parser() -> _Parser:
     p_solve = sub.add_parser("solve", help="force-extend the partition for one (r, m)")
     p_solve.add_argument("--r", type=int, required=True)
     p_solve.add_argument("--m", type=int, required=True)
-    p_solve.add_argument("--bound", type=int, default=DEFAULTS.bound)
+    p_solve.add_argument("--bound", type=int, default=DEFAULT_BOUND)
     p_solve.add_argument("--emit", choices=("sets", "json"), default="sets")
     p_solve.set_defaults(handler=cmd_solve)
 
     p_classify = sub.add_parser("classify", help="sweep an (r, m) grid")
-    p_classify.add_argument("--m-max", type=int, default=DEFAULTS.m_max)
-    p_classify.add_argument("--r-max-factor", type=int, default=DEFAULTS.r_max_factor)
-    p_classify.add_argument("--bound", type=int, default=DEFAULTS.grid_bound)
+    p_classify.add_argument("--m-max", type=int, default=DEFAULT_M_MAX)
+    p_classify.add_argument("--r-max-factor", type=int, default=DEFAULT_R_MAX_FACTOR)
+    p_classify.add_argument("--bound", type=int, default=DEFAULT_GRID_BOUND)
     p_classify.add_argument("--out", default=None)
     p_classify.add_argument("--output-dir", default=None)
     p_classify.set_defaults(handler=cmd_classify)
@@ -314,7 +288,7 @@ def build_parser() -> _Parser:
     p_verify = sub.add_parser("verify", help="run the verification suite")
     p_verify.add_argument("--lemma", default="all", choices=("all",) + CHECK_IDS)
     p_verify.add_argument("--bound-profile", default="quick", choices=("quick", "full"))
-    p_verify.add_argument("--seed", type=int, default=DEFAULTS.seed)
+    p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_verify.add_argument("--out", default=None)
     p_verify.add_argument("--output-dir", default=None)
     p_verify.set_defaults(handler=cmd_verify)

@@ -1,11 +1,11 @@
 """Two-element-sum counting over bounded sets.
 
 Pointwise counts come in three variants (ordered pairs, strictly increasing
-pairs, weakly increasing pairs), plus cross counts between two sets and
-counts over a truncated set.  Whole profiles are computed by a bit-parallel
-kernel; an independent pair-enumeration oracle is kept alongside it.  All
-counts are exact machine integers and every query outside a set's
-materialized window is refused rather than answered partially.
+pairs, weakly increasing pairs), plus counts over a truncated set.  Whole
+profiles are computed by a bit-parallel kernel; an independent
+pair-enumeration oracle is kept alongside it.  All counts are exact machine
+integers and every query outside a set's materialized window is refused
+rather than answered partially.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ __all__ = [
     "r2_profile_naive",
     "r3",
     "r3_profile",
-    "r_cross",
 ]
 
 
@@ -54,14 +53,6 @@ def r3(s: BoundedSet, n: int) -> int:
     _require_window(s, n)
     m = s.mask
     return sum(1 for a in range(n // 2 + 1) if (m >> a) & 1 and (m >> (n - a)) & 1)
-
-
-def r_cross(s: BoundedSet, w: BoundedSet, n: int) -> int:
-    """Ordered pairs (x, y) with x + y = n, x from s and y from w."""
-    _require_window(s, n)
-    _require_window(w, n)
-    ms, mw = s.mask, w.mask
-    return sum(1 for a in range(n + 1) if (ms >> a) & 1 and (mw >> (n - a)) & 1)
 
 
 def r2_prefix(s: BoundedSet, x: int, n: int) -> int:
@@ -117,7 +108,8 @@ def r2_profile(s: BoundedSet, n_max: int) -> RepProfile:
     values = []
     for n, ordered in enumerate(_ordered_counts(s, n_max)):
         d = _diagonal(s, n)
-        assert (ordered - d) % 2 == 0
+        if (ordered - d) % 2:
+            raise RuntimeError(f"odd count {ordered - d} of off-diagonal ordered pairs at sum {n}")
         values.append((ordered - d) // 2)
     return RepProfile(tuple(values), "R2", s.bound)
 

@@ -110,16 +110,25 @@ def validate_four_term(inst: FourTermInstance) -> None:
         raise InstanceError("a, b and the excluded set must be pairwise disjoint")
     if (a.mask | b.mask | t.mask) != window:
         raise InstanceError("a, b and the excluded set must cover the window")
-    for x in range(K + 1):
-        cx, dx = c.chi(x), d.chi(x)
-        if cx and dx:
-            raise InstanceError(f"c and d overlap at {x}")
-        expected = 0 if (x < L and t.chi(x)) else 1
-        if cx + dx != expected:
-            raise InstanceError(f"c/d coverage wrong at {x}")
-    for x in range(L):
-        if a.chi(x) != c.chi(x) or b.chi(x) != d.chi(x):
-            raise InstanceError(f"the pairs must agree below L, they differ at {x}")
+    # c and d split [0, K] minus the excluded values below L; the lowest bad
+    # value is reported, as an overlap if c and d share it
+    span = (1 << (K + 1)) - 1
+    below = (1 << L) - 1
+    overlap = c.mask & d.mask & span
+    miscovered = ((c.mask | d.mask) ^ (span & ~(t.mask & below))) & span
+    if overlap | miscovered:
+        x = _lowest(overlap | miscovered)
+        raise InstanceError(
+            f"c and d overlap at {x}" if overlap >> x & 1 else f"c/d coverage wrong at {x}"
+        )
+    differ = ((a.mask ^ c.mask) | (b.mask ^ d.mask)) & below
+    if differ:
+        raise InstanceError(f"the pairs must agree below L, they differ at {_lowest(differ)}")
+
+
+def _lowest(mask: int) -> int:
+    """The smallest member of a nonzero mask."""
+    return (mask & -mask).bit_length() - 1
 
 
 def four_term_residual(inst: FourTermInstance) -> int:
@@ -227,6 +236,13 @@ def step_identity_residual(
 def check_step_identity(spec: ProgressionSpec, bound: int | None = None) -> bool:
     """Solve the partition, pin the digit parity of the first excluded value,
     and check the step identity for every positive n below twice that value."""
+    return _step_identity_failure(spec, bound) is None
+
+
+def _step_identity_failure(
+    spec: ProgressionSpec, bound: int | None = None
+) -> dict[str, Any] | None:
+    """check_step_identity's failure record for spec, or None when the identity holds."""
     if spec.r < 1:
         raise InstanceError("the excluded progression must not contain 0")
     cutoff = spec.r
@@ -239,12 +255,14 @@ def check_step_identity(spec: ProgressionSpec, bound: int | None = None) -> bool
     if out.status != STATUS_COMPLETED:
         raise InstanceError(f"no balanced partition at bound {bound} for {spec}")
     evil, _ = build_evil_odious(bound)
-    if evil.chi(cutoff):
-        return False  # the first excluded value must be odious
-    return all(
-        step_identity_residual(out.a, out.excluded, evil, cutoff, n) == 0
-        for n in range(1, 2 * cutoff)
-    )
+    inputs = {"r": spec.r, "m": spec.m}
+    if evil.chi(cutoff):  # the first excluded value must be odious
+        return {"inputs": {**inputs, "check": "first-excluded-parity"}, "lhs": 1, "rhs": 0}
+    for n in range(1, 2 * cutoff):
+        residual = step_identity_residual(out.a, out.excluded, evil, cutoff, n)
+        if residual:
+            return {"inputs": {**inputs, "n": n}, "lhs": residual, "rhs": 0}
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -337,65 +355,47 @@ class SuiteReport:
         }
 
 
-def _first_profile_mismatch(
-    left: BoundedSet, right: BoundedSet, n_max: int
-) -> tuple[int, int, int] | None:
+# A check yields one verdict per instance: None if it holds, else its failure record.
+Verdicts = Iterator[dict[str, Any] | None]
+
+
+def _profile_verdict(
+    inputs: dict[str, Any], left: BoundedSet, right: BoundedSet, n_max: int
+) -> dict[str, Any] | None:
+    """The failure record at the first sum in [1, n_max] where the r2 profiles differ."""
     pl = r2_profile(left, n_max).values
     pr = r2_profile(right, n_max).values
     for n in range(1, n_max + 1):
         if pl[n] != pr[n]:
-            return n, pl[n], pr[n]
+            return {"inputs": {**inputs, "n": n}, "lhs": pl[n], "rhs": pr[n]}
     return None
 
 
-def _tally(result: CheckResult, ok: bool, failure: dict[str, Any] | None) -> None:
-    result.instances += 1
-    if ok:
-        result.passed += 1
-    elif result.first_failure is None:
-        result.first_failure = failure
+def _solvable_specs(p: SuiteProfile) -> list[ProgressionSpec]:
+    """The predicted solvable cells with r >= 1 (0 not excluded), in (r, m) order."""
+    cells = sorted(predicted_solvable_cells(p.grid_m_max))
+    return [ProgressionSpec(r, m) for r, m in cells if r >= 1]
 
 
-def _check_evil_odious_prefix(p: SuiteProfile, seed: int) -> CheckResult:
-    result = CheckResult("evil-odious-prefix", 0, 0)
+def _evil_odious_prefix(p: SuiteProfile, seed: int) -> Verdicts:
     for l in range(p.prefix_l_max + 1):
         bound = max(2 ** (l + 1) - 1, 1)
         evil, odious = build_evil_odious(bound)
         left = evil.truncate(2**l - 1)
         right = odious.truncate(2**l - 1)
-        bad = _first_profile_mismatch(left, right, bound - 1)
-        _tally(
-            result,
-            bad is None,
-            None if bad is None else {"inputs": {"l": l, "n": bad[0]}, "lhs": bad[1], "rhs": bad[2]},
-        )
-    return result
+        yield _profile_verdict({"l": l}, left, right, bound - 1)
 
 
-def _check_family_balance(p: SuiteProfile, seed: int) -> CheckResult:
-    result = CheckResult("family-balance", 0, 0)
+def _family_balance(p: SuiteProfile, seed: int) -> Verdicts:
     for family in FAMILIES:
         for l in range(p.family_l_max + 1):
             a, b, _ = build_family(family, l, p.family_bound)
             anchor = 1 if family == S1T1_SHIFTED else 0
             n_max = p.family_bound - anchor - 1
-            bad = _first_profile_mismatch(a, b, n_max)
-            _tally(
-                result,
-                bad is None,
-                None
-                if bad is None
-                else {
-                    "inputs": {"family": family, "l": l, "n": bad[0]},
-                    "lhs": bad[1],
-                    "rhs": bad[2],
-                },
-            )
-    return result
+            yield _profile_verdict({"family": family, "l": l}, a, b, n_max)
 
 
-def _check_family_complement(p: SuiteProfile, seed: int) -> CheckResult:
-    result = CheckResult("family-complement", 0, 0)
+def _family_complement(p: SuiteProfile, seed: int) -> Verdicts:
     for family in FAMILIES:
         for l in range(p.family_l_max + 1):
             a, b, t = build_family(family, l, p.family_bound)
@@ -409,177 +409,108 @@ def _check_family_complement(p: SuiteProfile, seed: int) -> CheckResult:
                         "rhs": 1,
                     }
                     break
-            _tally(result, failure is None, failure)
-    return result
+            yield failure
 
 
-def _check_window_pair(p: SuiteProfile, seed: int) -> CheckResult:
-    result = CheckResult("window-pair", 0, 0)
+def _window_pair(p: SuiteProfile, seed: int) -> Verdicts:
     for u in range(p.ef_u_max + 1):
         e, f = build_ef(u)
-        bad = _first_profile_mismatch(e, f, e.bound - 1)
-        _tally(
-            result,
-            bad is None,
-            None if bad is None else {"inputs": {"u": u, "n": bad[0]}, "lhs": bad[1], "rhs": bad[2]},
-        )
-    return result
+        yield _profile_verdict({"u": u}, e, f, e.bound - 1)
 
 
-def _check_skip_one(p: SuiteProfile, seed: int) -> CheckResult:
-    result = CheckResult("skip-one-partition", 0, 0)
+def _skip_one(p: SuiteProfile, seed: int) -> Verdicts:
     x, y = build_xy(p.xy_bound)
     hole = BoundedSet.from_elements([1], p.xy_bound)
-    partition_ok = x.isdisjoint(y) and (x | y | hole) == BoundedSet.full(p.xy_bound)
-    _tally(
-        result,
-        partition_ok,
-        None
-        if partition_ok
-        else {"inputs": {"bound": p.xy_bound}, "lhs": len(x | y), "rhs": p.xy_bound - 1},
-    )
-    bad = _first_profile_mismatch(x, y, p.xy_bound - 1)
-    _tally(
-        result,
-        bad is None,
-        None if bad is None else {"inputs": {"n": bad[0]}, "lhs": bad[1], "rhs": bad[2]},
-    )
-    return result
+    if x.isdisjoint(y) and (x | y | hole) == BoundedSet.full(p.xy_bound):
+        yield None
+    else:
+        yield {"inputs": {"bound": p.xy_bound}, "lhs": len(x | y), "rhs": p.xy_bound - 1}
+    yield _profile_verdict({}, x, y, p.xy_bound - 1)
 
 
-def _four_term_battery(p: SuiteProfile) -> Iterator[tuple[dict[str, Any], FourTermInstance]]:
-    specs = sorted(
-        (r, m) for (r, m) in predicted_solvable_cells(p.grid_m_max) if r >= 1
-    )
-    for r, m in specs:
-        for inst in evil_odious_instances(ProgressionSpec(r, m)):
-            yield {"kind": "evil-odious", "r": r, "m": m, "n": inst.n, "N": inst.N}, inst
-    for u, m in p.window_pair_params:
-        for inst in window_pair_instances(u, m):
-            yield {"kind": "window-pair", "u": u, "m": m, "n": inst.n, "N": inst.N}, inst
+def _four_term(p: SuiteProfile, seed: int) -> Verdicts:
+    batteries = [
+        ({"kind": "evil-odious", "r": spec.r, "m": spec.m}, evil_odious_instances(spec))
+        for spec in _solvable_specs(p)
+    ] + [
+        ({"kind": "window-pair", "u": u, "m": m}, window_pair_instances(u, m))
+        for u, m in p.window_pair_params
+    ]
+    for inputs, instances in batteries:
+        for inst in instances:
+            validate_four_term(inst)
+            residual = four_term_residual(inst)
+            inputs_at = {**inputs, "n": inst.n, "N": inst.N}
+            yield {"inputs": inputs_at, "lhs": residual, "rhs": 0} if residual else None
 
 
-def _check_four_term(p: SuiteProfile, seed: int) -> CheckResult:
-    result = CheckResult("four-term-identity", 0, 0)
-    for inputs, inst in _four_term_battery(p):
-        validate_four_term(inst)
-        residual = four_term_residual(inst)
-        _tally(
-            result,
-            residual == 0,
-            {"inputs": inputs, "lhs": residual, "rhs": 0} if residual else None,
-        )
-    return result
+def _step_identity(p: SuiteProfile, seed: int) -> Verdicts:
+    for spec in _solvable_specs(p):
+        yield _step_identity_failure(spec)
 
 
-def _step_identity_failure_detail(r: int, m: int) -> dict[str, Any] | None:
-    spec = ProgressionSpec(r, m)
-    out = forced_extend(spec, 2 * r + 1)
-    evil, _ = build_evil_odious(2 * r + 1)
-    if evil.chi(r):
-        return {"inputs": {"r": r, "m": m, "check": "first-excluded-parity"}, "lhs": 1, "rhs": 0}
-    for n in range(1, 2 * r):
-        residual = step_identity_residual(out.a, out.excluded, evil, r, n)
-        if residual:
-            return {"inputs": {"r": r, "m": m, "n": n}, "lhs": residual, "rhs": 0}
-    return None
-
-
-def _check_step_identity(p: SuiteProfile, seed: int) -> CheckResult:
-    result = CheckResult("step-identity", 0, 0)
-    specs = sorted(
-        (r, m) for (r, m) in predicted_solvable_cells(p.grid_m_max) if r >= 1
-    )
-    for r, m in specs:
-        ok = check_step_identity(ProgressionSpec(r, m))
-        _tally(result, ok, None if ok else _step_identity_failure_detail(r, m))
-    return result
-
-
-def _check_solver_agreement(p: SuiteProfile, seed: int) -> CheckResult:
-    result = CheckResult("solver-family-agreement", 0, 0)
+def _solver_agreement(p: SuiteProfile, seed: int) -> Verdicts:
     for family in FAMILIES:
-        l = 0
-        while (1 << l) + 1 <= p.grid_m_max:
-            spec = family_progression(family, l)
-            out = forced_extend(spec, p.agreement_bound)
+        for l in range((p.grid_m_max - 1).bit_length()):  # every l with 2^l + 1 <= grid_m_max
+            out = forced_extend(family_progression(family, l), p.agreement_bound)
             a, b, _ = build_family(family, l, p.agreement_bound)
             ok = out.status == STATUS_COMPLETED and out.a == a and out.b == b
-            _tally(
-                result,
-                ok,
-                None
-                if ok
-                else {
-                    "inputs": {"family": family, "l": l, "status": out.status},
-                    "lhs": out.contradiction_at,
-                    "rhs": None,
-                },
-            )
-            l += 1
-    return result
+            inputs = {"family": family, "l": l, "status": out.status}
+            yield None if ok else {"inputs": inputs, "lhs": out.contradiction_at, "rhs": None}
 
 
-def _check_classification_grid(p: SuiteProfile, seed: int) -> CheckResult:
-    result = CheckResult("classification-grid", 0, 0)
+def _classification_grid(p: SuiteProfile, seed: int) -> Verdicts:
     predicted = predicted_solvable_cells(p.grid_m_max)
     for rec in classify_grid(p.grid_m_max, 2, p.grid_bound):
-        should_complete = (rec.r, rec.m) in predicted
-        if should_complete:
+        if (rec.r, rec.m) in predicted:
             ok = rec.status == STATUS_COMPLETED and rec.family is not None
+            expected = STATUS_COMPLETED
         else:
             ok = rec.status != STATUS_COMPLETED
-        _tally(
-            result,
-            ok,
-            None
-            if ok
-            else {
-                "inputs": {"r": rec.r, "m": rec.m},
-                "lhs": rec.status,
-                "rhs": STATUS_COMPLETED if should_complete else "contradiction",
-            },
-        )
-    return result
+            expected = "contradiction"
+        failure = {"inputs": {"r": rec.r, "m": rec.m}, "lhs": rec.status, "rhs": expected}
+        yield None if ok else failure
 
 
-def _check_kernel_oracle(p: SuiteProfile, seed: int) -> CheckResult:
-    result = CheckResult("kernel-oracle", 0, 0)
+def _kernel_oracle(p: SuiteProfile, seed: int) -> Verdicts:
     rng = random.Random(seed)
     densities = (0.02, 0.05, 0.1, 0.2, 0.35, 0.5)
     for i in range(p.kernel_sets):
         density = densities[i % len(densities)]
         bound = p.kernel_n_max + 1
-        mask = 0
-        for x in range(bound):
-            if rng.random() < density:
-                mask |= 1 << x
-        s = BoundedSet(bound, mask)
-        fast = list(r2_profile(s, p.kernel_n_max).values)
+        s = BoundedSet(bound, sum(1 << x for x in range(bound) if rng.random() < density))
+        fast = r2_profile(s, p.kernel_n_max).values
         slow = r2_profile_naive(s, p.kernel_n_max)
-        ok = fast == slow
-        failure = None
-        if not ok:
-            n = next(n for n in range(len(fast)) if fast[n] != slow[n])
-            failure = {"inputs": {"set_index": i, "n": n}, "lhs": fast[n], "rhs": slow[n]}
-        _tally(result, ok, failure)
-    return result
+        n = next((n for n in range(len(fast)) if fast[n] != slow[n]), None)
+        yield None if n is None else {"inputs": {"set_index": i, "n": n}, "lhs": fast[n], "rhs": slow[n]}
 
 
-_CHECK_FUNCTIONS = {
-    "evil-odious-prefix": _check_evil_odious_prefix,
-    "family-balance": _check_family_balance,
-    "family-complement": _check_family_complement,
-    "window-pair": _check_window_pair,
-    "skip-one-partition": _check_skip_one,
-    "four-term-identity": _check_four_term,
-    "step-identity": _check_step_identity,
-    "solver-family-agreement": _check_solver_agreement,
-    "classification-grid": _check_classification_grid,
-    "kernel-oracle": _check_kernel_oracle,
+_CHECKS = {
+    "evil-odious-prefix": _evil_odious_prefix,
+    "family-balance": _family_balance,
+    "family-complement": _family_complement,
+    "window-pair": _window_pair,
+    "skip-one-partition": _skip_one,
+    "four-term-identity": _four_term,
+    "step-identity": _step_identity,
+    "solver-family-agreement": _solver_agreement,
+    "classification-grid": _classification_grid,
+    "kernel-oracle": _kernel_oracle,
 }
 
-CHECK_IDS = tuple(_CHECK_FUNCTIONS)
+CHECK_IDS = tuple(_CHECKS)
+
+
+def _run_check(check_id: str, verdicts: Verdicts) -> CheckResult:
+    """Count a check's instances and passes, keeping its first failure record."""
+    result = CheckResult(check_id, 0, 0)
+    for failure in verdicts:
+        result.instances += 1
+        if failure is None:
+            result.passed += 1
+        elif result.first_failure is None:
+            result.first_failure = failure
+    return result
 
 
 def run_suite(
@@ -588,12 +519,12 @@ def run_suite(
     """Run every check (or one by id) at the named profile scale."""
     if bound_profile not in PROFILES:
         raise ValueError(f"unknown profile {bound_profile!r}; choose from {sorted(PROFILES)}")
-    if only is not None and only not in _CHECK_FUNCTIONS:
+    if only is not None and only not in _CHECKS:
         raise ValueError(f"unknown check {only!r}; choose from {list(CHECK_IDS)}")
     profile = PROFILES[bound_profile]
     results = [
-        fn(profile, seed)
-        for check_id, fn in _CHECK_FUNCTIONS.items()
+        _run_check(check_id, check(profile, seed))
+        for check_id, check in _CHECKS.items()
         if only is None or check_id == only
     ]
     return SuiteReport(profile=bound_profile, results=results)

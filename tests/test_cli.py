@@ -119,6 +119,12 @@ class TestClassify:
             (4, 5), (0, 5), (2, 5), (8, 9), (0, 9), (4, 9),
         }
 
+    def test_grid_reaching_past_the_bound_exits_one(self, capsys):
+        # r runs up to 2m, and forced_extend needs bound >= r + 2: cell (3, 2) is the first to fail
+        code, out, err = run(capsys, "classify", "--m-max", "9", "--bound", "4")
+        assert code == EXIT_USAGE and out == ""
+        assert err == "repbal classify: bound 4 must reach past the first excluded value 3\n"
+
     def test_byte_determinism(self, capsys):
         args = ("classify", "--m-max", "4", "--bound", "128")
         _, first, _ = run(capsys, *args)

@@ -1,9 +1,10 @@
-"""Representation-count functions: pointwise variants, cross counts, profiles."""
+"""Representation-count functions: pointwise variants, truncated counts, profiles."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repbal import repfn
 from repbal.builders import build_evil_odious, build_family
 from repbal.intset import BoundedSet, OutOfWindowError
 from repbal.repfn import (
@@ -15,7 +16,6 @@ from repbal.repfn import (
     r2_profile_naive,
     r3,
     r3_profile,
-    r_cross,
 )
 
 
@@ -63,29 +63,6 @@ class TestPointwise:
         assert r2(s.widen(8), 5) == 0
 
 
-class TestCross:
-    def test_hand_enumerated(self):
-        s = BoundedSet.from_elements([0, 1], 4)
-        w = BoundedSet.from_elements([1, 2], 4)
-        assert r_cross(s, w, 2) == 2  # (0,2), (1,1)
-
-    def test_empty_partner(self):
-        s = BoundedSet.from_elements([0, 1], 4)
-        assert r_cross(s, BoundedSet.empty(4), 2) == 0
-
-    def test_evil_odious_prefix_pair(self):
-        evil, odious = build_evil_odious(8)
-        eu = evil.truncate(3)  # {0, 3}
-        vu = odious.truncate(3)  # {1, 2}
-        assert r_cross(eu, vu, 4) == 1  # (3,1)
-
-    @given(small_sets(), st.data())
-    def test_symmetry(self, s, data):
-        w = BoundedSet(s.bound, data.draw(st.integers(0, (1 << s.bound) - 1)))
-        n = data.draw(st.integers(0, s.bound - 1))
-        assert r_cross(s, w, n) == r_cross(w, s, n)
-
-
 class TestPrefix:
     def test_identity_when_truncation_covers_window(self):
         s = BoundedSet.from_elements([0, 3, 5, 9], 16)
@@ -131,6 +108,12 @@ class TestProfiles:
         assert p1.source_bound == 16 and len(p1) == 16
         for n in range(16):
             assert p1[n] == p2[n] + p3[n]
+
+    def test_odd_off_diagonal_count_is_refused(self, monkeypatch):
+        # ordered pairs off the diagonal come in mirrored twos; an odd count means a broken kernel
+        monkeypatch.setattr(repfn, "_ordered_counts", lambda s, n_max: [1] * (n_max + 1))
+        with pytest.raises(RuntimeError, match="^odd count 1 of off-diagonal ordered pairs at sum 0$"):
+            r2_profile(BoundedSet.from_elements([1], 4), 3)
 
     def test_empty_set_all_zero(self):
         assert set(r2_profile(BoundedSet.empty(64), 63).values) == {0}

@@ -1,8 +1,13 @@
 """Identity checkers: valid instances pass, hypothesis violations are rejected,
-single-element mutations flip the verdict."""
+single-element mutations flip the verdict, injected faults give exact reports."""
+
+import dataclasses
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repbal import verify
 from repbal.builders import build_ef, build_evil_odious
 from repbal.intset import BoundedSet, ProgressionSpec, progression_set
 from repbal.solver import forced_extend
@@ -173,3 +178,170 @@ class TestInstanceGeneratorsRespectWindows:
             t = progression_set(ProgressionSpec(4, 8), inst.t.bound)
             assert inst.t == t
             break
+
+
+def _flip(s, x):
+    return BoundedSet(s.bound, s.mask ^ (1 << x))
+
+
+def _faulty(name, corrupt):
+    """A replacement for ``verify.<name>`` that corrupts the original's result."""
+    original = getattr(verify, name)
+    return lambda *args: corrupt(original(*args), *args)
+
+
+A_LOSES_40 = ("build_family", lambda abt, *_: (_flip(abt[0], 40),) + abt[1:])
+
+# (injected fault, check run at the quick profile, its exact report entry)
+FAULTS = [
+    (
+        A_LOSES_40,
+        "family-balance",
+        {"instances": 12, "passed": 0, "first_failure": {
+            "inputs": {"family": "s1t1", "l": 0, "n": 40}, "lhs": 2, "rhs": 3}},
+    ),
+    (
+        A_LOSES_40,
+        "family-complement",
+        {"instances": 12, "passed": 0, "first_failure": {
+            "inputs": {"family": "s1t1", "l": 0, "x": 40}, "lhs": 0, "rhs": 1}},
+    ),
+    (
+        A_LOSES_40,
+        "solver-family-agreement",
+        {"instances": 12, "passed": 0, "first_failure": {
+            "inputs": {"family": "s1t1", "l": 0, "status": "completed"}, "lhs": None, "rhs": None}},
+    ),
+    (
+        ("r2_profile_naive", lambda counts, *_: [v + (n == 7) for n, v in enumerate(counts)]),
+        "kernel-oracle",
+        {"instances": 25, "passed": 0, "first_failure": {
+            "inputs": {"set_index": 0, "n": 7}, "lhs": 0, "rhs": 1}},
+    ),
+    (
+        ("step_identity_residual", lambda res, a, t, evil, cutoff, n: res + (n == 3)),
+        "step-identity",
+        {"instances": 7, "passed": 2, "first_failure": {
+            "inputs": {"r": 2, "m": 3, "n": 3}, "lhs": 1, "rhs": 0}},
+    ),
+    (
+        ("build_evil_odious", lambda pair, *_: pair[::-1]),
+        "step-identity",
+        {"instances": 7, "passed": 0, "first_failure": {
+            "inputs": {"r": 1, "m": 2, "check": "first-excluded-parity"}, "lhs": 1, "rhs": 0}},
+    ),
+    (
+        ("four_term_residual", lambda res, inst: res - (inst.N == 2 * inst.L)),
+        "four-term-identity",
+        {"instances": 141, "passed": 112, "first_failure": {
+            "inputs": {"kind": "evil-odious", "r": 1, "m": 2, "n": 1, "N": 2}, "lhs": -1, "rhs": 0}},
+    ),
+    (
+        ("build_evil_odious", lambda pair, *_: (_flip(pair[0], 0), pair[1])),
+        "evil-odious-prefix",
+        {"instances": 9, "passed": 2, "first_failure": {
+            "inputs": {"l": 2, "n": 3}, "lhs": 0, "rhs": 1}},
+    ),
+    (
+        ("build_xy", lambda xy, bound: tuple(s - BoundedSet.from_elements([bound - 1], bound) for s in xy)),
+        "skip-one-partition",
+        {"instances": 2, "passed": 0, "first_failure": {
+            "inputs": {"bound": 2048}, "lhs": 2046, "rhs": 2047}},
+    ),
+    (
+        ("build_xy", lambda xy, *_: tuple(_flip(s, 5) for s in xy)),
+        "skip-one-partition",
+        {"instances": 2, "passed": 1, "first_failure": {
+            "inputs": {"n": 5}, "lhs": 0, "rhs": 1}},
+    ),
+    (
+        ("build_ef", lambda ef, *_: (_flip(ef[0], 0), ef[1])),
+        "window-pair",
+        {"instances": 7, "passed": 1, "first_failure": {
+            "inputs": {"u": 1, "n": 4}, "lhs": 0, "rhs": 1}},
+    ),
+    (
+        ("predicted_solvable_cells", lambda cells, *_: cells | {(3, 2)}),
+        "classification-grid",
+        {"instances": 96, "passed": 95, "first_failure": {
+            "inputs": {"r": 3, "m": 2}, "lhs": "contradiction", "rhs": "completed"}},
+    ),
+]
+
+
+class TestFailureRecords:
+    """An injected fault yields exactly this report entry: counts and first failure."""
+
+    @pytest.mark.parametrize("fault,check,expected", FAULTS, ids=[f"{c}-{f[0]}" for f, c, _ in FAULTS])
+    def test_injected_fault(self, monkeypatch, fault, check, expected):
+        name, corrupt = fault
+        monkeypatch.setattr(verify, name, _faulty(name, corrupt))
+        report = run_suite("quick", only=check)
+        assert not report.all_passed
+        assert report.to_json_dict()["checks"] == [{"lemma": check, **expected}]
+
+
+class TestValidationMessages:
+    """validate_four_term names the lowest offending value, overlap before coverage.
+
+    The base instance has c = {0, 3}, d = {1, 2, 4}, L = 2 and K = 4."""
+
+    def _rejects(self, message, **changes):
+        bad = dataclasses.replace(base_instance(), **changes)
+        with pytest.raises(InstanceError, match=f"^{message}$"):
+            validate_four_term(bad)
+
+    def test_overlap(self):
+        base = base_instance()
+        self._rejects("c and d overlap at 3", d=_flip(base.d, 3))
+
+    def test_overlap_below_a_coverage_gap(self):
+        base = base_instance()
+        self._rejects("c and d overlap at 3", d=_flip(_flip(base.d, 3), 4))
+
+    def test_coverage_gap(self):
+        base = base_instance()
+        self._rejects("c/d coverage wrong at 4", d=_flip(base.d, 4))
+
+    def test_coverage_gap_below_an_overlap(self):
+        base = base_instance()
+        self._rejects("c/d coverage wrong at 2", d=_flip(_flip(base.d, 2), 3))
+
+    def test_disagreement_below_L(self):
+        base = base_instance()
+        self._rejects(
+            "the pairs must agree below L, they differ at 1",
+            c=_flip(base.c, 1), d=_flip(base.d, 1),
+        )
+
+    @given(st.sets(st.integers(1, 13)), st.sets(st.integers(1, 13)))
+    def test_masks_match_the_per_value_scan(self, flips_c, flips_d):
+        # L = 12 with the excluded value 4 below it; c and d cover [0, K] with K = 13
+        inst = next(window_pair_instances(2, 8, seeds=(0,)))
+        flips_c.discard(inst.L)  # L must stay outside c, a check made before these
+        c, d = inst.c, inst.d
+        for x in flips_c:
+            c = _flip(c, x)
+        for x in flips_d:
+            d = _flip(d, x)
+        bad = dataclasses.replace(inst, c=c, d=d)
+        expected = _scan_c_d(bad)
+        if expected is None:
+            validate_four_term(bad)
+        else:
+            with pytest.raises(InstanceError, match=f"^{expected}$"):
+                validate_four_term(bad)
+
+
+def _scan_c_d(inst):
+    """Reference for validate_four_term's c/d checks, one value at a time."""
+    for x in range(inst.K + 1):
+        cx, dx = inst.c.chi(x), inst.d.chi(x)
+        if cx and dx:
+            return f"c and d overlap at {x}"
+        if cx + dx != (0 if x < inst.L and inst.t.chi(x) else 1):
+            return f"c/d coverage wrong at {x}"
+    for x in range(inst.L):
+        if inst.a.chi(x) != inst.c.chi(x) or inst.b.chi(x) != inst.d.chi(x):
+            return f"the pairs must agree below L, they differ at {x}"
+    return None
