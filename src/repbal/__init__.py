@@ -29,7 +29,7 @@ from .intset import (
     progression_set,
 )
 from .repfn import (
-    RepProfile,
+    pairs_at,
     r1,
     r1_profile,
     r2,
@@ -37,7 +37,8 @@ from .repfn import (
     r2_profile,
     r2_profile_naive,
     r3,
-    r3_profile,
+    reverse_mask,
+    strict_counts,
 )
 from .solver import (
     STATUS_COMPLETED,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -22,7 +21,7 @@ from .builders import (
     build_xy,
 )
 from .intset import BoundedSet, ProgressionSpec
-from .repfn import r1_profile, r2_profile, r3_profile
+from .repfn import r1_profile, r2_profile, strict_counts
 from .solver import (
     STATUS_COMPLETED,
     ClassificationRecord,
@@ -35,8 +34,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_COUNTEREXAMPLE = 2
 
-OUTPUT_DIR_ENV = "REPBAL_OUTPUT_DIR"
-
 CSV_HEADER = "r,m,status,family,l,contradiction_at,forced_value"
 
 
@@ -45,6 +42,9 @@ DEFAULT_BOUND = 4096
 DEFAULT_M_MAX = 33
 DEFAULT_R_MAX_FACTOR = 2
 DEFAULT_GRID_BOUND = 2048
+
+# Largest window any subcommand builds: 2 MiB per mask, past every planned size.
+MAX_BOUND = 1 << 24
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,12 +55,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _resolve_out(path: str | None, output_dir: str | None) -> Path | None:
-    if path is None:
-        return None
-    base = output_dir or os.environ.get(OUTPUT_DIR_ENV) or "."
-    p = Path(path)
-    return p if p.is_absolute() else Path(base) / p
+def _check_bound(bound: int) -> int:
+    """Refuse a window before anything of its size is allocated or looped over."""
+    if bound > MAX_BOUND:
+        raise ValueError(f"bound {bound} exceeds {MAX_BOUND}")
+    return bound
 
 
 def _set_braces(s: BoundedSet) -> str:
@@ -83,9 +82,12 @@ def _build_sets(token: str, bound: int | None) -> list[tuple[str, BoundedSet]]:
     if name == "ef":
         if bound is not None:
             raise ValueError("ef:<u> fixes its own bound; drop --bound")
+        if param >= MAX_BOUND.bit_length():  # over the limit without building 3 * 2^u + 2
+            raise ValueError(f"bound 3*2^{param}+2 exceeds {MAX_BOUND}")
+        _check_bound(3 * (1 << param) + 2)
         e, f = build_ef(param)
         return [("E", e), ("F", f)]
-    bound = DEFAULT_BOUND if bound is None else bound
+    bound = _check_bound(DEFAULT_BOUND if bound is None else bound)
     if bound < 4:
         raise ValueError(f"bound must be >= 4, got {bound}")
     if name == "uv":
@@ -121,31 +123,31 @@ def cmd_repfn(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     try:
         if args.family is not None:
-            labeled = _build_sets(args.family, args.bound)
-            pair = [s for _, s in labeled[:2]]
-            n_max = args.n_max if args.n_max is not None else pair[0].bound - 1
-            pa = r2_profile(pair[0], n_max).values
-            pb = r2_profile(pair[1], n_max).values
+            sets = [s for _, s in _build_sets(args.family, args.bound)[:2]]
+        else:
+            sets = [BoundedSet.from_text(Path(args.input).read_text())]
+        bound = _check_bound(sets[0].bound)
+        n_max = _check_bound(args.n_max) if args.n_max is not None else bound - 1
+        if args.family is not None:
+            pa = r2_profile(sets[0], n_max)
+            pb = r2_profile(sets[1], n_max)
             lines = ["n,R2_A,R2_B,equal"]
             lines += [
                 f"{n},{pa[n]},{pb[n]},{1 if pa[n] == pb[n] else 0}" for n in range(n_max + 1)
             ]
         else:
-            s = BoundedSet.from_text(Path(args.input).read_text())
-            n_max = args.n_max if args.n_max is not None else s.bound - 1
-            p1 = r1_profile(s, n_max).values
-            p2 = r2_profile(s, n_max).values
-            p3 = r3_profile(s, n_max).values
+            p1 = r1_profile(sets[0], n_max)
+            p2 = strict_counts(p1, sets[0].mask)  # R3 = R1 - R2
             lines = ["n,R1,R2,R3"]
-            lines += [f"{n},{p1[n]},{p2[n]},{p3[n]}" for n in range(n_max + 1)]
+            lines += [f"{n},{p1[n]},{p2[n]},{p1[n] - p2[n]}" for n in range(n_max + 1)]
     except (ValueError, OSError) as exc:
         print(f"repbal repfn: {exc}", file=sys.stderr)
         return EXIT_USAGE
     text = "\n".join(lines) + "\n"
-    out = _resolve_out(args.out, args.output_dir)
-    if out is None:
+    if args.out is None:
         print(text, end="")
     else:
+        out = Path(args.out)
         out.write_text(text)
         print(f"wrote {len(lines) - 1} rows to {out}", file=sys.stderr)
     return EXIT_OK
@@ -154,7 +156,7 @@ def cmd_repfn(args: argparse.Namespace) -> int:
 def cmd_solve(args: argparse.Namespace) -> int:
     try:
         spec = ProgressionSpec(args.r, args.m)
-        out = forced_extend(spec, args.bound)
+        out = forced_extend(spec, _check_bound(args.bound))
     except ValueError as exc:
         print(f"repbal solve: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -214,15 +216,15 @@ def cmd_classify(args: argparse.Namespace) -> int:
         print("repbal classify: need m-max >= 2, bound >= 4, r-max-factor >= 0", file=sys.stderr)
         return EXIT_USAGE
     try:
-        records = classify_grid(args.m_max, args.r_max_factor, args.bound)
+        records = classify_grid(args.m_max, args.r_max_factor, _check_bound(args.bound))
     except ValueError as exc:
         print(f"repbal classify: {exc}", file=sys.stderr)
         return EXIT_USAGE
     text = classification_to_csv(records)
-    out = _resolve_out(args.out, args.output_dir)
-    if out is None:
+    if args.out is None:
         print(text, end="")
     else:
+        out = Path(args.out)
         out.write_text(text)
         print(f"wrote {len(records)} records to {out}", file=sys.stderr)
     return EXIT_OK
@@ -240,8 +242,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if res.first_failure is not None:
             line += f" first failure: {json.dumps(res.first_failure, sort_keys=True)}"
         print(line)
-    out = _resolve_out(args.out, args.output_dir)
-    if out is not None:
+    if args.out is not None:
+        out = Path(args.out)
         out.write_text(json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n")
         print(f"wrote report to {out}", file=sys.stderr)
     if report.all_passed:
@@ -267,7 +269,6 @@ def build_parser() -> _Parser:
     p_repfn.add_argument("--bound", type=int, default=None)
     p_repfn.add_argument("--n-max", type=int, default=None)
     p_repfn.add_argument("--out", default=None)
-    p_repfn.add_argument("--output-dir", default=None)
     p_repfn.set_defaults(handler=cmd_repfn)
 
     p_solve = sub.add_parser("solve", help="force-extend the partition for one (r, m)")
@@ -282,7 +283,6 @@ def build_parser() -> _Parser:
     p_classify.add_argument("--r-max-factor", type=int, default=DEFAULT_R_MAX_FACTOR)
     p_classify.add_argument("--bound", type=int, default=DEFAULT_GRID_BOUND)
     p_classify.add_argument("--out", default=None)
-    p_classify.add_argument("--output-dir", default=None)
     p_classify.set_defaults(handler=cmd_classify)
 
     p_verify = sub.add_parser("verify", help="run the verification suite")
@@ -290,7 +290,6 @@ def build_parser() -> _Parser:
     p_verify.add_argument("--bound-profile", default="quick", choices=("quick", "full"))
     p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_verify.add_argument("--out", default=None)
-    p_verify.add_argument("--output-dir", default=None)
     p_verify.set_defaults(handler=cmd_verify)
 
     return parser

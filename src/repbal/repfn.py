@@ -2,20 +2,20 @@
 
 Pointwise counts come in three variants (ordered pairs, strictly increasing
 pairs, weakly increasing pairs), plus counts over a truncated set.  Whole
-profiles are computed by a bit-parallel kernel; an independent
-pair-enumeration oracle is kept alongside it.  All counts are exact machine
-integers and every query outside a set's materialized window is refused
-rather than answered partially.
+profiles are computed by a bit-parallel kernel built on one primitive,
+``pairs_at`` over a ``reverse_mask``; an independent pair-enumeration oracle
+is kept alongside it.  All counts are exact machine integers and every query
+outside a set's materialized window is refused rather than answered partially.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Sequence
 
 from .intset import BoundedSet, OutOfWindowError
 
 __all__ = [
-    "RepProfile",
+    "pairs_at",
     "r1",
     "r1_profile",
     "r2",
@@ -23,7 +23,8 @@ __all__ = [
     "r2_profile",
     "r2_profile_naive",
     "r3",
-    "r3_profile",
+    "reverse_mask",
+    "strict_counts",
 ]
 
 
@@ -65,61 +66,53 @@ def r2_prefix(s: BoundedSet, x: int, n: int) -> int:
     return r2(s.truncate(x), n)
 
 
-@dataclass(frozen=True)
-class RepProfile:
-    """Counts of one representation variant for every sum in [0, len - 1]."""
+def reverse_mask(mask: int, width: int) -> int:
+    """Bits [0, width) of mask in reverse order: bit a moves to bit width - 1 - a."""
+    return int(format(mask & ((1 << width) - 1), f"0{width}b")[::-1], 2)
 
-    values: tuple[int, ...]
-    variant: str  # "R1" | "R2" | "R3"
-    source_bound: int
 
-    def __getitem__(self, n: int) -> int:
-        return self.values[n]
+def pairs_at(x: int, rev_y: int, width: int, n: int) -> int:
+    """#{a in x : n - a in y} for 0 <= n < width, where rev_y = reverse_mask(y, width).
 
-    def __len__(self) -> int:
-        return len(self.values)
+    The shift lines bit a of x up with bit n - a of y, so one AND and one
+    popcount count a machine word of pairs at a time.  Every bit-parallel pair
+    count in the package goes through here: the profiles, each forced-extension
+    step and the identity checkers' cross sums.
+    """
+    return (x & (rev_y >> (width - 1 - n))).bit_count()
+
+
+def strict_counts(ordered: Sequence[int], mask: int) -> tuple[int, ...]:
+    """Pairs a < b with a + b = n for n = 0, 1, ..., from one set's ordered-pair counts.
+
+    Ordered pairs off the diagonal come in mirrored twos, so each count less the
+    diagonal pair (n/2, n/2) halves exactly; an odd remainder means a broken kernel.
+    """
+    values = []
+    for n, count in enumerate(ordered):
+        off = count - ((mask >> (n // 2)) & 1 if n % 2 == 0 else 0)
+        if off % 2:
+            raise RuntimeError(f"odd count {off} of off-diagonal ordered pairs at sum {n}")
+        values.append(off // 2)
+    return tuple(values)
 
 
 def _ordered_counts(s: BoundedSet, n_max: int) -> list[int]:
-    """Ordered-pair counts for every sum 0..n_max, one popcount per sum.
-
-    With the membership mask and its bit reversal, the count at n is
-    popcount(mask & (reversed >> (n_max - n))): the shift lines bit a of the
-    mask up with bit n - a of the original, a machine word of pairs at a time.
-    """
+    """Ordered-pair counts for every sum 0..n_max, one popcount per sum."""
     _require_window(s, n_max)
     width = n_max + 1
-    mask = s.mask & ((1 << width) - 1)  # elements > n_max occur in no sum <= n_max
-    rev = int(format(mask, f"0{width}b")[::-1], 2)
-    return [(mask & (rev >> (width - 1 - n))).bit_count() for n in range(width)]
+    rev = reverse_mask(s.mask, width)  # elements > n_max occur in no sum <= n_max
+    return [pairs_at(s.mask, rev, width, n) for n in range(width)]
 
 
-def _diagonal(s: BoundedSet, n: int) -> int:
-    return (s.mask >> (n // 2)) & 1 if n % 2 == 0 else 0
-
-
-def r1_profile(s: BoundedSet, n_max: int) -> RepProfile:
+def r1_profile(s: BoundedSet, n_max: int) -> tuple[int, ...]:
     """Ordered-pair counts for all sums up to n_max."""
-    return RepProfile(tuple(_ordered_counts(s, n_max)), "R1", s.bound)
+    return tuple(_ordered_counts(s, n_max))
 
 
-def r2_profile(s: BoundedSet, n_max: int) -> RepProfile:
+def r2_profile(s: BoundedSet, n_max: int) -> tuple[int, ...]:
     """Strict-pair counts for all sums up to n_max (fast path)."""
-    values = []
-    for n, ordered in enumerate(_ordered_counts(s, n_max)):
-        d = _diagonal(s, n)
-        if (ordered - d) % 2:
-            raise RuntimeError(f"odd count {ordered - d} of off-diagonal ordered pairs at sum {n}")
-        values.append((ordered - d) // 2)
-    return RepProfile(tuple(values), "R2", s.bound)
-
-
-def r3_profile(s: BoundedSet, n_max: int) -> RepProfile:
-    """Weak-pair counts for all sums up to n_max."""
-    values = []
-    for n, ordered in enumerate(_ordered_counts(s, n_max)):
-        values.append((ordered + _diagonal(s, n)) // 2)
-    return RepProfile(tuple(values), "R3", s.bound)
+    return strict_counts(_ordered_counts(s, n_max), s.mask)
 
 
 def r2_profile_naive(s: BoundedSet, n_max: int) -> list[int]:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from .builders import FAMILIES, build_family, family_progression
 from .intset import BoundedSet, ProgressionSpec, progression_set
+from .repfn import pairs_at
 
 __all__ = [
     "STATUS_COMPLETED",
@@ -58,18 +59,18 @@ class ExtensionOutcome:
 def forced_extend(spec: ProgressionSpec, bound: int) -> ExtensionOutcome:
     """Extend the unique balanced partition over [0, bound), or report where it dies.
 
-    Incremental bit-parallel pair counting: alongside each class mask a
-    reversed copy is maintained, so the decided-pair count at any sum is one
-    shift, one AND and one popcount.
+    Incremental bit-parallel pair counting: alongside each class mask a copy
+    reversed over [0, bound] is maintained, so every target sum anchor + f <= bound
+    is in reach of ``pairs_at``.
     """
     if bound < spec.r + 2:
         raise ValueError(f"bound {bound} must reach past the first excluded value {spec.r}")
     excluded = progression_set(spec, bound)
     t_mask = excluded.mask
     anchor = 0 if spec.r else 1  # least value outside the progression; m >= 2 frees 1
-    top = bound - 1
+    width = bound + 1
     mask_a, mask_b = 1 << anchor, 0
-    rev_a, rev_b = 1 << (top - anchor), 0
+    rev_a, rev_b = 1 << (bound - anchor), 0
 
     def contradiction(frontier: int, target: int, demanded: int) -> ExtensionOutcome:
         window = (1 << frontier) - 1
@@ -86,26 +87,20 @@ def forced_extend(spec: ProgressionSpec, bound: int) -> ExtensionOutcome:
 
     for f in range(anchor + 1, bound):
         target = anchor + f
-        shift = top - target
-        if shift >= 0:
-            ordered_a = (mask_a & (rev_a >> shift)).bit_count()
-            ordered_b = (mask_b & (rev_b >> shift)).bit_count()
-        else:
-            ordered_a = (mask_a & (rev_a << -shift)).bit_count()
-            ordered_b = (mask_b & (rev_b << -shift)).bit_count()
-        if target % 2 == 0:
-            ordered_a -= (mask_a >> (target // 2)) & 1
-            ordered_b -= (mask_b >> (target // 2)) & 1
-        demanded = (ordered_b - ordered_a) // 2
+        # ordered pairs count each strict pair twice and the diagonal pair once,
+        # so halving rounded down leaves the strict-pair count
+        strict_a = pairs_at(mask_a, rev_a, width, target) // 2
+        strict_b = pairs_at(mask_b, rev_b, width, target) // 2
+        demanded = strict_b - strict_a
         if (t_mask >> f) & 1:
             if demanded:
                 return contradiction(f, target, demanded)
         elif demanded == 1:
             mask_a |= 1 << f
-            rev_a |= 1 << (top - f)
+            rev_a |= 1 << (bound - f)
         elif demanded == 0:
             mask_b |= 1 << f
-            rev_b |= 1 << (top - f)
+            rev_b |= 1 << (bound - f)
         else:
             return contradiction(f, target, demanded)
 

@@ -23,7 +23,7 @@ from .builders import (
     family_progression,
 )
 from .intset import BoundedSet, ProgressionSpec, progression_set
-from .repfn import r2_prefix, r2_profile, r2_profile_naive
+from .repfn import pairs_at, r2_prefix, r2_profile, r2_profile_naive, reverse_mask
 from .solver import (
     STATUS_COMPLETED,
     classify_grid,
@@ -138,16 +138,18 @@ def four_term_residual(inst: FourTermInstance) -> int:
     lhs = (
         r2_prefix(a, n, N) + r2_prefix(d, n, N) - r2_prefix(b, n, N) - r2_prefix(c, n, N)
     )
-    excluded_mid = [x for x in range(L, n + 1) if t.chi(x)]  # t restricted to [L, n]
-    mid = set(excluded_mid)
-    d_only = [x for x in range(n + 1) if d.chi(x) and not b.chi(x) and x not in mid]
-    c_only = [x for x in range(n + 1) if c.chi(x) and not a.chi(x) and x not in mid]
-    cross_t_d = sum(t.chi(N - x) for x in d_only)
-    cross_t_c = sum(t.chi(N - x) for x in c_only)
-    cross_d = sum(d.chi(N - x) for x in excluded_mid if d.chi(x))
-    cross_c = sum(c.chi(N - x) for x in excluded_mid if c.chi(x))
+    width = N + 1
+    upto_n = (1 << (n + 1)) - 1
+    mid = t.mask & upto_n & ~((1 << L) - 1)  # t restricted to [L, n]
+    d_only = d.mask & ~b.mask & ~mid & upto_n
+    c_only = c.mask & ~a.mask & ~mid & upto_n
+    rev_t, rev_c, rev_d = (reverse_mask(s.mask, width) for s in (t, c, d))
+    cross_t_d = pairs_at(d_only, rev_t, width, N)
+    cross_t_c = pairs_at(c_only, rev_t, width, N)
+    cross_d = pairs_at(mid & d.mask, rev_d, width, N)
+    cross_c = pairs_at(mid & c.mask, rev_c, width, N)
     eps = 1 if N == 2 * L else 0
-    rhs = len(d_only) - cross_t_d + cross_d - len(c_only) + cross_t_c - cross_c - eps
+    rhs = d_only.bit_count() - cross_t_d + cross_d - c_only.bit_count() + cross_t_c - cross_c - eps
     return lhs - rhs
 
 
@@ -226,10 +228,12 @@ def step_identity_residual(
     a: BoundedSet, t: BoundedSet, evil: BoundedSet, cutoff: int, n: int
 ) -> int:
     """lhs - rhs of the step identity at n, where cutoff is the first excluded value."""
-    in_t = [x for x in range(n + 1) if t.chi(x)]
-    lhs = sum(evil.chi(n - x + 1) for x in in_t)
+    in_t = t.mask & ((1 << (n + 1)) - 1)
+    width = n + 2
+    rev_evil = reverse_mask(evil.mask, width)
+    lhs = pairs_at(in_t, rev_evil, width, n + 1)
     eps = 1 if n == 2 * cutoff - 1 else 0
-    rhs = sum(evil.chi(n - x) for x in in_t) + a.chi(n + 1) - evil.chi(n + 1) - eps
+    rhs = pairs_at(in_t, rev_evil, width, n) + a.chi(n + 1) - evil.chi(n + 1) - eps
     return lhs - rhs
 
 
@@ -363,8 +367,8 @@ def _profile_verdict(
     inputs: dict[str, Any], left: BoundedSet, right: BoundedSet, n_max: int
 ) -> dict[str, Any] | None:
     """The failure record at the first sum in [1, n_max] where the r2 profiles differ."""
-    pl = r2_profile(left, n_max).values
-    pr = r2_profile(right, n_max).values
+    pl = r2_profile(left, n_max)
+    pr = r2_profile(right, n_max)
     for n in range(1, n_max + 1):
         if pl[n] != pr[n]:
             return {"inputs": {**inputs, "n": n}, "lhs": pl[n], "rhs": pr[n]}
@@ -479,7 +483,7 @@ def _kernel_oracle(p: SuiteProfile, seed: int) -> Verdicts:
         density = densities[i % len(densities)]
         bound = p.kernel_n_max + 1
         s = BoundedSet(bound, sum(1 << x for x in range(bound) if rng.random() < density))
-        fast = r2_profile(s, p.kernel_n_max).values
+        fast = r2_profile(s, p.kernel_n_max)
         slow = r2_profile_naive(s, p.kernel_n_max)
         n = next((n for n in range(len(fast)) if fast[n] != slow[n]), None)
         yield None if n is None else {"inputs": {"set_index": i, "n": n}, "lhs": fast[n], "rhs": slow[n]}

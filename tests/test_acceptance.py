@@ -51,8 +51,8 @@ def test_criterion_1_family_identity_at_desk_scale():
             a, b, t = build_family(family, l, DESK_BOUND)
             anchor = 1 if family == S1T1_SHIFTED else 0
             n_max = DESK_BOUND - anchor - 1
-            pa = r2_profile(a, n_max).values
-            pb = r2_profile(b, n_max).values
+            pa = r2_profile(a, n_max)
+            pb = r2_profile(b, n_max)
             assert pa[1:] == pb[1:], (family, l)
             assert a.isdisjoint(b) and a.isdisjoint(t) and b.isdisjoint(t)
             assert (a | b | t) == BoundedSet.full(DESK_BOUND), (family, l)
@@ -116,8 +116,8 @@ def test_criterion_5_evil_odious_prefixes():
         evil, odious = build_evil_odious(bound)
         left = evil.truncate(2**l - 1)
         right = odious.truncate(2**l - 1)
-        pe = r2_profile(left, bound - 1).values
-        po = r2_profile(right, bound - 1).values
+        pe = r2_profile(left, bound - 1)
+        po = r2_profile(right, bound - 1)
         assert pe[1:] == po[1:], l
     print("PASS criterion 5: evil/odious prefix pairs balance exactly for "
           "l in [0,10], n <= 2^(l+1)-2")
@@ -127,8 +127,8 @@ def test_criterion_6_window_pairs():
     for u in range(0, 9):
         e, f = build_ef(u)
         n_max = e.bound - 1  # = 2^(u+1) + 1 + 2^u
-        pe = r2_profile(e, n_max).values
-        pf = r2_profile(f, n_max).values
+        pe = r2_profile(e, n_max)
+        pf = r2_profile(f, n_max)
         assert pe[1:] == pf[1:], u
     print("PASS criterion 6: punctured-window pairs balance exactly for "
           "u in [0,8] over their whole windows")
@@ -185,7 +185,7 @@ def test_criterion_8_kernel_oracle_equivalence_and_speed():
             if rng.random() < density:
                 mask |= 1 << x
         s = BoundedSet(n_max + 1, mask)
-        assert list(r2_profile(s, n_max).values) == r2_profile_naive(s, n_max), i
+        assert list(r2_profile(s, n_max)) == r2_profile_naive(s, n_max), i
 
     big_n = 1 << 14
     mask = 0
@@ -194,7 +194,7 @@ def test_criterion_8_kernel_oracle_equivalence_and_speed():
             mask |= 1 << x
     big = BoundedSet(big_n + 1, mask)
     t0 = time.perf_counter()
-    fast = list(r2_profile(big, big_n).values)
+    fast = list(r2_profile(big, big_n))
     t1 = time.perf_counter()
     slow = r2_profile_naive(big, big_n)
     t2 = time.perf_counter()

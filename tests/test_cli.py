@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repbal import cli
 from repbal.cli import (
     EXIT_COUNTEREXAMPLE,
     EXIT_OK,
@@ -12,6 +13,7 @@ from repbal.cli import (
     main,
     parse_classification_csv,
 )
+from repbal.intset import BoundedSet
 from repbal.solver import classify_grid
 
 
@@ -131,15 +133,60 @@ class TestClassify:
         _, second, _ = run(capsys, *args)
         assert first == second
 
-    def test_output_dir_env_override(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPBAL_OUTPUT_DIR", str(tmp_path))
-        code, _, _ = run(capsys, "classify", "--m-max", "3", "--bound", "64", "--out", "g.csv")
-        assert code == EXIT_OK
-        assert (tmp_path / "g.csv").exists()
-
     def test_bad_grid_shape_exits_one(self, capsys):
         code, _, _ = run(capsys, "classify", "--m-max", "1")
         assert code == EXIT_USAGE
+
+
+HUGE = 1 << 40  # a mask this wide would take 128 GiB
+
+
+class TestBoundGuard:
+    """An absurd window exits 1 with one line before any set or profile is built."""
+
+    @pytest.fixture(autouse=True)
+    def unreachable(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("reached a builder or kernel")
+
+        for name in ("forced_extend", "classify_grid", "build_family", "build_ef",
+                     "build_evil_odious", "build_xy", "r1_profile", "r2_profile"):
+            monkeypatch.setattr(cli, name, refuse)
+
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--r", "2", "--m", "3", "--bound", str(HUGE)),
+        ("classify", "--m-max", "9", "--bound", str(HUGE)),
+        ("build", "s1t1:2", "--bound", str(HUGE)),
+        ("build", "uv", "--bound", str(HUGE)),
+        ("repfn", "--family", "xy", "--bound", str(HUGE)),
+    ])
+    def test_bound_flag(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"repbal {argv[0]}: bound {HUGE} exceeds 16777216\n"
+
+    def test_window_pair_parameter(self, capsys):
+        # ef:<u> builds [0, 3 * 2^u + 2); from u = 25 on the bound is written, never computed
+        code, _, err = run(capsys, "repfn", "--family", "ef:23")
+        assert code == EXIT_USAGE and err == "repbal repfn: bound 25165826 exceeds 16777216\n"
+        code, _, err = run(capsys, "build", "ef:1000000000000")
+        assert code == EXIT_USAGE
+        assert err == "repbal build: bound 3*2^1000000000000+2 exceeds 16777216\n"
+
+    def test_fixture_bound_and_n_max(self, capsys, tmp_path):
+        huge = tmp_path / "huge.txt"
+        huge.write_text(f"bound={HUGE}\n0,3\n")
+        code, _, err = run(capsys, "repfn", "--input", str(huge))
+        assert code == EXIT_USAGE and err == f"repbal repfn: bound {HUGE} exceeds 16777216\n"
+        small = tmp_path / "small.txt"
+        small.write_text("bound=64\n0,3\n")
+        code, _, err = run(capsys, "repfn", "--input", str(small), "--n-max", str(HUGE))
+        assert code == EXIT_USAGE and err == f"repbal repfn: bound {HUGE} exceeds 16777216\n"
+
+    def test_largest_window_is_accepted(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "build_xy", lambda bound: (BoundedSet(bound), BoundedSet(bound)))
+        code, _, _ = run(capsys, "build", "xy", "--bound", str(cli.MAX_BOUND))
+        assert code == EXIT_OK
 
 
 class TestVerify:

@@ -8,6 +8,7 @@ from repbal import repfn
 from repbal.builders import build_evil_odious, build_family
 from repbal.intset import BoundedSet, OutOfWindowError
 from repbal.repfn import (
+    pairs_at,
     r1,
     r1_profile,
     r2,
@@ -15,7 +16,7 @@ from repbal.repfn import (
     r2_profile,
     r2_profile_naive,
     r3,
-    r3_profile,
+    reverse_mask,
 )
 
 
@@ -92,7 +93,7 @@ class TestProfiles:
     @given(small_sets())
     def test_kernel_matches_naive_oracle(self, s):
         n_max = s.bound - 1
-        assert list(r2_profile(s, n_max).values) == r2_profile_naive(s, n_max)
+        assert list(r2_profile(s, n_max)) == r2_profile_naive(s, n_max)
 
     @given(small_sets(), st.data())
     def test_kernel_matches_pointwise(self, s, data):
@@ -101,13 +102,13 @@ class TestProfiles:
         for n in range(n_max + 1):
             assert profile[n] == r2(s, n)
 
-    def test_variant_labels_and_relation(self):
-        s = BoundedSet.from_elements([0, 1, 2, 5], 16)
-        p1, p2, p3 = r1_profile(s, 15), r2_profile(s, 15), r3_profile(s, 15)
-        assert (p1.variant, p2.variant, p3.variant) == ("R1", "R2", "R3")
-        assert p1.source_bound == 16 and len(p1) == 16
-        for n in range(16):
-            assert p1[n] == p2[n] + p3[n]
+    @given(small_sets(), st.data())
+    def test_ordered_profile_splits_into_strict_and_weak(self, s, data):
+        n_max = data.draw(st.integers(0, s.bound - 1))
+        p1, p2 = r1_profile(s, n_max), r2_profile(s, n_max)
+        assert len(p1) == len(p2) == n_max + 1
+        for n in range(n_max + 1):
+            assert p1[n] == r1(s, n) == p2[n] + r3(s, n)
 
     def test_odd_off_diagonal_count_is_refused(self, monkeypatch):
         # ordered pairs off the diagonal come in mirrored twos; an odd count means a broken kernel
@@ -116,7 +117,7 @@ class TestProfiles:
             r2_profile(BoundedSet.from_elements([1], 4), 3)
 
     def test_empty_set_all_zero(self):
-        assert set(r2_profile(BoundedSet.empty(64), 63).values) == {0}
+        assert set(r2_profile(BoundedSet.empty(64), 63)) == {0}
 
     def test_zero_beyond_twice_the_maximum(self):
         s = BoundedSet.from_elements([1, 4], 64)
@@ -136,8 +137,25 @@ class TestProfiles:
             evil, odious = build_evil_odious(bound)
             pe = r2_profile(evil.truncate(2**l - 1), bound - 1)
             po = r2_profile(odious.truncate(2**l - 1), bound - 1)
-            assert pe.values == po.values
+            assert pe == po
 
     def test_window_error(self):
         with pytest.raises(OutOfWindowError):
             r2_profile(BoundedSet.empty(8), 8)
+
+
+class TestPairCount:
+    @given(st.integers(1, 130).flatmap(
+        lambda w: st.tuples(st.just(w), st.integers(0, (1 << w) - 1), st.integers(0, (1 << w) - 1),
+                            st.sampled_from([0, w - 1]) | st.integers(0, w - 1))
+    ))
+    def test_matches_direct_enumeration(self, case):
+        width, x, y, n = case
+        expected = sum(1 for a in range(n + 1) if (x >> a) & 1 and (y >> (n - a)) & 1)
+        assert pairs_at(x, reverse_mask(y, width), width, n) == expected
+
+    @given(st.integers(0, 1 << 80), st.integers(0, 90))
+    def test_reverse_keeps_only_the_window(self, mask, width):
+        rev = reverse_mask(mask, width)
+        assert rev >> width == 0
+        assert all((rev >> (width - 1 - a)) & 1 == (mask >> a) & 1 for a in range(width))

@@ -1,6 +1,8 @@
 """Forced extension: frozen outcomes, oracle agreement, matching, grids."""
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repbal.builders import FAMILIES, build_family, family_progression
 from repbal.intset import ProgressionSpec
@@ -72,11 +74,19 @@ class TestForcedExtend:
             assert large.contradiction_at == small.contradiction_at
             assert large.forced_value == small.forced_value
 
-    def test_agrees_with_naive_oracle_on_a_small_grid(self):
-        for m in range(2, 7):
-            for r in range(0, 2 * m + 1):
-                spec = ProgressionSpec(r, m)
-                assert forced_extend(spec, 96) == forced_extend_naive(spec, 96)
+    # r = 0 completed cells end on target == bound, the top of the reversed window
+    @example(cell=(0, 3, 200))
+    @example(cell=(0, 5, 97))
+    @example(cell=(0, 2, 64))
+    @given(st.integers(2, 12).flatmap(
+        lambda m: st.integers(0, 2 * m).flatmap(
+            lambda r: st.tuples(st.just(r), st.just(m), st.integers(r + 2, 200))
+        )
+    ))
+    def test_agrees_with_naive_oracle(self, cell):
+        r, m, bound = cell
+        spec = ProgressionSpec(r, m)
+        assert forced_extend(spec, bound) == forced_extend_naive(spec, bound)
 
     @pytest.mark.parametrize("r,m", [(1, 2), (2, 3), (1, 3), (0, 5), (4, 5)])
     def test_soundness_full_profile_equality(self, r, m):
@@ -85,7 +95,7 @@ class TestForcedExtend:
         assert out.status == STATUS_COMPLETED
         pa = r2_profile(out.a, bound - 1)
         pb = r2_profile(out.b, bound - 1)
-        assert pa.values[1:] == pb.values[1:]
+        assert pa[1:] == pb[1:]
 
 
 class TestMatchFamily:

@@ -14,3 +14,51 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert))
     assert lines == [], f"{path.name} uses assert at lines {lines}"
+
+
+def _shifted_and_popcounts(tree):
+    """Lines of ``(... & (... >> ...)).bit_count()`` calls: a hand-rolled pair count."""
+    lines = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "bit_count"
+            and isinstance(node.func.value, ast.BinOp)
+            and isinstance(node.func.value.op, ast.BitAnd)
+            and any(
+                isinstance(inner, ast.BinOp) and isinstance(inner.op, (ast.LShift, ast.RShift))
+                for inner in ast.walk(node.func.value)
+            )
+        ):
+            lines.append(node.lineno)
+    return lines
+
+
+def _reversing_slices(tree):
+    """Lines of ``[::-1]`` slices."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Slice)
+        and node.lower is None
+        and node.upper is None
+        and isinstance(node.step, ast.UnaryOp)
+        and isinstance(node.step.op, ast.USub)
+        and isinstance(node.step.operand, ast.Constant)
+        and node.step.operand.value == 1
+    ]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "repfn.py"], ids=lambda p: p.name)
+def test_pair_counting_only_in_repfn(path):
+    # repfn.reverse_mask and repfn.pairs_at are the one place a faster kernel plugs in
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _shifted_and_popcounts(tree) == [], f"{path.name} counts pairs by hand; use repfn.pairs_at"
+    assert _reversing_slices(tree) == [], f"{path.name} reverses a sequence; use repfn.reverse_mask"
+
+
+def test_pair_counting_rule_sees_the_primitive():
+    # the rule must match the code it protects, or it guards nothing
+    tree = ast.parse((SOURCES[0].parent / "repfn.py").read_text())
+    assert _shifted_and_popcounts(tree) and _reversing_slices(tree)

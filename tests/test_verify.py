@@ -11,6 +11,7 @@ from repbal import verify
 from repbal.builders import build_ef, build_evil_odious
 from repbal.intset import BoundedSet, ProgressionSpec, progression_set
 from repbal.solver import forced_extend
+from repbal.repfn import r2_prefix
 from repbal.verify import (
     CHECK_IDS,
     FourTermInstance,
@@ -345,3 +346,85 @@ def _scan_c_d(inst):
         if inst.a.chi(x) != inst.c.chi(x) or inst.b.chi(x) != inst.d.chi(x):
             return f"the pairs must agree below L, they differ at {x}"
     return None
+
+
+def _four_term_residual_by_chi(inst):
+    """Reference for four_term_residual: every cross sum one element at a time."""
+    a, b, c, d, t = inst.a, inst.b, inst.c, inst.d, inst.t
+    L, n, N = inst.L, inst.n, inst.N
+    lhs = r2_prefix(a, n, N) + r2_prefix(d, n, N) - r2_prefix(b, n, N) - r2_prefix(c, n, N)
+    excluded_mid = [x for x in range(L, n + 1) if t.chi(x)]
+    mid = set(excluded_mid)
+    d_only = [x for x in range(n + 1) if d.chi(x) and not b.chi(x) and x not in mid]
+    c_only = [x for x in range(n + 1) if c.chi(x) and not a.chi(x) and x not in mid]
+    cross_t_d = sum(t.chi(N - x) for x in d_only)
+    cross_t_c = sum(t.chi(N - x) for x in c_only)
+    cross_d = sum(d.chi(N - x) for x in excluded_mid if d.chi(x))
+    cross_c = sum(c.chi(N - x) for x in excluded_mid if c.chi(x))
+    eps = 1 if N == 2 * L else 0
+    rhs = len(d_only) - cross_t_d + cross_d - len(c_only) + cross_t_c - cross_c - eps
+    return lhs - rhs
+
+
+def _step_identity_residual_by_chi(a, t, evil, cutoff, n):
+    """Reference for step_identity_residual, one element at a time."""
+    in_t = [x for x in range(n + 1) if t.chi(x)]
+    lhs = sum(evil.chi(n - x + 1) for x in in_t)
+    eps = 1 if n == 2 * cutoff - 1 else 0
+    rhs = sum(evil.chi(n - x) for x in in_t) + a.chi(n + 1) - evil.chi(n + 1) - eps
+    return lhs - rhs
+
+
+def _flip_all(s, flips):
+    for x in flips:
+        if x < s.bound:
+            s = _flip(s, x)
+    return s
+
+
+def _mutated(inst, flips):
+    """inst with the listed bits of a, b, c, d and t flipped."""
+    names = ("a", "b", "c", "d", "t")
+    return dataclasses.replace(
+        inst, **{name: _flip_all(getattr(inst, name), f) for name, f in zip(names, flips)}
+    )
+
+
+SOLVABLE = [(2, 3), (1, 3), (1, 2), (4, 5), (2, 5), (8, 9), (4, 9)]
+WINDOW_PAIRS = [(2, 8), (3, 12), (3, 14), (3, 15)]
+BIT_FLIPS = st.lists(st.sets(st.integers(0, 40), max_size=3), min_size=5, max_size=5)
+
+
+class TestResidualsAgainstElementwiseReferences:
+    """The mask residuals equal the per-element formulas on valid instances and
+    on instances with a few bits flipped, where the residual is usually nonzero."""
+
+    @given(st.sampled_from(SOLVABLE), st.data(), BIT_FLIPS)
+    def test_four_term_on_evil_odious_instances(self, cell, data, flips):
+        instances = list(evil_odious_instances(ProgressionSpec(*cell)))
+        inst = data.draw(st.sampled_from(instances))
+        assert four_term_residual(inst) == _four_term_residual_by_chi(inst) == 0
+        bad = _mutated(inst, flips)
+        assert four_term_residual(bad) == _four_term_residual_by_chi(bad)
+
+    @given(st.sampled_from(WINDOW_PAIRS), st.integers(0, 1 << 30), st.data(), BIT_FLIPS)
+    def test_four_term_on_window_pair_instances(self, params, seed, data, flips):
+        instances = list(window_pair_instances(*params, seeds=(seed,)))
+        inst = data.draw(st.sampled_from(instances))
+        validate_four_term(inst)
+        assert four_term_residual(inst) == _four_term_residual_by_chi(inst) == 0
+        bad = _mutated(inst, flips)
+        assert four_term_residual(bad) == _four_term_residual_by_chi(bad)
+
+    @given(st.sampled_from(SOLVABLE), st.data(), BIT_FLIPS)
+    def test_step_identity(self, cell, data, flips):
+        cutoff = cell[0]
+        bound = 2 * cutoff + 1
+        out = forced_extend(ProgressionSpec(*cell), bound)
+        evil, _ = build_evil_odious(bound)
+        n = data.draw(st.integers(1, 2 * cutoff - 1))
+        args = (out.a, out.excluded, evil, cutoff, n)
+        assert step_identity_residual(*args) == _step_identity_residual_by_chi(*args) == 0
+        a, t, e = (_flip_all(s, f) for s, f in zip((out.a, out.excluded, evil), flips))
+        bad = (a, t, e, cutoff, n)
+        assert step_identity_residual(*bad) == _step_identity_residual_by_chi(*bad)
