@@ -8,18 +8,18 @@ and grid classification), ``verify`` (identity checkers and the suite),
 
 from .builders import (
     FAMILIES,
-    S1T1,
-    S1T1_SHIFTED,
-    S2T2,
     AmbiguousParityError,
     ParityBuildReport,
-    WeightSequence,
     build_ef,
     build_evil_odious,
     build_family,
     build_parity_sets,
     build_xy,
+    doubling_weights,
+    family_cells,
+    family_of,
     family_progression,
+    family_weights,
 )
 from .intset import (
     BoundedSet,

@@ -1,12 +1,21 @@
 """Builders for every named set family, up to a caller-supplied bound.
 
-Three kinds of construction live here: the evil/odious split of an initial
-segment (by parity of the binary digit sum), parity-of-term-count subset-sum
-sets over a weight sequence, and the progression-complement pairs assembled
-from those, plus two fixed constructions (the punctured-window pair and the
-skip-one pair).  Disjointness of the even- and odd-parity sets is a property
-of the particular weights; the builders detect collisions instead of assuming
-uniqueness of representation.
+Every balanced pair here is the parity split of one weight sequence: the
+subset sums of the weights, divided by whether the number of terms is even
+or odd.  Each sequence is a finite prefix followed by ``start * 2^j``:
+
+  evil/odious: no prefix, start 1
+  s1(l):       1, 2, ..., 2^(l-1), start 2^l + 1
+  s2(l):       1, 2, ..., 2^(l-2), 2^(l-1) + 1, start 2^l + 1
+               (for l = 0 the prefix is empty and s2(0) == s1(0))
+  xy:          2, 3, start 4
+
+This module is the one place that knows the named families (``s1t1``,
+``s2t2``, ``s1t1+1``), the progression each leaves uncovered, and which
+family a progression belongs to.  Disjointness of the even- and odd-parity
+sets is a property of the particular weights; the builders detect collisions
+instead of assuming uniqueness of representation.  The punctured-window pair
+is assembled from evil/odious translates.
 """
 
 from __future__ import annotations
@@ -23,13 +32,16 @@ __all__ = [
     "S1T1_SHIFTED",
     "S2T2",
     "ParityBuildReport",
-    "WeightSequence",
     "build_ef",
     "build_evil_odious",
     "build_family",
     "build_parity_sets",
     "build_xy",
+    "doubling_weights",
+    "family_cells",
+    "family_of",
     "family_progression",
+    "family_weights",
 ]
 
 # Family tokens, as used on the command line.
@@ -43,134 +55,28 @@ class AmbiguousParityError(ValueError):
     """A value was reachable with both an even and an odd number of weights."""
 
 
-@dataclass(frozen=True)
-class WeightSequence:
-    """A strictly increasing sequence of positive weights, generated lazily.
+def doubling_weights(prefix: Iterable[int], start: int, bound: int) -> list[int]:
+    """The prefix, then start * 2^j for j >= 0, keeping only weights below bound.
 
-    Shapes:
-      s1(l):       1, 2, ..., 2^(l-1), then (2^l + 1) * 2^j for j >= 0
-      s2(l):       1, 2, ..., 2^(l-2), 2^(l-1) + 1, then (2^l + 1) * 2^j
-                   (for l = 0 the prefix degenerates and s2(0) == s1(0))
-      xy:          2, 3, 4, 8, 16, 32, ...
-      explicit:    a caller-given tuple
+    No sum below the bound can use a weight at or above it.
     """
-
-    kind: str
-    l: int = 0
-    explicit: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("s1", "s2", "xy", "explicit"):
-            raise ValueError(f"unknown weight sequence kind {self.kind!r}")
-        if self.l < 0:
-            raise ValueError(f"family parameter must be >= 0, got {self.l}")
-        if self.kind == "explicit":
-            ws = self.explicit
-            if not all(w > 0 for w in ws):
-                raise ValueError("weights must be positive")
-            if any(ws[i] >= ws[i + 1] for i in range(len(ws) - 1)):
-                raise ValueError("weights must be strictly increasing")
-
-    @classmethod
-    def s1(cls, l: int) -> WeightSequence:
-        return cls("s1", l)
-
-    @classmethod
-    def s2(cls, l: int) -> WeightSequence:
-        return cls("s2", l)
-
-    @classmethod
-    def xy(cls) -> WeightSequence:
-        return cls("xy")
-
-    @classmethod
-    def explicit_list(cls, weights: Iterable[int]) -> WeightSequence:
-        return cls("explicit", explicit=tuple(weights))
-
-    def _generate(self) -> Iterator[int]:
-        if self.kind == "explicit":
-            yield from self.explicit
-            return
-        if self.kind == "xy":
-            yield 2
-            yield 3
-            w = 4
-            while True:
-                yield w
-                w *= 2
-        l = self.l
-        if self.kind == "s2" and l >= 1:
-            for i in range(l - 1):
-                yield 1 << i
-            yield (1 << (l - 1)) + 1
-        else:  # "s1", and the degenerate l = 0 case of "s2"
-            for i in range(l):
-                yield 1 << i
-        w = (1 << l) + 1
-        while True:
-            yield w
-            w *= 2
-
-    def weights_below(self, bound: int) -> list[int]:
-        """All weights < bound; no sum below the bound can use a later weight."""
-        out: list[int] = []
-        for w in self._generate():
-            if w >= bound:
-                break
-            out.append(w)
-        return out
+    weights = [w for w in prefix if w < bound]
+    w = start
+    while w < bound:
+        weights.append(w)
+        w *= 2
+    return weights
 
 
-@dataclass(frozen=True)
-class ParityBuildReport:
-    """Subset sums of a weight sequence, split by parity of the term count.
-
-    ``ambiguous`` holds every value reachable with both parities; it equals
-    ``even_set & odd_set`` by construction and is empty exactly when the two
-    sets partition their union.
-    """
-
-    even_set: BoundedSet
-    odd_set: BoundedSet
-    ambiguous: BoundedSet
-
-
-def build_parity_sets(weights: WeightSequence, bound: int) -> ParityBuildReport:
-    """Exact parity-tagged subset-sum reachability over [0, bound).
-
-    One dynamic-programming pass per weight; adding weight h sends every
-    reachable value v of one parity to v + h of the other.  All weights are
-    positive, so partial sums never shrink and the window mask is safe.
-    """
-    window = (1 << bound) - 1
-    even = 1 & window  # the empty sum
-    odd = 0
-    for h in weights.weights_below(bound):
-        even, odd = even | ((odd << h) & window), odd | ((even << h) & window)
-    return ParityBuildReport(
-        even_set=BoundedSet(bound, even),
-        odd_set=BoundedSet(bound, odd),
-        ambiguous=BoundedSet(bound, even & odd),
-    )
-
-
-def build_evil_odious(bound: int) -> tuple[BoundedSet, BoundedSet]:
-    """Split [0, bound) into evil numbers (even binary digit sum) and odious ones.
-
-    Doubling construction: the parity pattern on [2^k, 2^(k+1)) is the
-    complement of the pattern on [0, 2^k).
-    """
-    if bound <= 0:
-        return BoundedSet(max(bound, 0), 0), BoundedSet(max(bound, 0), 0)
-    evil = 1  # 0 has digit sum 0
-    width = 1
-    while width < bound:
-        odious = ((1 << width) - 1) ^ evil
-        evil |= odious << width
-        width *= 2
-    window = (1 << bound) - 1
-    evil &= window
-    return BoundedSet(bound, evil), BoundedSet(bound, window ^ evil)
+def family_weights(family: str, l: int, bound: int) -> list[int]:
+    """The weights below bound whose parity split builds the named family:
+    s1(l) for ``s1t1`` and ``s1t1+1``, s2(l) for ``s2t2``."""
+    family_progression(family, l)  # refuses an unknown family or a negative l
+    n = min(l, bound.bit_length())  # a power 2^i with i >= bound.bit_length() is past the bound
+    prefix = [1 << i for i in range(n)]
+    if family == S2T2 and 0 < l == n:
+        prefix[-1] += 1
+    return doubling_weights(prefix, (1 << l) + 1, bound)
 
 
 def family_progression(family: str, l: int) -> ProgressionSpec:
@@ -187,29 +93,86 @@ def family_progression(family: str, l: int) -> ProgressionSpec:
     raise ValueError(f"unknown family {family!r}")
 
 
-def _balanced_pair(weights: WeightSequence, bound: int) -> tuple[BoundedSet, BoundedSet]:
+def family_cells(m_max: int) -> Iterator[tuple[str, int, ProgressionSpec]]:
+    """Every (family, l, progression) with modulus 2^l + 1 <= m_max, family-major."""
+    for family in FAMILIES:
+        l = 0
+        while (1 << l) + 1 <= m_max:
+            yield family, l, family_progression(family, l)
+            l += 1
+
+
+def family_of(spec: ProgressionSpec) -> tuple[str, int] | None:
+    """The first family in FAMILIES order whose progression is spec, with its l."""
+    l = (spec.m - 1).bit_length() - 1
+    if spec.m != (1 << l) + 1:
+        return None
+    for family in FAMILIES:
+        if family_progression(family, l) == spec:
+            return family, l
+    return None
+
+
+@dataclass(frozen=True)
+class ParityBuildReport:
+    """Subset sums of a weight sequence, split by parity of the term count.
+
+    ``ambiguous`` holds every value reachable with both parities; it equals
+    ``even_set & odd_set`` by construction and is empty exactly when the two
+    sets partition their union.
+    """
+
+    even_set: BoundedSet
+    odd_set: BoundedSet
+    ambiguous: BoundedSet
+
+
+def build_parity_sets(weights: Iterable[int], bound: int) -> ParityBuildReport:
+    """Exact parity-tagged subset-sum reachability over [0, bound).
+
+    One dynamic-programming pass per weight; adding weight h sends every
+    reachable value v of one parity to v + h of the other.  All weights must
+    be positive, so partial sums never shrink and the window mask is safe.
+    """
+    window = (1 << bound) - 1
+    even = 1 & window  # the empty sum
+    odd = 0
+    for h in weights:
+        if h <= 0:
+            raise ValueError(f"weights must be positive, got {h}")
+        even, odd = even | ((odd << h) & window), odd | ((even << h) & window)
+    return ParityBuildReport(
+        even_set=BoundedSet(bound, even),
+        odd_set=BoundedSet(bound, odd),
+        ambiguous=BoundedSet(bound, even & odd),
+    )
+
+
+def _balanced_pair(weights: list[int], bound: int) -> tuple[BoundedSet, BoundedSet]:
     report = build_parity_sets(weights, bound)
     if report.ambiguous:
         raise AmbiguousParityError(
-            f"weights {weights.weights_below(bound)} reach "
-            f"{report.ambiguous.elements()[:4]} with both parities"
+            f"weights {weights} reach {report.ambiguous.elements()[:4]} with both parities"
         )
     return report.even_set, report.odd_set
 
 
+def build_evil_odious(bound: int) -> tuple[BoundedSet, BoundedSet]:
+    """Split [0, bound) into evil numbers (even binary digit sum) and odious ones:
+    the parity split of the powers of two."""
+    return _balanced_pair(doubling_weights((), 1, bound), bound)
+
+
 def build_family(family: str, l: int, bound: int) -> tuple[BoundedSet, BoundedSet, BoundedSet]:
-    """Build the named pair (A, B) plus the progression predicted as its complement."""
+    """Build the named pair (A, B) plus the progression predicted as its complement.
+
+    ``s1t1+1`` is the ``s1t1`` pair translated by one.
+    """
     t = progression_set(family_progression(family, l), bound)
-    if family == S1T1:
-        a, b = _balanced_pair(WeightSequence.s1(l), bound)
-    elif family == S2T2:
-        a, b = _balanced_pair(WeightSequence.s2(l), bound)
-    elif family == S1T1_SHIFTED:
-        base_a, base_b = _balanced_pair(WeightSequence.s1(l), bound)
-        a, _ = base_a.shift(1)
-        b, _ = base_b.shift(1)
-    else:
-        raise ValueError(f"unknown family {family!r}")
+    a, b = _balanced_pair(family_weights(family, l, bound), bound)
+    if family == S1T1_SHIFTED:
+        a, _ = a.shift(1)
+        b, _ = b.shift(1)
     return a, b, t
 
 
@@ -244,4 +207,4 @@ def build_ef(u: int) -> tuple[BoundedSet, BoundedSet]:
 
 def build_xy(bound: int) -> tuple[BoundedSet, BoundedSet]:
     """The equal-representation pair partitioning [0, bound) minus {1}."""
-    return _balanced_pair(WeightSequence.xy(), bound)
+    return _balanced_pair(doubling_weights((2, 3), 4, bound), bound)

@@ -20,7 +20,7 @@ from .builders import (
     build_family,
     build_xy,
 )
-from .intset import BoundedSet, ProgressionSpec
+from .intset import MAX_BOUND, BoundedSet, ProgressionSpec
 from .repfn import r1_profile, r2_profile, strict_counts
 from .solver import (
     STATUS_COMPLETED,
@@ -42,9 +42,6 @@ DEFAULT_BOUND = 4096
 DEFAULT_M_MAX = 33
 DEFAULT_R_MAX_FACTOR = 2
 DEFAULT_GRID_BOUND = 2048
-
-# Largest window any subcommand builds: 2 MiB per mask, past every planned size.
-MAX_BOUND = 1 << 24
 
 
 class _Parser(argparse.ArgumentParser):
@@ -126,7 +123,7 @@ def cmd_repfn(args: argparse.Namespace) -> int:
             sets = [s for _, s in _build_sets(args.family, args.bound)[:2]]
         else:
             sets = [BoundedSet.from_text(Path(args.input).read_text())]
-        bound = _check_bound(sets[0].bound)
+        bound = sets[0].bound
         n_max = _check_bound(args.n_max) if args.n_max is not None else bound - 1
         if args.family is not None:
             pa = r2_profile(sets[0], n_max)

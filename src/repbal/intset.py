@@ -14,12 +14,18 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 __all__ = [
+    "MAX_BOUND",
     "BoundedSet",
     "OutOfWindowError",
     "ProgressionSpec",
     "digit_sum_2",
     "progression_set",
 ]
+
+
+# Largest window a fixture may declare, and the command line may build:
+# 2 MiB per mask, past every planned size.
+MAX_BOUND = 1 << 24
 
 
 class OutOfWindowError(ValueError):
@@ -68,12 +74,14 @@ class BoundedSet:
 
     @classmethod
     def from_elements(cls, elements: Iterable[int], bound: int) -> BoundedSet:
-        mask = 0
+        """One pass: each element sets its digit in a binary numeral, most significant first."""
+        digits = bytearray(b"0") * bound
+        top, one = bound - 1, ord("1")
         for e in elements:
             if not 0 <= e < bound:
                 raise ValueError(f"element {e} outside [0, {bound})")
-            mask |= 1 << e
-        return cls(bound, mask)
+            digits[top - e] = one
+        return cls(bound, int(digits, 2) if digits else 0)
 
     @classmethod
     def empty(cls, bound: int) -> BoundedSet:
@@ -171,10 +179,13 @@ class BoundedSet:
 
     @classmethod
     def from_text(cls, text: str) -> BoundedSet:
+        """Parse the fixture format; a bound above MAX_BOUND is refused before any mask is built."""
         lines = text.splitlines()
         if len(lines) != 2 or not lines[0].startswith("bound="):
             raise ValueError("expected two lines: 'bound=<N>' then the elements")
         bound = int(lines[0][len("bound="):])
+        if bound > MAX_BOUND:
+            raise ValueError(f"bound {bound} exceeds {MAX_BOUND}")
         body = lines[1].strip()
         if not body:
             return cls(bound, 0)
@@ -191,7 +202,4 @@ class BoundedSet:
 
 def progression_set(spec: ProgressionSpec, bound: int) -> BoundedSet:
     """Materialize {r + m*k : k >= 0} inside [0, bound)."""
-    mask = 0
-    for v in range(spec.r, bound, spec.m):
-        mask |= 1 << v
-    return BoundedSet(bound, mask)
+    return BoundedSet.from_elements(range(spec.r, bound, spec.m), bound)

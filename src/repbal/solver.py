@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .builders import FAMILIES, build_family, family_progression
+from .builders import build_family, family_cells, family_of
 from .intset import BoundedSet, ProgressionSpec, progression_set
 from .repfn import pairs_at
 
@@ -65,9 +65,10 @@ def forced_extend(spec: ProgressionSpec, bound: int) -> ExtensionOutcome:
     """
     if bound < spec.r + 2:
         raise ValueError(f"bound {bound} must reach past the first excluded value {spec.r}")
+    r, m = spec.r, spec.m
     excluded = progression_set(spec, bound)
     t_mask = excluded.mask
-    anchor = 0 if spec.r else 1  # least value outside the progression; m >= 2 frees 1
+    anchor = 0 if r else 1  # least value outside the progression; m >= 2 frees 1
     width = bound + 1
     mask_a, mask_b = 1 << anchor, 0
     rev_a, rev_b = 1 << (bound - anchor), 0
@@ -92,7 +93,7 @@ def forced_extend(spec: ProgressionSpec, bound: int) -> ExtensionOutcome:
         strict_a = pairs_at(mask_a, rev_a, width, target) // 2
         strict_b = pairs_at(mask_b, rev_b, width, target) // 2
         demanded = strict_b - strict_a
-        if (t_mask >> f) & 1:
+        if f >= r and (f - r) % m == 0:  # f is excluded
             if demanded:
                 return contradiction(f, target, demanded)
         elif demanded == 1:
@@ -169,22 +170,17 @@ class FamilyMatch:
     verified_to: int
 
 
-def match_family(outcome: ExtensionOutcome, l_max: int = 16) -> FamilyMatch:
-    """Try every family whose predicted complement matches the excluded progression."""
+def match_family(outcome: ExtensionOutcome) -> FamilyMatch:
+    """Check the family whose predicted complement is the excluded progression."""
     if outcome.status != STATUS_COMPLETED:
         raise ValueError("family matching needs a completed extension")
-    spec = outcome.spec
     bound = outcome.a.bound
-    for family in FAMILIES:
-        for l in range(l_max + 1):
-            predicted = family_progression(family, l)
-            if predicted.m > spec.m:
-                break  # the modulus grows strictly with l
-            if predicted != spec:
-                continue
-            a, b, _ = build_family(family, l, bound)
-            if a == outcome.a and b == outcome.b:
-                return FamilyMatch(family=family, l=l, verified_to=bound)
+    found = family_of(outcome.spec)
+    if found is not None:
+        family, l = found
+        a, b, _ = build_family(family, l, bound)
+        if a == outcome.a and b == outcome.b:
+            return FamilyMatch(family=family, l=l, verified_to=bound)
     return FamilyMatch(family=None, l=None, verified_to=0)
 
 
@@ -205,7 +201,6 @@ def classify_grid(
     m_max: int = 33,
     r_max_factor: int = 2,
     bound: int = 2048,
-    l_max: int = 16,
 ) -> list[ClassificationRecord]:
     """One record per cell of the grid m in [2, m_max], r in [0, r_max_factor*m].
 
@@ -217,7 +212,7 @@ def classify_grid(
             spec = ProgressionSpec(r, m)
             out = forced_extend(spec, bound)
             if out.status == STATUS_COMPLETED:
-                match = match_family(out, l_max)
+                match = match_family(out)
                 records.append(
                     ClassificationRecord(r, m, out.status, match.family, match.l, None, None)
                 )
@@ -233,12 +228,4 @@ def classify_grid(
 
 def predicted_solvable_cells(m_max: int, r_max_factor: int = 2) -> set[tuple[int, int]]:
     """Grid cells covered by some family pair: the expected completed cells."""
-    cells = set()
-    l = 0
-    while (1 << l) + 1 <= m_max:
-        for family in FAMILIES:
-            p = family_progression(family, l)
-            if p.r <= r_max_factor * p.m:
-                cells.add((p.r, p.m))
-        l += 1
-    return cells
+    return {(p.r, p.m) for _, _, p in family_cells(m_max) if p.r <= r_max_factor * p.m}

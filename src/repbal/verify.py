@@ -13,15 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Iterator
 
-from .builders import (
-    FAMILIES,
-    S1T1_SHIFTED,
-    build_ef,
-    build_evil_odious,
-    build_family,
-    build_xy,
-    family_progression,
-)
+from .builders import build_ef, build_evil_odious, build_family, build_xy, family_cells
 from .intset import BoundedSet, ProgressionSpec, progression_set
 from .repfn import pairs_at, r2_prefix, r2_profile, r2_profile_naive, reverse_mask
 from .solver import (
@@ -391,29 +383,27 @@ def _evil_odious_prefix(p: SuiteProfile, seed: int) -> Verdicts:
 
 
 def _family_balance(p: SuiteProfile, seed: int) -> Verdicts:
-    for family in FAMILIES:
-        for l in range(p.family_l_max + 1):
-            a, b, _ = build_family(family, l, p.family_bound)
-            anchor = 1 if family == S1T1_SHIFTED else 0
-            n_max = p.family_bound - anchor - 1
-            yield _profile_verdict({"family": family, "l": l}, a, b, n_max)
+    for family, l, spec in family_cells((1 << p.family_l_max) + 1):
+        a, b, _ = build_family(family, l, p.family_bound)
+        anchor = 0 if spec.r else 1  # the least value outside the progression
+        n_max = p.family_bound - anchor - 1
+        yield _profile_verdict({"family": family, "l": l}, a, b, n_max)
 
 
 def _family_complement(p: SuiteProfile, seed: int) -> Verdicts:
-    for family in FAMILIES:
-        for l in range(p.family_l_max + 1):
-            a, b, t = build_family(family, l, p.family_bound)
-            failure = None
-            for x in range(p.family_bound):
-                cover = a.chi(x) + b.chi(x) + t.chi(x)
-                if cover != 1:
-                    failure = {
-                        "inputs": {"family": family, "l": l, "x": x},
-                        "lhs": cover,
-                        "rhs": 1,
-                    }
-                    break
-            yield failure
+    for family, l, _ in family_cells((1 << p.family_l_max) + 1):
+        a, b, t = build_family(family, l, p.family_bound)
+        failure = None
+        for x in range(p.family_bound):
+            cover = a.chi(x) + b.chi(x) + t.chi(x)
+            if cover != 1:
+                failure = {
+                    "inputs": {"family": family, "l": l, "x": x},
+                    "lhs": cover,
+                    "rhs": 1,
+                }
+                break
+        yield failure
 
 
 def _window_pair(p: SuiteProfile, seed: int) -> Verdicts:
@@ -454,13 +444,12 @@ def _step_identity(p: SuiteProfile, seed: int) -> Verdicts:
 
 
 def _solver_agreement(p: SuiteProfile, seed: int) -> Verdicts:
-    for family in FAMILIES:
-        for l in range((p.grid_m_max - 1).bit_length()):  # every l with 2^l + 1 <= grid_m_max
-            out = forced_extend(family_progression(family, l), p.agreement_bound)
-            a, b, _ = build_family(family, l, p.agreement_bound)
-            ok = out.status == STATUS_COMPLETED and out.a == a and out.b == b
-            inputs = {"family": family, "l": l, "status": out.status}
-            yield None if ok else {"inputs": inputs, "lhs": out.contradiction_at, "rhs": None}
+    for family, l, spec in family_cells(p.grid_m_max):
+        out = forced_extend(spec, p.agreement_bound)
+        a, b, _ = build_family(family, l, p.agreement_bound)
+        ok = out.status == STATUS_COMPLETED and out.a == a and out.b == b
+        inputs = {"family": family, "l": l, "status": out.status}
+        yield None if ok else {"inputs": inputs, "lhs": out.contradiction_at, "rhs": None}
 
 
 def _classification_grid(p: SuiteProfile, seed: int) -> Verdicts:

@@ -3,6 +3,8 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repbal.builders import (
     FAMILIES,
@@ -10,15 +12,21 @@ from repbal.builders import (
     S1T1_SHIFTED,
     S2T2,
     AmbiguousParityError,
-    WeightSequence,
     build_ef,
     build_evil_odious,
     build_family,
     build_parity_sets,
     build_xy,
+    doubling_weights,
+    family_cells,
+    family_of,
     family_progression,
+    family_weights,
 )
-from repbal.intset import BoundedSet, digit_sum_2, progression_set
+from repbal.intset import BoundedSet, ProgressionSpec, digit_sum_2, progression_set
+
+# A family whose weights are the sequence s1(l) or s2(l).
+SEQUENCE_FAMILY = {"s1": S1T1, "s2": S2T2}
 
 
 def brute_parity_sums(weights, bound):
@@ -38,6 +46,10 @@ class TestEvilOdious:
         evil, odious = build_evil_odious(8)
         assert evil.elements() == [0, 3, 5, 6]
         assert odious.elements() == [1, 2, 4, 7]
+
+    def test_empty_window(self):
+        evil, odious = build_evil_odious(0)
+        assert evil == odious == BoundedSet.empty(0)
 
     def test_zero_is_evil(self):
         evil, _ = build_evil_odious(1)
@@ -66,56 +78,67 @@ class TestEvilOdious:
 
 class TestWeightSequences:
     def test_s1_examples(self):
-        assert WeightSequence.s1(1).weights_below(14) == [1, 3, 6, 12]
-        assert WeightSequence.s1(0).weights_below(16) == [2, 4, 8]
-        assert WeightSequence.s1(3).weights_below(40) == [1, 2, 4, 9, 18, 36]
+        assert family_weights(S1T1, 1, 14) == [1, 3, 6, 12]
+        assert family_weights(S1T1, 0, 16) == [2, 4, 8]
+        assert family_weights(S1T1, 3, 40) == [1, 2, 4, 9, 18, 36]
 
     def test_s2_examples(self):
-        assert WeightSequence.s2(1).weights_below(13) == [2, 3, 6, 12]
-        assert WeightSequence.s2(2).weights_below(21) == [1, 3, 5, 10, 20]
+        assert family_weights(S2T2, 1, 13) == [2, 3, 6, 12]
+        assert family_weights(S2T2, 2, 21) == [1, 3, 5, 10, 20]
 
     def test_s2_zero_degenerates_to_s1_zero(self):
-        assert WeightSequence.s2(0).weights_below(4096) == WeightSequence.s1(0).weights_below(4096)
+        assert family_weights(S2T2, 0, 4096) == family_weights(S1T1, 0, 4096)
+
+    def test_shifted_family_uses_s1(self):
+        assert family_weights(S1T1_SHIFTED, 3, 40) == family_weights(S1T1, 3, 40)
 
     def test_xy(self):
-        assert WeightSequence.xy().weights_below(40) == [2, 3, 4, 8, 16, 32]
+        assert doubling_weights((2, 3), 4, 40) == [2, 3, 4, 8, 16, 32]
+
+    def test_evil_odious_weights_are_the_powers_of_two(self):
+        assert doubling_weights((), 1, 40) == [1, 2, 4, 8, 16, 32]
 
     @pytest.mark.parametrize("kind", ["s1", "s2"])
     @pytest.mark.parametrize("l", range(0, 7))
     def test_strictly_increasing_positive(self, kind, l):
-        ws = WeightSequence(kind, l).weights_below(1 << 14)
+        ws = family_weights(SEQUENCE_FAMILY[kind], l, 1 << 14)
         assert all(w > 0 for w in ws)
         assert all(ws[i] < ws[i + 1] for i in range(len(ws) - 1))
 
-    def test_explicit_validation(self):
+    def test_prefix_past_the_bound_is_cut(self):
+        # only the powers of two below the bound survive, however long the prefix
+        powers = [1, 2, 4, 8, 16, 32, 64]
+        assert family_weights(S1T1, 10**6, 100) == powers
+        assert family_weights(S2T2, 10**6, 100) == powers
+        assert family_weights(S2T2, 7, 100) == powers[:-1] + [65]
+
+    def test_validation(self):
         with pytest.raises(ValueError):
-            WeightSequence.explicit_list([3, 1])
+            family_weights("bogus", 0, 16)
         with pytest.raises(ValueError):
-            WeightSequence.explicit_list([0, 1])
-        with pytest.raises(ValueError):
-            WeightSequence("bogus")
+            family_weights(S1T1, -1, 16)
 
 
 class TestParitySets:
     def test_s1_l1_example(self):
-        report = build_parity_sets(WeightSequence.s1(1), 14)
+        report = build_parity_sets(family_weights(S1T1, 1, 14), 14)
         assert report.even_set.elements() == [0, 4, 7, 9, 13]
         assert report.odd_set.elements() == [1, 3, 6, 10, 12]
         assert not report.ambiguous
 
     def test_s1_l0_is_doubled_evil(self):
-        report = build_parity_sets(WeightSequence.s1(0), 16)
+        report = build_parity_sets(family_weights(S1T1, 0, 16), 16)
         assert report.even_set.elements() == [0, 6, 10, 12]
 
     def test_single_weight(self):
-        report = build_parity_sets(WeightSequence.explicit_list([1]), 4)
+        report = build_parity_sets([1], 4)
         assert report.even_set.elements() == [0]
         assert report.odd_set.elements() == [1]
         assert not report.ambiguous
 
     def test_ambiguity_detected(self):
         # 3 = 1 + 2 (two weights) and 3 alone (one weight)
-        report = build_parity_sets(WeightSequence.explicit_list([1, 2, 3]), 8)
+        report = build_parity_sets([1, 2, 3], 8)
         assert 3 in report.ambiguous
         assert report.ambiguous == (report.even_set & report.odd_set)
 
@@ -123,23 +146,64 @@ class TestParitySets:
         from repbal.builders import _balanced_pair
 
         with pytest.raises(AmbiguousParityError):
-            _balanced_pair(WeightSequence.explicit_list([1, 2, 3]), 8)
+            _balanced_pair([1, 2, 3], 8)
+
+    @pytest.mark.parametrize("weights", [[0, 1], [3, -1]])
+    def test_non_positive_weight_rejected(self, weights):
+        with pytest.raises(ValueError):
+            build_parity_sets(weights, 8)
+
+    @given(st.lists(st.integers(1, 70), max_size=9), st.integers(0, 130))
+    def test_random_weights_match_brute_force(self, weights, bound):
+        report = build_parity_sets(weights, bound)
+        even, odd = brute_parity_sums(weights, bound)
+        assert set(report.even_set) == even and set(report.odd_set) == odd
+        assert set(report.ambiguous) == even & odd
 
     @pytest.mark.parametrize("kind,l", [("s1", 0), ("s1", 1), ("s1", 2), ("s1", 3),
                                         ("s2", 1), ("s2", 2), ("s2", 3)])
     def test_matches_brute_force(self, kind, l):
         bound = 300
-        seq = WeightSequence(kind, l)
-        report = build_parity_sets(seq, bound)
-        even, odd = brute_parity_sums(seq.weights_below(bound), bound)
+        weights = family_weights(SEQUENCE_FAMILY[kind], l, bound)
+        report = build_parity_sets(weights, bound)
+        even, odd = brute_parity_sums(weights, bound)
         assert set(report.even_set) == even
         assert set(report.odd_set) == odd
 
     def test_xy_matches_brute_force(self):
         bound = 200
-        report = build_parity_sets(WeightSequence.xy(), bound)
-        even, odd = brute_parity_sums(WeightSequence.xy().weights_below(bound), bound)
+        weights = doubling_weights((2, 3), 4, bound)
+        report = build_parity_sets(weights, bound)
+        even, odd = brute_parity_sums(weights, bound)
         assert set(report.even_set) == even and set(report.odd_set) == odd
+
+
+class TestFamilyLookup:
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("l", range(0, 21))
+    def test_family_of_inverts_family_progression(self, family, l):
+        spec = family_progression(family, l)
+        first = next(f for f in FAMILIES if family_progression(f, l) == spec)
+        assert family_of(spec) == (first, l)
+
+    def test_shared_cell_goes_to_the_first_family(self):
+        # s1t1 and s2t2 coincide at l = 0
+        assert family_of(ProgressionSpec(1, 2)) == (S1T1, 0)
+
+    def test_none_off_the_family_progressions(self):
+        # no m <= 200 other than 2^l + 1 with l < 8 is a family modulus
+        cells = {family_progression(f, l) for f in FAMILIES for l in range(8)}
+        for m in range(2, 201):
+            for r in range(0, 2 * m + 1):
+                spec = ProgressionSpec(r, m)
+                assert (family_of(spec) is None) == (spec not in cells), spec
+
+    def test_cells_are_family_major_up_to_m_max(self):
+        expected = [(f, l, family_progression(f, l)) for f in FAMILIES for l in range(4)]
+        assert list(family_cells(9)) == expected
+        assert list(family_cells(16)) == expected
+        assert [(f, l) for f, l, _ in family_cells(2)] == [(f, 0) for f in FAMILIES]
+        assert list(family_cells(1)) == []
 
 
 class TestBuildFamily:

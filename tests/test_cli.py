@@ -183,6 +183,17 @@ class TestBoundGuard:
         code, _, err = run(capsys, "repfn", "--input", str(small), "--n-max", str(HUGE))
         assert code == EXIT_USAGE and err == f"repbal repfn: bound {HUGE} exceeds 16777216\n"
 
+    def test_fixture_bound_is_checked_before_any_mask(self, monkeypatch, capsys, tmp_path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a mask")
+
+        monkeypatch.setattr(BoundedSet, "from_elements", classmethod(refuse))
+        wide = tmp_path / "wide.txt"
+        wide.write_text("bound=134217728\n0,134217727\n")
+        code, out, err = run(capsys, "repfn", "--input", str(wide))
+        assert code == EXIT_USAGE and out == ""
+        assert err == "repbal repfn: bound 134217728 exceeds 16777216\n"
+
     def test_largest_window_is_accepted(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "build_xy", lambda bound: (BoundedSet(bound), BoundedSet(bound)))
         code, _, _ = run(capsys, "build", "xy", "--bound", str(cli.MAX_BOUND))

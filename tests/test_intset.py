@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repbal.builders import build_evil_odious
 from repbal.intset import (
+    MAX_BOUND,
     BoundedSet,
     OutOfWindowError,
     ProgressionSpec,
@@ -128,6 +129,24 @@ class TestTruncate:
             assert cut.max_element() <= x
 
 
+class TestFromElements:
+    @given(st.integers(1, 300).flatmap(
+        lambda bound: st.tuples(st.just(bound), st.lists(st.integers(0, bound - 1), unique=True))
+    ))
+    def test_matches_the_sum_of_bits(self, case):
+        bound, elements = case
+        assert BoundedSet.from_elements(elements, bound).mask == sum(1 << e for e in elements)
+
+    @pytest.mark.parametrize("element", [-1, 16, 17, 1000])
+    def test_element_outside_the_window_rejected(self, element):
+        with pytest.raises(ValueError, match=rf"^element {element} outside \[0, 16\)$"):
+            BoundedSet.from_elements([3, element, 5], 16)
+
+    def test_negative_bound_reports_the_element(self):
+        with pytest.raises(ValueError, match=r"^element 3 outside \[0, -20\)$"):
+            BoundedSet.from_elements([3], -20)
+
+
 class TestProgression:
     def test_odd_numbers(self):
         assert progression_set(ProgressionSpec(1, 2), 8).elements() == [1, 3, 5, 7]
@@ -201,6 +220,11 @@ class TestTextFormat:
     def test_element_beyond_bound_rejected(self):
         with pytest.raises(ValueError):
             BoundedSet.from_text("bound=4\n1,9\n")
+
+    def test_bound_above_max_bound_rejected(self):
+        with pytest.raises(ValueError, match=f"^bound {MAX_BOUND + 1} exceeds {MAX_BOUND}$"):
+            BoundedSet.from_text(f"bound={MAX_BOUND + 1}\n1,9\n")
+        assert BoundedSet.from_text(f"bound={MAX_BOUND}\n\n") == BoundedSet.empty(MAX_BOUND)
 
 
 def test_mask_beyond_bound_rejected():

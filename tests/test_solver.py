@@ -113,6 +113,11 @@ class TestMatchFamily:
         match = match_family(forced_extend(ProgressionSpec(1, 3), 256))
         assert (match.family, match.l) == ("s2t2", 1)
 
+    def test_modulus_past_two_to_the_sixteen_plus_one(self):
+        # m = 2^17 + 1: only 0 is excluded below the bound, and the shifted family still matches
+        match = match_family(forced_extend(ProgressionSpec(0, (1 << 17) + 1), 256))
+        assert (match.family, match.l, match.verified_to) == ("s1t1+1", 17, 256)
+
     def test_solver_equals_builder_for_every_family(self):
         for family in FAMILIES:
             for l in range(0, 4):

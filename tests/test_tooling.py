@@ -62,3 +62,32 @@ def test_pair_counting_rule_sees_the_primitive():
     # the rule must match the code it protects, or it guards nothing
     tree = ast.parse((SOURCES[0].parent / "repfn.py").read_text())
     assert _shifted_and_popcounts(tree) and _reversing_slices(tree)
+
+
+FAMILY_NAMES = {"S1T1", "S2T2", "S1T1_SHIFTED"}
+
+
+def _family_name_uses(tree):
+    """Lines that name a family constant: a bare name, an attribute or an import."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in FAMILY_NAMES:
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr in FAMILY_NAMES:
+            lines.append(node.lineno)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            lines += [node.lineno for alias in node.names if alias.name in FAMILY_NAMES]
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "builders.py"], ids=lambda p: p.name)
+def test_family_names_only_in_builders(path):
+    # which progression a family leaves uncovered is answered in builders alone
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = _family_name_uses(tree)
+    assert lines == [], f"{path.name} names a family at lines {lines}; use builders.family_cells or family_of"
+
+
+def test_family_rule_sees_builders():
+    tree = ast.parse((SOURCES[0].parent / "builders.py").read_text())
+    assert _family_name_uses(tree)
