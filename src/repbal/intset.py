@@ -179,11 +179,13 @@ class BoundedSet:
 
     @classmethod
     def from_text(cls, text: str) -> BoundedSet:
-        """Parse the fixture format; a bound above MAX_BOUND is refused before any mask is built."""
+        """Parse the fixture format; a bound outside [0, MAX_BOUND] is refused before any element."""
         lines = text.splitlines()
         if len(lines) != 2 or not lines[0].startswith("bound="):
             raise ValueError("expected two lines: 'bound=<N>' then the elements")
         bound = int(lines[0][len("bound="):])
+        if bound < 0:
+            raise ValueError(f"bound must be >= 0, got {bound}")
         if bound > MAX_BOUND:
             raise ValueError(f"bound {bound} exceeds {MAX_BOUND}")
         body = lines[1].strip()
@@ -201,5 +203,8 @@ class BoundedSet:
 
 
 def progression_set(spec: ProgressionSpec, bound: int) -> BoundedSet:
-    """Materialize {r + m*k : k >= 0} inside [0, bound)."""
-    return BoundedSet.from_elements(range(spec.r, bound, spec.m), bound)
+    """Materialize {r + m*k : k >= 0} inside [0, bound): one slice of a binary numeral."""
+    digits = bytearray(b"0") * bound
+    if spec.r < bound:
+        digits[bound - 1 - spec.r::-spec.m] = b"1" * len(range(spec.r, bound, spec.m))
+    return BoundedSet(bound, int(digits, 2) if digits else 0)

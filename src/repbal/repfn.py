@@ -1,15 +1,18 @@
 """Two-element-sum counting over bounded sets.
 
 Pointwise counts come in three variants (ordered pairs, strictly increasing
-pairs, weakly increasing pairs), plus counts over a truncated set.  Whole
-profiles are computed by a bit-parallel kernel built on one primitive,
-``pairs_at`` over a ``reverse_mask``; an independent pair-enumeration oracle
-is kept alongside it.  All counts are exact machine integers and every query
-outside a set's materialized window is refused rather than answered partially.
+pairs, weakly increasing pairs), plus counts over a truncated set.  Single
+sums are counted by one bit-parallel primitive, ``pairs_at`` over a
+``reverse_mask``.  Whole profiles are one loop of it below ``SQUARE_WIDTH``
+sums, and from there one exact square of the set's indicator packed into
+decimal digit fields; an independent pair-enumeration oracle is kept
+alongside both.  All counts are exact integers and every query outside a
+set's materialized window is refused rather than answered partially.
 """
 
 from __future__ import annotations
 
+import decimal
 from typing import Sequence
 
 from .intset import BoundedSet, OutOfWindowError
@@ -87,22 +90,46 @@ def strict_counts(ordered: Sequence[int], mask: int) -> tuple[int, ...]:
 
     Ordered pairs off the diagonal come in mirrored twos, so each count less the
     diagonal pair (n/2, n/2) halves exactly; an odd remainder means a broken kernel.
+    The diagonal bits are read from one binary numeral, so the split is linear in the width.
     """
+    half = (len(ordered) + 1) // 2
+    diagonal = format(mask & ((1 << half) - 1), f"0{half}b")[::-1]  # diagonal[a] is bit a
     values = []
     for n, count in enumerate(ordered):
-        off = count - ((mask >> (n // 2)) & 1 if n % 2 == 0 else 0)
+        off = count - (n % 2 == 0 and diagonal[n // 2] == "1")
         if off % 2:
             raise RuntimeError(f"odd count {off} of off-diagonal ordered pairs at sum {n}")
         values.append(off // 2)
     return tuple(values)
 
 
+# Profiles of at least this many sums square a packed indicator; narrower ones
+# loop pairs_at, which is faster below it.
+SQUARE_WIDTH = 1 << 13
+
+# Exact integer arithmetic at any size, whatever the calling thread's context.
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
+
+
 def _ordered_counts(s: BoundedSet, n_max: int) -> list[int]:
-    """Ordered-pair counts for every sum 0..n_max, one popcount per sum."""
+    """Ordered-pair counts for every sum 0..n_max.
+
+    Below SQUARE_WIDTH sums: one pairs_at per sum.  From there: Kronecker
+    substitution.  Bit a of the mask becomes the digit field of 10^(d*a), so
+    squaring the packed number puts the ordered count of sum n in field n.  A
+    count never exceeds the width < 10^d, so no field carries into the next,
+    and libmpdec squares the whole number with a number-theoretic transform.
+    """
     _require_window(s, n_max)
-    width = n_max + 1
-    rev = reverse_mask(s.mask, width)  # elements > n_max occur in no sum <= n_max
-    return [pairs_at(s.mask, rev, width, n) for n in range(width)]
+    width = n_max + 1  # elements > n_max occur in no sum <= n_max
+    if width < SQUARE_WIDTH:
+        rev = reverse_mask(s.mask, width)
+        return [pairs_at(s.mask, rev, width, n) for n in range(width)]
+    d = len(str(width))
+    bits = format(s.mask & ((1 << width) - 1), f"0{width}b")
+    packed = _EXACT.create_decimal(("0" * (d - 1)).join(bits))  # bit a at digit d*a
+    fields = str(_EXACT.multiply(packed, packed))[-width * d:].zfill(width * d)
+    return [int(fields[i - d:i]) for i in range(width * d, 0, -d)]
 
 
 def r1_profile(s: BoundedSet, n_max: int) -> tuple[int, ...]:

@@ -89,6 +89,13 @@ class TestRepfn:
         assert code == EXIT_OK
         assert out.splitlines() == ["n,R1,R2,R3", "0,1,0,1", "1,2,1,1", "2,3,1,2", "3,4,2,2"]
 
+    def test_negative_fixture_bound_exits_one(self, capsys, tmp_path):
+        fixture = tmp_path / "negative.txt"
+        fixture.write_text("bound=-20\n3\n")
+        code, out, err = run(capsys, "repfn", "--input", str(fixture))
+        assert code == EXIT_USAGE and out == ""
+        assert err == "repbal repfn: bound must be >= 0, got -20\n"
+
     def test_requires_exactly_one_source(self, capsys):
         code, _, err = run(capsys, "repfn")
         assert code == EXIT_USAGE

@@ -1,7 +1,7 @@
 """Bounded-set primitives: membership, digit sums, shifts, truncation, text format."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repbal.builders import build_evil_odious
@@ -157,6 +157,19 @@ class TestProgression:
     def test_offset_four_step_five(self):
         assert progression_set(ProgressionSpec(4, 5), 20).elements() == [4, 9, 14, 19]
 
+    @given(st.integers(0, 80), st.integers(2, 45), st.integers(0, 2100))
+    @example(r=4, m=3, bound=5)  # only r itself fits
+    @example(r=0, m=2, bound=1)
+    @example(r=0, m=2, bound=0)
+    @example(r=9, m=4, bound=3)  # r past the bound
+    def test_matches_the_listed_elements(self, r, m, bound):
+        expected = BoundedSet.from_elements(range(r, bound, m), bound)
+        assert progression_set(ProgressionSpec(r, m), bound) == expected
+
+    def test_negative_bound_rejected(self):
+        with pytest.raises(ValueError, match=r"^bound must be >= 0, got -20$"):
+            progression_set(ProgressionSpec(3, 4), -20)
+
     def test_modulus_below_two_rejected(self):
         with pytest.raises(ValueError):
             ProgressionSpec(0, 1)
@@ -220,6 +233,11 @@ class TestTextFormat:
     def test_element_beyond_bound_rejected(self):
         with pytest.raises(ValueError):
             BoundedSet.from_text("bound=4\n1,9\n")
+
+    def test_negative_bound_rejected_before_the_elements(self):
+        # the constructor's message, not a complaint about the first element
+        with pytest.raises(ValueError, match=r"^bound must be >= 0, got -20$"):
+            BoundedSet.from_text("bound=-20\n3\n")
 
     def test_bound_above_max_bound_rejected(self):
         with pytest.raises(ValueError, match=f"^bound {MAX_BOUND + 1} exceeds {MAX_BOUND}$"):

@@ -1,5 +1,8 @@
 """Representation-count functions: pointwise variants, truncated counts, profiles."""
 
+import decimal
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,6 +20,7 @@ from repbal.repfn import (
     r2_profile_naive,
     r3,
     reverse_mask,
+    strict_counts,
 )
 
 
@@ -159,3 +163,97 @@ class TestPairCount:
         rev = reverse_mask(mask, width)
         assert rev >> width == 0
         assert all((rev >> (width - 1 - a)) & 1 == (mask >> a) & 1 for a in range(width))
+
+
+def sparse_set(bound, seed, density=0.05):
+    rng = random.Random(seed)
+    return BoundedSet.from_elements([x for x in range(bound) if rng.random() < density], bound)
+
+
+def ordered_from_oracle(s, n_max):
+    # every strict pair counts twice, and an element a counts once more at 2a
+    strict = r2_profile_naive(s, n_max)
+    return [2 * strict[n] + (n % 2 == 0 and (s.mask >> (n // 2)) & 1) for n in range(n_max + 1)]
+
+
+class TestSquarePath:
+    """Profiles of at least SQUARE_WIDTH sums square a packed indicator instead of looping pairs_at."""
+
+    @pytest.fixture
+    def no_pairs_at(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the square path looped pairs_at")
+
+        monkeypatch.setattr(repfn, "pairs_at", refuse)
+
+    @pytest.mark.parametrize("width", [8192, 8193, 1 << 14])
+    def test_wide_profiles_do_not_loop_pairs_at(self, no_pairs_at, width):
+        assert len(r1_profile(BoundedSet.full(width), width - 1)) == width
+
+    def test_narrower_profiles_loop_pairs_at(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(repfn, "pairs_at", lambda *args: calls.append(args) or 0)
+        r1_profile(BoundedSet.full(8191), 8190)
+        assert len(calls) == 8191
+
+    @pytest.mark.parametrize("width", [8191, 8192, 9999, 10000, 10001])
+    def test_full_set_closed_form(self, width):
+        # in [0, width) every sum n has n + 1 ordered pairs, the largest counts a field holds;
+        # the field width grows by one digit between 9999 and 10000
+        full = BoundedSet.full(width)
+        assert r1_profile(full, width - 1) == tuple(range(1, width + 1))
+        assert r2_profile(full, width - 1) == tuple((n + 1) // 2 for n in range(width))
+
+    @pytest.mark.parametrize("width", [(1 << 13) - 1, 1 << 13, (1 << 13) + 1, 1 << 14])
+    def test_sparse_sets_match_naive_oracle(self, width):
+        s = sparse_set(width, seed=width)
+        assert list(r2_profile(s, width - 1)) == r2_profile_naive(s, width - 1)
+        assert list(r1_profile(s, width - 1)) == ordered_from_oracle(s, width - 1)
+
+    @pytest.mark.parametrize("n_max", [(1 << 13) - 1, 1 << 13, 9000, 3 * (1 << 13) - 2])
+    def test_elements_above_n_max_take_no_part(self, n_max):
+        bound = 3 * (1 << 13)
+        s = sparse_set(bound, seed=n_max, density=0.03) | BoundedSet.from_elements([bound - 1], bound)
+        assert list(r2_profile(s, n_max)) == r2_profile_naive(s, n_max)
+        assert r1_profile(s, n_max) == r1_profile(s.truncate(n_max), n_max)
+
+    def test_the_callers_decimal_context_is_ignored(self):
+        s = sparse_set(1 << 14, seed=3, density=0.3)
+        expected = r2_profile(s, (1 << 14) - 1)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 5
+            ctx.traps[decimal.Inexact] = True
+            assert r2_profile(s, (1 << 14) - 1) == expected
+            assert decimal.getcontext().prec == 5
+        assert list(expected) == r2_profile_naive(s, (1 << 14) - 1)
+
+    @given(small_sets(), st.data())
+    def test_square_matches_oracle_at_every_small_width(self, s, data):
+        # moving the cutover to 1 sends every width, and every field width d, down the square path
+        n_max = data.draw(st.integers(0, s.bound - 1))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(repfn, "SQUARE_WIDTH", 1)
+            patch.setattr(repfn, "pairs_at", None)
+            p1, p2 = r1_profile(s, n_max), r2_profile(s, n_max)
+        assert list(p2) == r2_profile_naive(s, n_max)
+        assert list(p1) == ordered_from_oracle(s, n_max)
+
+
+class TestStrictCounts:
+    def test_mask_shorter_than_half_the_profile(self):
+        s = BoundedSet.from_elements([0, 1], 64)
+        ordered = r1_profile(s, 63)
+        assert s.max_element() < 63 // 2
+        assert strict_counts(ordered, s.mask) == (0, 1) + (0,) * 62
+
+    @given(small_sets(), st.data())
+    def test_bits_above_half_the_profile_are_ignored(self, s, data):
+        n_max = data.draw(st.integers(0, s.bound - 1))
+        junk = data.draw(st.integers(0, (1 << 200) - 1)) << (n_max // 2 + 1)
+        ordered = r1_profile(s, n_max)
+        low_half = s.mask & ((1 << (n_max // 2 + 1)) - 1)
+        assert list(strict_counts(ordered, low_half)) == r2_profile_naive(s, n_max)
+        assert strict_counts(ordered, s.mask | junk) == strict_counts(ordered, low_half)
+
+    def test_empty_profile(self):
+        assert strict_counts([], 0b1011) == ()

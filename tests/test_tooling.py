@@ -64,6 +64,33 @@ def test_pair_counting_rule_sees_the_primitive():
     assert _shifted_and_popcounts(tree) and _reversing_slices(tree)
 
 
+DECIMAL_MODULES = {"decimal", "_decimal", "_pydecimal"}
+
+
+def _decimal_imports(tree):
+    """Lines that import the decimal module, under any of its names."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            lines += [node.lineno for alias in node.names if alias.name.split(".")[0] in DECIMAL_MODULES]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] in DECIMAL_MODULES:
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "repfn.py"], ids=lambda p: p.name)
+def test_decimal_only_in_repfn(path):
+    # the all-sums square lives in repfn._ordered_counts alone
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = _decimal_imports(tree)
+    assert lines == [], f"{path.name} imports decimal at lines {lines}; use repfn's profiles"
+
+
+def test_decimal_rule_sees_the_kernel():
+    tree = ast.parse((SOURCES[0].parent / "repfn.py").read_text())
+    assert _decimal_imports(tree)
+
+
 FAMILY_NAMES = {"S1T1", "S2T2", "S1T1_SHIFTED"}
 
 
