@@ -101,11 +101,13 @@ class BoundedSet:
         return self.chi(t) == 1
 
     def __iter__(self) -> Iterator[int]:
-        mask = self.mask
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
+        """Ascending members, from one scan of the binary numeral from its low end."""
+        digits = format(self.mask, "b")
+        top = len(digits) - 1
+        i = digits.rfind("1")
+        while i >= 0:
+            yield top - i
+            i = digits.rfind("1", 0, i)
 
     def __len__(self) -> int:
         return self.mask.bit_count()

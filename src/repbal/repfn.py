@@ -63,10 +63,13 @@ def r2_prefix(s: BoundedSet, x: int, n: int) -> int:
     """r2 of s truncated to [0, x], evaluated at n.
 
     Truncating at x >= n is the identity for sums up to n, so any x inside
-    the window is accepted.
+    the window is accepted.  One pairs_at counts the ordered pairs: each
+    strict pair twice and the diagonal pair (n/2, n/2) at most once, so
+    halving rounded down leaves the strict count.
     """
     _require_window(s, n)
-    return r2(s.truncate(x), n)
+    mask = s.truncate(x).mask
+    return pairs_at(mask, reverse_mask(mask, n + 1), n + 1, n) // 2
 
 
 def reverse_mask(mask: int, width: int) -> int:
@@ -79,8 +82,8 @@ def pairs_at(x: int, rev_y: int, width: int, n: int) -> int:
 
     The shift lines bit a of x up with bit n - a of y, so one AND and one
     popcount count a machine word of pairs at a time.  Every bit-parallel pair
-    count in the package goes through here: the profiles, each forced-extension
-    step and the identity checkers' cross sums.
+    count in the package goes through here: the profiles, the truncated counts
+    and the identity checkers' cross sums.
     """
     return (x & (rev_y >> (width - 1 - n))).bit_count()
 

@@ -7,6 +7,13 @@ class A by convention, and the pair-count constraint at sum anchor + f
 involves position f only through the single pair (anchor, f), so it either
 pins the membership of f or is infeasible.  No backtracking can exist.
 
+Each step is O(1).  With A' = A less the anchor, every value strictly between
+the anchor and f is in A', in B or in the progression P, so the ordered counts
+at t = anchor + f obey R_A(t) - R_B(t) = #{x in A' : t - x not in P} -
+#{x in B : t - x not in P}: the cross terms cancel.  And t - x is in P exactly
+when x <= t - r and x = t - r (mod m), so running member counts by residue
+give the difference directly.
+
 This module also matches completed extensions against the built families and
 sweeps whole (r, m) grids, recording contradictions as data.
 """
@@ -17,7 +24,6 @@ from dataclasses import dataclass
 
 from .builders import build_family, family_cells, family_of
 from .intset import BoundedSet, ProgressionSpec, progression_set
-from .repfn import pairs_at
 
 __all__ = [
     "STATUS_COMPLETED",
@@ -34,6 +40,11 @@ __all__ = [
 
 STATUS_COMPLETED = "completed"
 STATUS_CONTRADICTION = "contradiction"
+
+# forced_extend's side digits, and the tables that turn them into one class's binary numeral
+_A, _B = ord("1"), ord("2")
+_A_ONLY = bytes.maketrans(b"2", b"0")
+_B_ONLY = bytes.maketrans(b"12", b"01")
 
 
 @dataclass(frozen=True)
@@ -59,49 +70,66 @@ class ExtensionOutcome:
 def forced_extend(spec: ProgressionSpec, bound: int) -> ExtensionOutcome:
     """Extend the unique balanced partition over [0, bound), or report where it dies.
 
-    Incremental bit-parallel pair counting: alongside each class mask a copy
-    reversed over [0, bound] is maintained, so every target sum anchor + f <= bound
-    is in reach of ``pairs_at``.
+    Each step is O(1), from running per-residue member counts.  At step f the
+    target is t = anchor + f, and A' (A less the anchor) and the decided B lie
+    in (anchor, f), as does t - x for every x there.  Their ordered counts are
+
+        R_A(t) - R_B(t) = #{x in A' : t - x not in P} - #{x in B : t - x not in P},
+
+    because (anchor, f) is A' + B + P, so the cross terms #{x in A' : t - x in B}
+    and #{x in B : t - x in A'} cancel.  For such x, t - x is in P exactly when
+    x <= t - r and x = t - r (mod m), so only the members up to min(f - 1, t - r)
+    counted by residue are needed; that limit rises by one per step.  Halving
+    after taking off the diagonal pairs (t/2, t/2) leaves the strict counts.
     """
     if bound < spec.r + 2:
         raise ValueError(f"bound {bound} must reach past the first excluded value {spec.r}")
-    r, m = spec.r, spec.m
-    excluded = progression_set(spec, bound)
-    t_mask = excluded.mask
+    r = spec.r
+    m = min(spec.m, bound + 1)  # below the bound, any modulus past it excludes r alone
     anchor = 0 if r else 1  # least value outside the progression; m >= 2 frees 1
-    width = bound + 1
-    mask_a, mask_b = 1 << anchor, 0
-    rev_a, rev_b = 1 << (bound - anchor), 0
+    lag = r or 1  # f - lag = min(f - 1, t - r), the newest member that the counts take in
+    top = bound - 1
+    side = bytearray(b"0") * bound  # position x's digit at top - x: _A, _B or 0 (excluded)
+    side[top - anchor] = _A
+    balance = 0  # |A'| - |B|
+    by_residue = [0] * m  # members of A' less members of B, up to the limit, by residue
 
     def contradiction(frontier: int, target: int, demanded: int) -> ExtensionOutcome:
-        window = (1 << frontier) - 1
         return ExtensionOutcome(
             status=STATUS_CONTRADICTION,
             spec=spec,
             anchor=anchor,
-            a=BoundedSet(frontier, mask_a & window),
-            b=BoundedSet(frontier, mask_b & window),
-            excluded=BoundedSet(frontier, t_mask & window),
+            a=_side_set(side[bound - frontier:], _A_ONLY),
+            b=_side_set(side[bound - frontier:], _B_ONLY),
+            excluded=progression_set(spec, frontier),
             contradiction_at=target,
             forced_value=demanded,
         )
 
     for f in range(anchor + 1, bound):
+        x = f - lag
+        if x > anchor:
+            digit = side[top - x]
+            if digit == _A:
+                by_residue[x % m] += 1
+            elif digit == _B:
+                by_residue[x % m] -= 1
         target = anchor + f
-        # ordered pairs count each strict pair twice and the diagonal pair once,
-        # so halving rounded down leaves the strict-pair count
-        strict_a = pairs_at(mask_a, rev_a, width, target) // 2
-        strict_b = pairs_at(mask_b, rev_b, width, target) // 2
-        demanded = strict_b - strict_a
+        # twice the demanded value: -(R_A - R_B) plus the diagonal pair of A less that of B
+        twice = by_residue[(target - r) % m] - balance
+        if not target & 1:
+            digit = side[top - (target >> 1)]
+            twice += (digit == _A) - (digit == _B)
+        demanded = twice >> 1
         if f >= r and (f - r) % m == 0:  # f is excluded
             if demanded:
                 return contradiction(f, target, demanded)
         elif demanded == 1:
-            mask_a |= 1 << f
-            rev_a |= 1 << (bound - f)
+            side[top - f] = _A
+            balance += 1
         elif demanded == 0:
-            mask_b |= 1 << f
-            rev_b |= 1 << (bound - f)
+            side[top - f] = _B
+            balance -= 1
         else:
             return contradiction(f, target, demanded)
 
@@ -109,10 +137,15 @@ def forced_extend(spec: ProgressionSpec, bound: int) -> ExtensionOutcome:
         status=STATUS_COMPLETED,
         spec=spec,
         anchor=anchor,
-        a=BoundedSet(bound, mask_a),
-        b=BoundedSet(bound, mask_b),
-        excluded=excluded,
+        a=_side_set(side, _A_ONLY),
+        b=_side_set(side, _B_ONLY),
+        excluded=progression_set(spec, bound),
     )
+
+
+def _side_set(digits: bytearray, table: bytes) -> BoundedSet:
+    """One class of a side-digit buffer, most significant position first."""
+    return BoundedSet(len(digits), int(digits.translate(table), 2))
 
 
 def forced_extend_naive(spec: ProgressionSpec, bound: int) -> ExtensionOutcome:

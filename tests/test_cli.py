@@ -1,6 +1,7 @@
 """Command-line behavior: output shapes, exit codes, determinism, round-trips."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -42,6 +43,17 @@ class TestSolve:
         assert payload["status"] == "completed"
         assert payload["a"] == [0, 4, 7, 9, 13]
         assert payload["anchor"] == 0
+
+    def test_huge_modulus_allocates_by_the_bound(self, capsys):
+        tracemalloc.start()
+        try:
+            code, out, _ = run(capsys, "solve", "--r", "2", "--m", "1000000000000", "--bound", "64")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert out == "contradiction: sum=8 forced=2\nA={0,4,6}\nB={1,3,5,7}\n"
+        assert peak < 1 << 20
 
     def test_domain_error_exits_one(self, capsys):
         code, _, err = run(capsys, "solve", "--r", "9", "--m", "2", "--bound", "5")

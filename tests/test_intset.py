@@ -147,6 +147,40 @@ class TestFromElements:
             BoundedSet.from_elements([3], -20)
 
 
+def _bit_clearing_elements(mask):
+    """Reference iterator: peel the lowest set bit, one whole-mask operation per element."""
+    elements = []
+    while mask:
+        low = mask & -mask
+        elements.append(low.bit_length() - 1)
+        mask ^= low
+    return elements
+
+
+class TestIteration:
+    @given(st.integers(1, 300).flatmap(
+        lambda bound: st.tuples(
+            st.just(bound),
+            st.one_of(
+                st.just(0),
+                st.just((1 << bound) - 1),
+                st.integers(0, (1 << bound) - 1),
+                st.lists(st.integers(0, bound - 1), max_size=4).map(lambda es: sum({1 << e for e in es})),
+            ),
+        )
+    ))
+    @example(case=(1, 1))  # bit 0 is also bit bound - 1
+    @example(case=(17, 1))  # bit 0 alone
+    @example(case=(17, 1 << 16))  # bit bound - 1 alone
+    @example(case=(17, 1 | 1 << 16))
+    @example(case=(5, 0))
+    @example(case=(0, 0))  # the empty window
+    def test_matches_the_bit_clearing_reference(self, case):
+        bound, mask = case
+        s = BoundedSet(bound, mask)
+        assert list(s) == s.elements() == _bit_clearing_elements(mask)
+
+
 class TestProgression:
     def test_odd_numbers(self):
         assert progression_set(ProgressionSpec(1, 2), 8).elements() == [1, 3, 5, 7]

@@ -87,6 +87,12 @@ class TestPrefix:
         s = BoundedSet.from_elements([0, 3, 5, 9], 16)
         assert r2_prefix(s, 9, 8) == r2(s, 8)
 
+    @given(small_sets(), st.data())
+    def test_matches_pointwise_count_on_the_truncated_set(self, s, data):
+        x = data.draw(st.integers(0, s.bound - 1))
+        n = data.draw(st.integers(0, s.bound - 1))
+        assert r2_prefix(s, x, n) == r2(s.truncate(x), n)
+
     def test_truncation_outside_window_rejected(self):
         s = BoundedSet.from_elements([0, 3], 16)
         with pytest.raises(OutOfWindowError):

@@ -5,9 +5,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repbal.builders import FAMILIES, build_family, family_progression
-from repbal.intset import ProgressionSpec
-from repbal.repfn import r2_profile
+from repbal.intset import BoundedSet, ProgressionSpec, progression_set
+from repbal.repfn import pairs_at, r2_profile
 from repbal.solver import (
+    ExtensionOutcome,
     STATUS_COMPLETED,
     STATUS_CONTRADICTION,
     classify_grid,
@@ -96,6 +97,101 @@ class TestForcedExtend:
         pa = r2_profile(out.a, bound - 1)
         pb = r2_profile(out.b, bound - 1)
         assert pa[1:] == pb[1:]
+
+
+def _forced_extend_bitparallel(spec, bound):
+    """Reference: count both classes' pairs at every target with pairs_at over reversed masks.
+
+    O(bound^2 / w) in all; each step pays two popcounts and a whole-window reversed-mask update.
+    """
+    r, m = spec.r, spec.m
+    excluded = progression_set(spec, bound)
+    anchor = 0 if r else 1
+    width = bound + 1
+    mask_a, mask_b = 1 << anchor, 0
+    rev_a, rev_b = 1 << (bound - anchor), 0
+
+    def contradiction(frontier, target, demanded):
+        window = (1 << frontier) - 1
+        return ExtensionOutcome(
+            status=STATUS_CONTRADICTION,
+            spec=spec,
+            anchor=anchor,
+            a=BoundedSet(frontier, mask_a & window),
+            b=BoundedSet(frontier, mask_b & window),
+            excluded=BoundedSet(frontier, excluded.mask & window),
+            contradiction_at=target,
+            forced_value=demanded,
+        )
+
+    for f in range(anchor + 1, bound):
+        target = anchor + f
+        demanded = pairs_at(mask_b, rev_b, width, target) // 2 - pairs_at(mask_a, rev_a, width, target) // 2
+        if f >= r and (f - r) % m == 0:
+            if demanded:
+                return contradiction(f, target, demanded)
+        elif demanded == 1:
+            mask_a |= 1 << f
+            rev_a |= 1 << (bound - f)
+        elif demanded == 0:
+            mask_b |= 1 << f
+            rev_b |= 1 << (bound - f)
+        else:
+            return contradiction(f, target, demanded)
+
+    return ExtensionOutcome(
+        status=STATUS_COMPLETED,
+        spec=spec,
+        anchor=anchor,
+        a=BoundedSet(bound, mask_a),
+        b=BoundedSet(bound, mask_b),
+        excluded=excluded,
+    )
+
+
+class TestResidueCounts:
+    """The O(1)-per-step loop against the bit-parallel one it replaced, and against the builders."""
+
+    # r = 0 completed cells end on target == bound
+    @example(cell=(0, 2, 64))
+    @example(cell=(0, 3, 200))
+    @example(cell=(0, 5, 97))
+    @example(cell=(2, 3, 2048))
+    @example(cell=(8, 9, 2047))
+    @example(cell=(3, 4, 64))  # dies at its first excluded position, f = r
+    @example(cell=(0, 4, 64))  # dies at f = m, the first excluded position past the anchor
+    @example(cell=(2, 10**12, 64))  # the per-residue counts are sized by the bound, not by m
+    @given(st.integers(2, 64).flatmap(
+        lambda m: st.integers(0, 2 * m).flatmap(
+            lambda r: st.tuples(st.just(r), st.just(m), st.integers(r + 2, 2048))
+        )
+    ))
+    def test_agrees_with_the_bit_parallel_loop(self, cell):
+        r, m, bound = cell
+        spec = ProgressionSpec(r, m)
+        assert forced_extend(spec, bound) == _forced_extend_bitparallel(spec, bound)
+
+    @pytest.mark.parametrize("r,m,at", [(3, 4, 3), (0, 4, 5)])
+    def test_contradiction_at_the_first_excluded_position(self, r, m, at):
+        out = forced_extend(ProgressionSpec(r, m), 64)
+        assert out.status == STATUS_CONTRADICTION
+        assert out.contradiction_at - out.anchor == (r or m)
+        assert (out.contradiction_at, out.forced_value) == (at, 1)
+
+    @pytest.mark.parametrize("bound", [(1 << 13) - 1, 1 << 13, (1 << 13) + 1])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_completed_cell_equals_the_builders(self, family, bound):
+        out = forced_extend(family_progression(family, 2), bound)
+        a, b, excluded = build_family(family, 2, bound)
+        assert out.status == STATUS_COMPLETED
+        assert (out.a, out.b, out.excluded) == (a, b, excluded)
+
+    def test_two_to_the_eighteen(self):
+        bound = 1 << 18
+        out = forced_extend(ProgressionSpec(2, 3), bound)
+        a, b, _ = build_family("s1t1", 1, bound)
+        assert out.status == STATUS_COMPLETED
+        assert out.a == a and out.b == b
 
 
 class TestMatchFamily:
