@@ -30,13 +30,10 @@ from .intset import (
 )
 from .repfn import (
     pairs_at,
-    r1,
     r1_profile,
-    r2,
     r2_prefix,
     r2_profile,
     r2_profile_naive,
-    r3,
     reverse_mask,
     strict_counts,
 )
@@ -57,7 +54,6 @@ from .verify import (
     FourTermInstance,
     InstanceError,
     SuiteReport,
-    check_four_term,
     check_step_identity,
     evil_odious_instances,
     four_term_residual,

@@ -118,16 +118,6 @@ class BoundedSet:
     def elements(self) -> list[int]:
         return list(self)
 
-    def min_element(self) -> int:
-        if not self.mask:
-            raise ValueError("empty set has no minimum")
-        return (self.mask & -self.mask).bit_length() - 1
-
-    def max_element(self) -> int:
-        if not self.mask:
-            raise ValueError("empty set has no maximum")
-        return self.mask.bit_length() - 1
-
     def _check_same_bound(self, other: BoundedSet) -> None:
         if self.bound != other.bound:
             raise ValueError(f"bound mismatch: {self.bound} != {other.bound}")
@@ -143,9 +133,6 @@ class BoundedSet:
     def __sub__(self, other: BoundedSet) -> BoundedSet:
         self._check_same_bound(other)
         return BoundedSet(self.bound, self.mask & ~other.mask)
-
-    def complement(self) -> BoundedSet:
-        return BoundedSet(self.bound, self.mask ^ ((1 << self.bound) - 1))
 
     def isdisjoint(self, other: BoundedSet) -> bool:
         self._check_same_bound(other)

@@ -1,12 +1,10 @@
 """Two-element-sum counting over bounded sets.
 
-Pointwise counts come in three variants (ordered pairs, strictly increasing
-pairs, weakly increasing pairs), plus counts over a truncated set.  Single
-sums are counted by one bit-parallel primitive, ``pairs_at`` over a
-``reverse_mask``.  Whole profiles are one loop of it below ``SQUARE_WIDTH``
-sums, and from there one exact square of the set's indicator packed into
-decimal digit fields; an independent pair-enumeration oracle is kept
-alongside both.  All counts are exact integers and every query outside a
+Single sums of a truncated set are counted by one bit-parallel primitive,
+``pairs_at`` over a ``reverse_mask``.  Whole profiles are one loop of it
+below ``SQUARE_WIDTH`` sums, and from there one exact square of the set's
+indicator packed into decimal digit fields; an independent pair-enumeration
+oracle is kept alongside both.  All counts are exact integers and every query outside a
 set's materialized window is refused rather than answered partially.
 """
 
@@ -19,13 +17,10 @@ from .intset import BoundedSet, OutOfWindowError
 
 __all__ = [
     "pairs_at",
-    "r1",
     "r1_profile",
-    "r2",
     "r2_prefix",
     "r2_profile",
     "r2_profile_naive",
-    "r3",
     "reverse_mask",
     "strict_counts",
 ]
@@ -36,27 +31,6 @@ def _require_window(s: BoundedSet, n: int) -> None:
         raise OutOfWindowError(
             f"sum index {n} outside the materialized window [0, {s.bound}); widen the set first"
         )
-
-
-def r1(s: BoundedSet, n: int) -> int:
-    """Ordered pairs (x, y) with x + y = n, both in s."""
-    _require_window(s, n)
-    m = s.mask
-    return sum(1 for a in range(n + 1) if (m >> a) & 1 and (m >> (n - a)) & 1)
-
-
-def r2(s: BoundedSet, n: int) -> int:
-    """Pairs x < y with x + y = n, both in s."""
-    _require_window(s, n)
-    m = s.mask
-    return sum(1 for a in range((n + 1) // 2) if (m >> a) & 1 and (m >> (n - a)) & 1)
-
-
-def r3(s: BoundedSet, n: int) -> int:
-    """Pairs x <= y with x + y = n, both in s."""
-    _require_window(s, n)
-    m = s.mask
-    return sum(1 for a in range(n // 2 + 1) if (m >> a) & 1 and (m >> (n - a)) & 1)
 
 
 def r2_prefix(s: BoundedSet, x: int, n: int) -> int:

@@ -15,7 +15,12 @@ when x <= t - r and x = t - r (mod m), so running member counts by residue
 give the difference directly.
 
 This module also matches completed extensions against the built families and
-sweeps whole (r, m) grids, recording contradictions as data.
+sweeps whole (r, m) grids, recording contradictions as data.  The decision at
+position f reads only the decided positions below f and whether f itself is
+excluded, so the prefix up to f depends on P only through P n [0, f].  Cells
+(r, m) and (r, m') with m <= m' share P n [0, r + m) = {r} and decide every
+f < r + m alike, contradictions included.  A grid sweep therefore runs one
+probe per r and reuses its contradiction in every cell whose r + m lies past it.
 """
 
 from __future__ import annotations
@@ -238,12 +243,36 @@ def classify_grid(
     """One record per cell of the grid m in [2, m_max], r in [0, r_max_factor*m].
 
     Contradictions are data, not failures; records come back sorted by (r, m).
+
+    One probe per r decides most cells.  The decision at position f reads only
+    the decided positions below f and whether f itself is excluded, so by
+    induction the prefix up to f depends on the progression only through
+    P n [0, f].  Every cell (r, m) shares P n [0, r + m) = {r} with the probe
+    (r, m_max + 1) run over [0, min(bound, r + m_max)), so a probe that dies
+    below r + m dies there for the cell too, with the same sum and demanded
+    value.  Only the cells whose second excluded value r + m is at or below
+    the probe's frontier get an extension of their own.
+
+    A grid with a cell at r >= bound - 1 is refused before any record is
+    built, with the error forced_extend raises for the first such cell in
+    m-major order, r = max(bound - 1, 0).
     """
+    if m_max < 2:
+        return []
+    first_unreachable = max(bound - 1, 0)
+    if r_max_factor * m_max >= first_unreachable:
+        raise ValueError(
+            f"bound {bound} must reach past the first excluded value {first_unreachable}"
+        )
     records = []
-    for m in range(2, m_max + 1):
-        for r in range(0, r_max_factor * m + 1):
-            spec = ProgressionSpec(r, m)
-            out = forced_extend(spec, bound)
+    for r in range(r_max_factor * m_max + 1):
+        probe = forced_extend(ProgressionSpec(r, m_max + 1), min(bound, r + m_max))
+        probe_died = probe.status == STATUS_CONTRADICTION
+        for m in range(max(2, -(-r // (r_max_factor or 1))), m_max + 1):  # r <= r_max_factor*m
+            if probe_died and probe.a.bound < r + m:
+                out = probe
+            else:
+                out = forced_extend(ProgressionSpec(r, m), bound)
             if out.status == STATUS_COMPLETED:
                 match = match_family(out)
                 records.append(
@@ -255,7 +284,6 @@ def classify_grid(
                         r, m, out.status, None, None, out.contradiction_at, out.forced_value
                     )
                 )
-    records.sort(key=lambda rec: (rec.r, rec.m))
     return records
 
 

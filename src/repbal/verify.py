@@ -32,7 +32,6 @@ __all__ = [
     "PROFILES",
     "SuiteProfile",
     "SuiteReport",
-    "check_four_term",
     "check_step_identity",
     "evil_odious_instances",
     "four_term_residual",
@@ -143,13 +142,6 @@ def four_term_residual(inst: FourTermInstance) -> int:
     eps = 1 if N == 2 * L else 0
     rhs = d_only.bit_count() - cross_t_d + cross_d - c_only.bit_count() + cross_t_c - cross_c - eps
     return lhs - rhs
-
-
-def check_four_term(inst: FourTermInstance, validate: bool = True) -> bool:
-    """True iff the identity holds at the instance's evaluation point."""
-    if validate:
-        validate_four_term(inst)
-    return four_term_residual(inst) == 0
 
 
 def evil_odious_instances(spec: ProgressionSpec) -> Iterator[FourTermInstance]:

@@ -146,6 +146,19 @@ class TestClassify:
         assert code == EXIT_USAGE and out == ""
         assert err == "repbal classify: bound 4 must reach past the first excluded value 3\n"
 
+    def test_out_of_reach_grid_is_refused_before_any_record(self, capsys):
+        # records come out r-major, so without an up-front check every r below 3 would
+        # first build about three million records
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "classify", "--m-max", "3000000", "--bound", "4")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_USAGE and out == ""
+        assert err == "repbal classify: bound 4 must reach past the first excluded value 3\n"
+        assert peak < 8 << 20
+
     def test_byte_determinism(self, capsys):
         args = ("classify", "--m-max", "4", "--bound", "128")
         _, first, _ = run(capsys, *args)

@@ -126,7 +126,7 @@ class TestTruncate:
         cut = s.truncate(x)
         assert cut.mask & ~s.mask == 0
         if cut:
-            assert cut.max_element() <= x
+            assert max(cut) <= x
 
 
 class TestFromElements:
@@ -222,7 +222,6 @@ class TestSetAlgebra:
         assert set(a | b) == ea | eb
         assert set(a & b) == ea & eb
         assert set(a - b) == ea - eb
-        assert set(a.complement()) == set(range(bound)) - ea
 
     def test_bound_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -234,12 +233,6 @@ class TestSetAlgebra:
         assert w.bound == 10 and w.elements() == [1, 3]
         with pytest.raises(ValueError):
             s.widen(3)
-
-    def test_min_max(self):
-        s = BoundedSet.from_elements([2, 9], 16)
-        assert s.min_element() == 2 and s.max_element() == 9
-        with pytest.raises(ValueError):
-            BoundedSet.empty(4).min_element()
 
 
 class TestTextFormat:

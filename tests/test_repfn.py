@@ -1,4 +1,4 @@
-"""Representation-count functions: pointwise variants, truncated counts, profiles."""
+"""Representation-count functions: single sums, truncated counts, profiles."""
 
 import decimal
 import random
@@ -12,13 +12,10 @@ from repbal.builders import build_evil_odious, build_family
 from repbal.intset import BoundedSet, OutOfWindowError
 from repbal.repfn import (
     pairs_at,
-    r1,
     r1_profile,
-    r2,
     r2_prefix,
     r2_profile,
     r2_profile_naive,
-    r3,
     reverse_mask,
     strict_counts,
 )
@@ -32,47 +29,67 @@ def small_sets(max_bound=96):
     )
 
 
+def direct_counts(s, n):
+    """(ordered, strict, weak) pair counts of s at sum n, enumerated member by member."""
+    members = set(s)
+    partners = [a for a in members if n - a in members]
+    return (
+        len(partners),
+        sum(1 for a in partners if a < n - a),
+        sum(1 for a in partners if a <= n - a),
+    )
+
+
 class TestPointwise:
+    """Single sums read off the profiles, against hand and member-by-member enumeration."""
+
     def test_strict_pairs_hand_enumerated(self):
         s = BoundedSet.from_elements([0, 1, 2, 3], 8)
-        assert r2(s, 3) == 2  # (0,3), (1,2)
+        assert r2_profile(s, 3)[3] == 2  # (0,3), (1,2)
 
     def test_variant_split_at_two(self):
         s = BoundedSet.from_elements([0, 1, 2, 3], 8)
-        assert (r1(s, 2), r2(s, 2), r3(s, 2)) == (3, 1, 2)
+        assert direct_counts(s, 2) == (3, 1, 2)
+        assert (r1_profile(s, 2)[2], r2_profile(s, 2)[2]) == (3, 1)
 
     def test_family_prefix_at_13(self):
         a, _, _ = build_family("s1t1", 1, 14)
         assert a.elements() == [0, 4, 7, 9, 13]
-        assert r2(a, 13) == 2  # (0,13), (4,9)
+        assert r2_profile(a, 13)[13] == 2  # (0,13), (4,9)
 
     @given(small_sets(), st.data())
     def test_ordered_splits_into_strict_and_weak(self, s, data):
         n = data.draw(st.integers(0, s.bound - 1))
-        assert r1(s, n) == r2(s, n) + r3(s, n)
+        ordered, strict, weak = direct_counts(s, n)
+        assert ordered == strict + weak
+        assert (r1_profile(s, n)[n], r2_profile(s, n)[n]) == (ordered, strict)
 
     def test_exhaustive_split_small_bound(self):
         for mask in range(1 << 10):
             s = BoundedSet(10, mask)
+            p1, p2 = r1_profile(s, 9), r2_profile(s, 9)
             for n in range(10):
-                assert r1(s, n) == r2(s, n) + r3(s, n)
+                ordered, strict, weak = direct_counts(s, n)
+                assert p1[n] == ordered == strict + weak and p2[n] == strict
 
     def test_window_errors(self):
         s = BoundedSet.from_elements([0, 1], 4)
-        for fn in (r1, r2, r3):
+        for fn in (r1_profile, r2_profile, r2_profile_naive):
             with pytest.raises(OutOfWindowError):
                 fn(s, 4)
+        with pytest.raises(OutOfWindowError):
+            r2_prefix(s, 1, 4)
 
     def test_widen_permits_larger_sums(self):
         s = BoundedSet.from_elements([0, 1], 4)
-        assert r2(s.widen(8), 5) == 0
+        assert r2_profile(s.widen(8), 5)[5] == 0
 
 
 class TestPrefix:
     def test_identity_when_truncation_covers_window(self):
         s = BoundedSet.from_elements([0, 3, 5, 9], 16)
         for n in range(10, 16):
-            assert r2_prefix(s, 15, n) == r2(s, n)
+            assert r2_prefix(s, 15, n) == direct_counts(s, n)[1]
 
     def test_hand_enumerated(self):
         s = BoundedSet.from_elements([0, 3, 5, 9], 16)
@@ -81,17 +98,17 @@ class TestPrefix:
     @given(small_sets(), st.data())
     def test_count_at_n_needs_only_the_prefix(self, s, data):
         n = data.draw(st.integers(0, s.bound - 1))
-        assert r2_prefix(s, n, n) == r2(s, n)
+        assert r2_prefix(s, n, n) == direct_counts(s, n)[1]
 
     def test_truncation_beyond_sum_is_identity(self):
         s = BoundedSet.from_elements([0, 3, 5, 9], 16)
-        assert r2_prefix(s, 9, 8) == r2(s, 8)
+        assert r2_prefix(s, 9, 8) == direct_counts(s, 8)[1]
 
     @given(small_sets(), st.data())
     def test_matches_pointwise_count_on_the_truncated_set(self, s, data):
         x = data.draw(st.integers(0, s.bound - 1))
         n = data.draw(st.integers(0, s.bound - 1))
-        assert r2_prefix(s, x, n) == r2(s.truncate(x), n)
+        assert r2_prefix(s, x, n) == direct_counts(s.truncate(x), n)[1]
 
     def test_truncation_outside_window_rejected(self):
         s = BoundedSet.from_elements([0, 3], 16)
@@ -110,7 +127,7 @@ class TestProfiles:
         n_max = data.draw(st.integers(0, s.bound - 1))
         profile = r2_profile(s, n_max)
         for n in range(n_max + 1):
-            assert profile[n] == r2(s, n)
+            assert profile[n] == direct_counts(s, n)[1]
 
     @given(small_sets(), st.data())
     def test_ordered_profile_splits_into_strict_and_weak(self, s, data):
@@ -118,7 +135,8 @@ class TestProfiles:
         p1, p2 = r1_profile(s, n_max), r2_profile(s, n_max)
         assert len(p1) == len(p2) == n_max + 1
         for n in range(n_max + 1):
-            assert p1[n] == r1(s, n) == p2[n] + r3(s, n)
+            ordered, _, weak = direct_counts(s, n)
+            assert p1[n] == ordered == p2[n] + weak
 
     def test_odd_off_diagonal_count_is_refused(self, monkeypatch):
         # ordered pairs off the diagonal come in mirrored twos; an odd count means a broken kernel
@@ -249,7 +267,7 @@ class TestStrictCounts:
     def test_mask_shorter_than_half_the_profile(self):
         s = BoundedSet.from_elements([0, 1], 64)
         ordered = r1_profile(s, 63)
-        assert s.max_element() < 63 // 2
+        assert max(s) < 63 // 2
         assert strict_counts(ordered, s.mask) == (0, 1) + (0,) * 62
 
     @given(small_sets(), st.data())

@@ -1,13 +1,15 @@
 """Forced extension: frozen outcomes, oracle agreement, matching, grids."""
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repbal import solver
 from repbal.builders import FAMILIES, build_family, family_progression
 from repbal.intset import BoundedSet, ProgressionSpec, progression_set
 from repbal.repfn import pairs_at, r2_profile
 from repbal.solver import (
+    ClassificationRecord,
     ExtensionOutcome,
     STATUS_COMPLETED,
     STATUS_CONTRADICTION,
@@ -254,3 +256,82 @@ class TestClassifyGrid:
             (4, 5), (0, 5), (2, 5),
             (8, 9), (0, 9), (4, 9),
         }
+
+
+def _classify_grid_per_cell(m_max, r_max_factor, bound):
+    """Reference: one forced extension per cell, m-major, sorted by (r, m) at the end."""
+    records = []
+    for m in range(2, m_max + 1):
+        for r in range(0, r_max_factor * m + 1):
+            out = forced_extend(ProgressionSpec(r, m), bound)
+            if out.status == STATUS_COMPLETED:
+                match = match_family(out)
+                records.append(
+                    ClassificationRecord(r, m, out.status, match.family, match.l, None, None)
+                )
+            else:
+                records.append(
+                    ClassificationRecord(
+                        r, m, out.status, None, None, out.contradiction_at, out.forced_value
+                    )
+                )
+    records.sort(key=lambda rec: (rec.r, rec.m))
+    return records
+
+
+def _outcome_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+class TestSharedProbes:
+    """One probe per r against one extension per cell, and the prefix lemma behind it."""
+
+    @settings(deadline=None)
+    @example(grid=(5, 0, 64))
+    @example(grid=(2, 100, 5))
+    @example(grid=(9, 2, 4))
+    @example(grid=(65, 2, 4096))
+    @example(grid=(20, 2, 42))  # the largest r is bound - 2, the last one in reach
+    @example(grid=(20, 2, 41))  # the largest r is bound - 1
+    @given(st.tuples(st.integers(2, 40), st.integers(0, 3), st.integers(2, 600)))
+    def test_agrees_with_one_extension_per_cell(self, grid):
+        assert _outcome_or_error(classify_grid, *grid) == _outcome_or_error(
+            _classify_grid_per_cell, *grid
+        )
+
+    @given(st.integers(2, 40).flatmap(
+        lambda m: st.tuples(st.just(m), st.integers(m + 1, 3 * m), st.integers(0, 3 * m))
+    ), st.data())
+    def test_cells_sharing_r_agree_below_the_second_excluded_value(self, cells, data):
+        m, m_wide, r = cells
+        bound = data.draw(st.integers(r + 2, 400))
+        narrow = forced_extend(ProgressionSpec(r, m), bound)
+        wide = forced_extend(ProgressionSpec(r, m_wide), bound)
+        window = (1 << min(r + m, narrow.a.bound, wide.a.bound)) - 1
+        assert narrow.a.mask & window == wide.a.mask & window
+        assert narrow.b.mask & window == wide.b.mask & window
+        if any(out.status == STATUS_CONTRADICTION and out.a.bound < r + m for out in (narrow, wide)):
+            died = [(out.status, out.a.bound, out.contradiction_at, out.forced_value)
+                    for out in (narrow, wide)]
+            assert died[0] == died[1]
+
+    @pytest.mark.parametrize("grid,first_unreachable", [
+        ((9, 2, 4), 3),
+        ((20, 2, 41), 40),
+        ((3_000_000, 2, 4), 3),
+        ((12, 0, 1), 0),
+        ((12, 0, -3), 0),
+    ])
+    def test_out_of_reach_grid_is_refused_before_any_extension(
+        self, monkeypatch, grid, first_unreachable
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran an extension")
+
+        monkeypatch.setattr(solver, "forced_extend", refuse)
+        message = f"bound {grid[2]} must reach past the first excluded value {first_unreachable}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            classify_grid(*grid)

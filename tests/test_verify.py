@@ -16,7 +16,6 @@ from repbal.verify import (
     CHECK_IDS,
     FourTermInstance,
     InstanceError,
-    check_four_term,
     check_step_identity,
     evil_odious_instances,
     four_term_residual,
@@ -36,7 +35,9 @@ def base_instance(n=3, N=4):
 
 class TestFourTerm:
     def test_base_instance_holds(self):
-        assert check_four_term(base_instance()) is True
+        inst = base_instance()
+        validate_four_term(inst)
+        assert four_term_residual(inst) == 0
 
     def test_epsilon_branch_at_doubled_cutoff(self):
         inst = base_instance(n=4, N=4)  # N = 2L
@@ -66,7 +67,6 @@ class TestFourTerm:
             inst.t, inst.L, inst.K, inst.n, inst.N,
         )
         assert four_term_residual(mutated) == 1
-        assert check_four_term(mutated, validate=False) is False
 
     def test_mutation_is_caught_by_validation(self):
         inst = base_instance(n=4, N=4)
@@ -76,7 +76,7 @@ class TestFourTerm:
             inst.t, inst.L, inst.K, inst.n, inst.N,
         )
         with pytest.raises(InstanceError):
-            check_four_term(mutated)
+            validate_four_term(mutated)
 
     def test_bad_window_shape_rejected(self):
         inst = base_instance()
