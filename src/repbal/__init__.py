@@ -29,6 +29,7 @@ from .intset import (
     progression_set,
 )
 from .repfn import (
+    first_r2_difference,
     pairs_at,
     r1_profile,
     r2_prefix,

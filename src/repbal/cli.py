@@ -59,6 +59,18 @@ def _check_bound(bound: int) -> int:
     return bound
 
 
+def _write_out(command: str, path: str, text: str, what: str) -> int:
+    """Write an --out file and note it on stderr, or print the one-line error and exit 1."""
+    out = Path(path)
+    try:
+        out.write_text(text)
+    except OSError as exc:
+        print(f"repbal {command}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    print(f"wrote {what} to {out}", file=sys.stderr)
+    return EXIT_OK
+
+
 def _set_braces(s: BoundedSet) -> str:
     return "{" + ",".join(str(e) for e in s) + "}"
 
@@ -141,12 +153,9 @@ def cmd_repfn(args: argparse.Namespace) -> int:
         print(f"repbal repfn: {exc}", file=sys.stderr)
         return EXIT_USAGE
     text = "\n".join(lines) + "\n"
-    if args.out is None:
-        print(text, end="")
-    else:
-        out = Path(args.out)
-        out.write_text(text)
-        print(f"wrote {len(lines) - 1} rows to {out}", file=sys.stderr)
+    if args.out is not None:
+        return _write_out("repfn", args.out, text, f"{len(lines) - 1} rows")
+    print(text, end="")
     return EXIT_OK
 
 
@@ -218,12 +227,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
         print(f"repbal classify: {exc}", file=sys.stderr)
         return EXIT_USAGE
     text = classification_to_csv(records)
-    if args.out is None:
-        print(text, end="")
-    else:
-        out = Path(args.out)
-        out.write_text(text)
-        print(f"wrote {len(records)} records to {out}", file=sys.stderr)
+    if args.out is not None:
+        return _write_out("classify", args.out, text, f"{len(records)} records")
+    print(text, end="")
     return EXIT_OK
 
 
@@ -240,9 +246,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             line += f" first failure: {json.dumps(res.first_failure, sort_keys=True)}"
         print(line)
     if args.out is not None:
-        out = Path(args.out)
-        out.write_text(json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n")
-        print(f"wrote report to {out}", file=sys.stderr)
+        text = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        if _write_out("verify", args.out, text, "report") != EXIT_OK:
+            return EXIT_USAGE
     if report.all_passed:
         print("suite: PASS")
         return EXIT_OK

@@ -4,8 +4,10 @@ Single sums of a truncated set are counted by one bit-parallel primitive,
 ``pairs_at`` over a ``reverse_mask``.  Whole profiles are one loop of it
 below ``SQUARE_WIDTH`` sums, and from there one exact square of the set's
 indicator packed into decimal digit fields; an independent pair-enumeration
-oracle is kept alongside both.  All counts are exact integers and every query outside a
-set's materialized window is refused rather than answered partially.
+oracle is kept alongside both.  Whether two sets balance, and where they
+first do not, is one product of the same packed indicators.  All counts are
+exact integers and every query outside a set's materialized window is
+refused rather than answered partially.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from typing import Sequence
 from .intset import BoundedSet, OutOfWindowError
 
 __all__ = [
+    "first_r2_difference",
     "pairs_at",
     "r1_profile",
     "r2_prefix",
@@ -88,6 +91,12 @@ SQUARE_WIDTH = 1 << 13
 _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
 
 
+def _packed(mask: int, width: int, stride: int) -> decimal.Decimal:
+    """Bits [0, width) of mask as one decimal number: bit a becomes the digit of 10^(stride*a)."""
+    bits = format(mask & ((1 << width) - 1), f"0{width}b")
+    return _EXACT.create_decimal(("0" * (stride - 1)).join(bits))
+
+
 def _ordered_counts(s: BoundedSet, n_max: int) -> list[int]:
     """Ordered-pair counts for every sum 0..n_max.
 
@@ -103,10 +112,35 @@ def _ordered_counts(s: BoundedSet, n_max: int) -> list[int]:
         rev = reverse_mask(s.mask, width)
         return [pairs_at(s.mask, rev, width, n) for n in range(width)]
     d = len(str(width))
-    bits = format(s.mask & ((1 << width) - 1), f"0{width}b")
-    packed = _EXACT.create_decimal(("0" * (d - 1)).join(bits))  # bit a at digit d*a
+    packed = _packed(s.mask, width, d)
     fields = str(_EXACT.multiply(packed, packed))[-width * d:].zfill(width * d)
     return [int(fields[i - d:i]) for i in range(width * d, 0, -d)]
+
+
+def first_r2_difference(s: BoundedSet, t: BoundedSet, n_max: int) -> int | None:
+    """The least n <= n_max with r2(s, n) != r2(t, n), or None if the counts agree up to n_max.
+
+    With S and T the indicators packed as in _ordered_counts (bit a at the
+    digit field of 10^(d*a)), S(x)^2 - S(x^2) = 2 * sum_n r2(s, n) x^n, so
+    P = (S - T)(S + T) - (S(x^2) - T(x^2)) holds 2 * (r2(s, n) - r2(t, n)) in
+    field n.  Every field up to n_max is at most the width < 10^d in absolute
+    value, so the lowest nonzero one ends P in fewer than d zero digits of its
+    own: P's trailing zeros, divided by d, are its index.
+    """
+    _require_window(s, n_max)
+    _require_window(t, n_max)
+    width = n_max + 1  # elements > n_max occur in no sum <= n_max
+    half = n_max // 2 + 1  # the diagonal pairs (a, a) with 2a <= n_max
+    d = len(str(width))
+    s1, t1 = _packed(s.mask, width, d), _packed(t.mask, width, d)
+    s2, t2 = _packed(s.mask, half, 2 * d), _packed(t.mask, half, 2 * d)
+    ordered = _EXACT.multiply(_EXACT.subtract(s1, t1), _EXACT.add(s1, t1))
+    product = _EXACT.subtract(ordered, _EXACT.subtract(s2, t2))
+    if not product:
+        return None
+    digits = str(product)
+    n = (len(digits) - len(digits.rstrip("0"))) // d
+    return n if n < width else None
 
 
 def r1_profile(s: BoundedSet, n_max: int) -> tuple[int, ...]:

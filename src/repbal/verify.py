@@ -15,7 +15,14 @@ from typing import Any, Iterator
 
 from .builders import build_ef, build_evil_odious, build_family, build_xy, family_cells
 from .intset import BoundedSet, ProgressionSpec, progression_set
-from .repfn import pairs_at, r2_prefix, r2_profile, r2_profile_naive, reverse_mask
+from .repfn import (
+    first_r2_difference,
+    pairs_at,
+    r2_prefix,
+    r2_profile,
+    r2_profile_naive,
+    reverse_mask,
+)
 from .solver import (
     STATUS_COMPLETED,
     classify_grid,
@@ -350,13 +357,11 @@ Verdicts = Iterator[dict[str, Any] | None]
 def _profile_verdict(
     inputs: dict[str, Any], left: BoundedSet, right: BoundedSet, n_max: int
 ) -> dict[str, Any] | None:
-    """The failure record at the first sum in [1, n_max] where the r2 profiles differ."""
-    pl = r2_profile(left, n_max)
-    pr = r2_profile(right, n_max)
-    for n in range(1, n_max + 1):
-        if pl[n] != pr[n]:
-            return {"inputs": {**inputs, "n": n}, "lhs": pl[n], "rhs": pr[n]}
-    return None
+    """The failure record at the first sum in [1, n_max] where the r2 counts differ."""
+    n = first_r2_difference(left, right, n_max)
+    if n is None:
+        return None
+    return {"inputs": {**inputs, "n": n}, "lhs": r2_prefix(left, n, n), "rhs": r2_prefix(right, n, n)}
 
 
 def _solvable_specs(p: SuiteProfile) -> list[ProgressionSpec]:

@@ -259,6 +259,22 @@ class TestVerify:
         capsys.readouterr()
 
 
+class TestOutIntoAMissingDirectory:
+    """A failed --out write exits 1 with one line, like a failed --input read."""
+
+    @pytest.mark.parametrize("argv", [
+        ("repfn", "--family", "s1t1:2", "--bound", "64"),
+        ("classify", "--m-max", "5", "--bound", "64"),
+        ("verify", "--lemma", "skip-one-partition"),
+    ])
+    def test_one_line_and_exit_one(self, capsys, tmp_path, argv):
+        missing = tmp_path / "no" / "such" / "x.out"
+        code, _, err = run(capsys, *argv, "--out", str(missing))
+        assert code == EXIT_USAGE
+        assert err.startswith(f"repbal {argv[0]}: ") and err.count("\n") == 1
+        assert str(missing) in err and "Traceback" not in err
+
+
 class TestUsage:
     def test_unknown_subcommand_exits_one(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -4,13 +4,14 @@ import decimal
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repbal import repfn
 from repbal.builders import build_evil_odious, build_family
 from repbal.intset import BoundedSet, OutOfWindowError
 from repbal.repfn import (
+    first_r2_difference,
     pairs_at,
     r1_profile,
     r2_prefix,
@@ -261,6 +262,106 @@ class TestSquarePath:
             p1, p2 = r1_profile(s, n_max), r2_profile(s, n_max)
         assert list(p2) == r2_profile_naive(s, n_max)
         assert list(p1) == ordered_from_oracle(s, n_max)
+
+
+def first_profile_difference(s, t, n_max, profile=r2_profile):
+    """The reference for first_r2_difference: compare two whole profiles sum by sum."""
+    ps, pt = profile(s, n_max), profile(t, n_max)
+    return next((n for n in range(n_max + 1) if ps[n] != pt[n]), None)
+
+
+# Widths on both sides of every step in the field width d, and of the square cutover.
+STEP_WIDTHS = [9, 10, 99, 100, 999, 1000, 9999, 10000, 8191, 8192, 8193]
+NAIVE_WIDTH = 200  # the pair-enumeration oracle also runs up to here
+
+
+@st.composite
+def set_pairs(draw):
+    """(s, t, n_max): s random, t related to it by the drawn kind, n_max = width - 1 <= bound - 1."""
+    width = draw(st.sampled_from(STEP_WIDTHS) | st.integers(1, 130))
+    kind = draw(st.sampled_from(["equal", "above", "diagonal", "flip", "random"]))
+    bound = width + draw(st.integers(1 if kind == "above" else 0, 3))
+    n_max = width - 1
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    density = draw(st.sampled_from([0.02, 0.3, 0.5, 0.9]))
+
+    def random_mask(low=0):
+        return sum(1 << x for x in range(low, bound) if rng.random() < density)
+
+    if kind == "diagonal":
+        # s = {a} plus members b with a + b > n_max: up to n_max, a changes r1 at 2a alone and r2 nowhere
+        a = rng.randrange(n_max // 2 + 1)
+        s = BoundedSet(bound, random_mask(n_max - a + 1) | 1 << a)
+        return s, s - BoundedSet.from_elements([a], bound), n_max
+    s = BoundedSet(bound, random_mask())
+    if kind == "equal":
+        mask = s.mask
+    elif kind == "above":
+        mask = s.mask ^ (random_mask(width) | 1 << rng.randrange(width, bound))
+    elif kind == "flip":
+        mask = s.mask ^ 1 << rng.randrange(bound)
+    else:
+        mask = random_mask()
+    return s, BoundedSet(bound, mask), n_max
+
+
+class TestFirstDifference:
+    """The balance product against the two-profile comparison it replaces."""
+
+    @settings(deadline=None)
+    @given(set_pairs())
+    @example((BoundedSet.from_elements([3], 8), BoundedSet.empty(8), 7))  # the diagonal pair (3, 3)
+    @example((BoundedSet.full(10000), BoundedSet.full(10000), 9999))
+    def test_matches_the_first_differing_profile_entry(self, case):
+        s, t, n_max = case
+        found = first_r2_difference(s, t, n_max)
+        assert found == first_profile_difference(s, t, n_max)
+        assert found == first_r2_difference(t, s, n_max)
+        if n_max < NAIVE_WIDTH:
+            assert found == first_profile_difference(s, t, n_max, r2_profile_naive)
+
+    @pytest.mark.parametrize("width", STEP_WIDTHS)
+    def test_full_set_against_one_missing_element(self, width):
+        # the full set fills every field to its largest count, n + 1
+        full = BoundedSet.full(width)
+        for x in (0, 1, width // 2, width - 1):
+            t = full - BoundedSet.from_elements([x], width)
+            assert first_r2_difference(full, t, width - 1) == first_profile_difference(full, t, width - 1)
+
+    def test_a_first_difference_that_fills_a_whole_field(self):
+        # found by a depth-first search: the counts agree up to 24, then read 5 and 0, so
+        # the product's field 25 holds 10 and needs both of its d = 2 digits
+        s = BoundedSet.from_elements([0, 3, 5, 6, 10, 11, 15, 18, 19, 20, 21, 22, 23, 25], 64)
+        t = BoundedSet.from_elements([1, 2, 4, 7, 9, 13, 14, 17, 19, 20, 22], 64)
+        assert (r2_profile(s, 25)[25], r2_profile(t, 25)[25]) == (5, 0)
+        for n_max in (25, 63):
+            assert first_r2_difference(s, t, n_max) == 25 == first_profile_difference(s, t, n_max)
+
+    def test_differences_above_n_max_are_not_seen(self):
+        # the first unequal sum is 50, and a member above n_max changes no sum up to it
+        s = BoundedSet.from_elements([20, 30], 64)
+        t = BoundedSet.from_elements([20, 31], 64)
+        assert first_r2_difference(s, t, 49) is None
+        assert first_r2_difference(s, t, 50) == 50
+        assert first_r2_difference(s | BoundedSet.from_elements([55], 64), t, 49) is None
+
+    def test_window_errors(self):
+        s, t = BoundedSet.from_elements([0, 1], 8), BoundedSet.from_elements([0, 2], 4)
+        assert first_r2_difference(s, t, 3) == 1
+        for n_max in (4, 8, -1):
+            with pytest.raises(OutOfWindowError):
+                first_r2_difference(s, t, n_max)
+            with pytest.raises(OutOfWindowError):
+                first_r2_difference(t, s, n_max)
+
+    def test_the_callers_decimal_context_is_ignored(self):
+        s = sparse_set(1 << 14, seed=4, density=0.3)
+        t = BoundedSet(s.bound, s.mask ^ 1 << 9000)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 5
+            ctx.traps[decimal.Inexact] = True
+            found = first_r2_difference(s, t, (1 << 14) - 1)
+        assert found == first_profile_difference(s, t, (1 << 14) - 1)
 
 
 class TestStrictCounts:

@@ -80,7 +80,7 @@ def _decimal_imports(tree):
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "repfn.py"], ids=lambda p: p.name)
 def test_decimal_only_in_repfn(path):
-    # the all-sums square lives in repfn._ordered_counts alone
+    # the packed decimal products, the profile square and the balance product, live in repfn alone
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = _decimal_imports(tree)
     assert lines == [], f"{path.name} imports decimal at lines {lines}; use repfn's profiles"

@@ -11,7 +11,7 @@ from repbal import verify
 from repbal.builders import build_ef, build_evil_odious
 from repbal.intset import BoundedSet, ProgressionSpec, progression_set
 from repbal.solver import forced_extend
-from repbal.repfn import r2_prefix
+from repbal.repfn import r2_prefix, r2_profile
 from repbal.verify import (
     CHECK_IDS,
     FourTermInstance,
@@ -280,6 +280,27 @@ class TestFailureRecords:
         report = run_suite("quick", only=check)
         assert not report.all_passed
         assert report.to_json_dict()["checks"] == [{"lemma": check, **expected}]
+
+
+def _profile_verdict_by_profiles(inputs, left, right, n_max):
+    """The reference for verify._profile_verdict: two whole profiles, compared sum by sum."""
+    pl, pr = r2_profile(left, n_max), r2_profile(right, n_max)
+    for n in range(1, n_max + 1):
+        if pl[n] != pr[n]:
+            return {"inputs": {**inputs, "n": n}, "lhs": pl[n], "rhs": pr[n]}
+    return None
+
+
+class TestFailureRecordOnTheSquarePath:
+    def test_full_family_balance_matches_the_two_profile_record(self, monkeypatch):
+        # at full every family pair spans 2^14 sums, past SQUARE_WIDTH, and a lost 9000
+        # first unbalances a sum above 8192
+        monkeypatch.setattr(verify, "build_family", _faulty(
+            "build_family", lambda abt, *_: (_flip(abt[0], 9000),) + abt[1:]))
+        checks = run_suite("full", only="family-balance").to_json_dict()["checks"]
+        monkeypatch.setattr(verify, "_profile_verdict", _profile_verdict_by_profiles)
+        assert checks == run_suite("full", only="family-balance").to_json_dict()["checks"]
+        assert checks[0]["passed"] == 0 and checks[0]["first_failure"]["inputs"]["n"] >= 8192
 
 
 class TestValidationMessages:
