@@ -25,7 +25,6 @@ from .intset import (
     BoundedSet,
     OutOfWindowError,
     ProgressionSpec,
-    digit_sum_2,
     progression_set,
 )
 from .repfn import (

@@ -68,10 +68,22 @@ def doubling_weights(prefix: Iterable[int], start: int, bound: int) -> list[int]
     return weights
 
 
+def _capped(family: str, l: int, bound: int) -> int:
+    """The least parameter that builds the same sets below bound as l does.
+
+    From l = bound.bit_length() + 1 on, 2^(l-1) and 2^l + 1 are both past the
+    bound, so neither the weights nor the excluded values below it depend on
+    l.  One less is not enough: s2(l)'s 2^(l-1) + 1 can still lie below it.
+    """
+    capped = min(l, bound.bit_length() + 1)
+    family_progression(family, capped)  # refuses an unknown family or a negative l
+    return capped
+
+
 def family_weights(family: str, l: int, bound: int) -> list[int]:
     """The weights below bound whose parity split builds the named family:
     s1(l) for ``s1t1`` and ``s1t1+1``, s2(l) for ``s2t2``."""
-    family_progression(family, l)  # refuses an unknown family or a negative l
+    l = _capped(family, l, bound)
     n = min(l, bound.bit_length())  # a power 2^i with i >= bound.bit_length() is past the bound
     prefix = [1 << i for i in range(n)]
     if family == S2T2 and 0 < l == n:
@@ -166,8 +178,10 @@ def build_evil_odious(bound: int) -> tuple[BoundedSet, BoundedSet]:
 def build_family(family: str, l: int, bound: int) -> tuple[BoundedSet, BoundedSet, BoundedSet]:
     """Build the named pair (A, B) plus the progression predicted as its complement.
 
-    ``s1t1+1`` is the ``s1t1`` pair translated by one.
+    ``s1t1+1`` is the ``s1t1`` pair translated by one.  Every l past
+    bound.bit_length() + 1 builds the sets of that one, so l is capped first.
     """
+    l = _capped(family, l, bound)
     t = progression_set(family_progression(family, l), bound)
     a, b = _balanced_pair(family_weights(family, l, bound), bound)
     if family == S1T1_SHIFTED:

@@ -23,12 +23,13 @@ from .builders import (
 from .intset import MAX_BOUND, BoundedSet, ProgressionSpec
 from .repfn import r1_profile, r2_profile, strict_counts
 from .solver import (
+    GRID_R_MAX_FACTOR,
     STATUS_COMPLETED,
     ClassificationRecord,
     classify_grid,
     forced_extend,
 )
-from .verify import CHECK_IDS, DEFAULT_SEED, run_suite
+from .verify import CHECK_IDS, DEFAULT_SEED, PROFILES, run_suite
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -40,7 +41,7 @@ CSV_HEADER = "r,m,status,family,l,contradiction_at,forced_value"
 # Subcommand defaults; all randomness is seeded, never timed.
 DEFAULT_BOUND = 4096
 DEFAULT_M_MAX = 33
-DEFAULT_R_MAX_FACTOR = 2
+DEFAULT_R_MAX_FACTOR = GRID_R_MAX_FACTOR
 DEFAULT_GRID_BOUND = 2048
 
 
@@ -59,16 +60,11 @@ def _check_bound(bound: int) -> int:
     return bound
 
 
-def _write_out(command: str, path: str, text: str, what: str) -> int:
-    """Write an --out file and note it on stderr, or print the one-line error and exit 1."""
+def _write_out(path: str, text: str, what: str) -> None:
+    """Write an --out file and note it on stderr."""
     out = Path(path)
-    try:
-        out.write_text(text)
-    except OSError as exc:
-        print(f"repbal {command}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    out.write_text(text)
     print(f"wrote {what} to {out}", file=sys.stderr)
-    return EXIT_OK
 
 
 def _set_braces(s: BoundedSet) -> str:
@@ -110,11 +106,7 @@ def _build_sets(token: str, bound: int | None) -> list[tuple[str, BoundedSet]]:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    try:
-        labeled = _build_sets(args.family, args.bound)
-    except ValueError as exc:
-        print(f"repbal build: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    labeled = _build_sets(args.family, args.bound)
     if args.format == "json":
         payload = {
             label: {"bound": s.bound, "elements": s.elements()} for label, s in labeled
@@ -128,44 +120,36 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 def cmd_repfn(args: argparse.Namespace) -> int:
     if (args.family is None) == (args.input is None):
-        print("repbal repfn: give exactly one of --family or --input", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        if args.family is not None:
-            sets = [s for _, s in _build_sets(args.family, args.bound)[:2]]
-        else:
-            sets = [BoundedSet.from_text(Path(args.input).read_text())]
-        bound = sets[0].bound
-        n_max = _check_bound(args.n_max) if args.n_max is not None else bound - 1
-        if args.family is not None:
-            pa = r2_profile(sets[0], n_max)
-            pb = r2_profile(sets[1], n_max)
-            lines = ["n,R2_A,R2_B,equal"]
-            lines += [
-                f"{n},{pa[n]},{pb[n]},{1 if pa[n] == pb[n] else 0}" for n in range(n_max + 1)
-            ]
-        else:
-            p1 = r1_profile(sets[0], n_max)
-            p2 = strict_counts(p1, sets[0].mask)  # R3 = R1 - R2
-            lines = ["n,R1,R2,R3"]
-            lines += [f"{n},{p1[n]},{p2[n]},{p1[n] - p2[n]}" for n in range(n_max + 1)]
-    except (ValueError, OSError) as exc:
-        print(f"repbal repfn: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("give exactly one of --family or --input")
+    if args.family is not None:
+        sets = [s for _, s in _build_sets(args.family, args.bound)[:2]]
+    else:
+        sets = [BoundedSet.from_text(Path(args.input).read_text())]
+    bound = sets[0].bound
+    n_max = _check_bound(args.n_max) if args.n_max is not None else bound - 1
+    if args.family is not None:
+        pa = r2_profile(sets[0], n_max)
+        pb = r2_profile(sets[1], n_max)
+        lines = ["n,R2_A,R2_B,equal"]
+        lines += [
+            f"{n},{pa[n]},{pb[n]},{1 if pa[n] == pb[n] else 0}" for n in range(n_max + 1)
+        ]
+    else:
+        p1 = r1_profile(sets[0], n_max)
+        p2 = strict_counts(p1, sets[0].mask)  # R3 = R1 - R2
+        lines = ["n,R1,R2,R3"]
+        lines += [f"{n},{p1[n]},{p2[n]},{p1[n] - p2[n]}" for n in range(n_max + 1)]
     text = "\n".join(lines) + "\n"
     if args.out is not None:
-        return _write_out("repfn", args.out, text, f"{len(lines) - 1} rows")
-    print(text, end="")
+        _write_out(args.out, text, f"{len(lines) - 1} rows")
+    else:
+        print(text, end="")
     return EXIT_OK
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    try:
-        spec = ProgressionSpec(args.r, args.m)
-        out = forced_extend(spec, _check_bound(args.bound))
-    except ValueError as exc:
-        print(f"repbal solve: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    spec = ProgressionSpec(args.r, args.m)
+    out = forced_extend(spec, _check_bound(args.bound))
     if args.emit == "json":
         payload = {
             "status": out.status,
@@ -196,50 +180,21 @@ def classification_to_csv(records: list[ClassificationRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_classification_csv(text: str) -> list[ClassificationRecord]:
-    lines = text.splitlines()
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError(f"expected header {CSV_HEADER!r}")
-    records = []
-    for line in lines[1:]:
-        r, m, status, family, l, contradiction_at, forced_value = line.split(",")
-        records.append(
-            ClassificationRecord(
-                r=int(r),
-                m=int(m),
-                status=status,
-                family=family or None,
-                l=int(l) if l else None,
-                contradiction_at=int(contradiction_at) if contradiction_at else None,
-                forced_value=int(forced_value) if forced_value else None,
-            )
-        )
-    return records
-
-
 def cmd_classify(args: argparse.Namespace) -> int:
     if args.m_max < 2 or args.bound < 4 or args.r_max_factor < 0:
-        print("repbal classify: need m-max >= 2, bound >= 4, r-max-factor >= 0", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        records = classify_grid(args.m_max, args.r_max_factor, _check_bound(args.bound))
-    except ValueError as exc:
-        print(f"repbal classify: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("need m-max >= 2, bound >= 4, r-max-factor >= 0")
+    records = classify_grid(args.m_max, args.r_max_factor, _check_bound(args.bound))
     text = classification_to_csv(records)
     if args.out is not None:
-        return _write_out("classify", args.out, text, f"{len(records)} records")
-    print(text, end="")
+        _write_out(args.out, text, f"{len(records)} records")
+    else:
+        print(text, end="")
     return EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     only = None if args.lemma == "all" else args.lemma
-    try:
-        report = run_suite(args.bound_profile, seed=args.seed, only=only)
-    except ValueError as exc:
-        print(f"repbal verify: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    report = run_suite(args.bound_profile, seed=args.seed, only=only)
     for res in report.results:
         line = f"{'PASS' if res.ok else 'FAIL'} {res.check_id} ({res.passed}/{res.instances})"
         if res.first_failure is not None:
@@ -247,8 +202,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(line)
     if args.out is not None:
         text = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
-        if _write_out("verify", args.out, text, "report") != EXIT_OK:
-            return EXIT_USAGE
+        _write_out(args.out, text, "report")
     if report.all_passed:
         print("suite: PASS")
         return EXIT_OK
@@ -290,7 +244,7 @@ def build_parser() -> _Parser:
 
     p_verify = sub.add_parser("verify", help="run the verification suite")
     p_verify.add_argument("--lemma", default="all", choices=("all",) + CHECK_IDS)
-    p_verify.add_argument("--bound-profile", default="quick", choices=("quick", "full"))
+    p_verify.add_argument("--bound-profile", default="quick", choices=tuple(PROFILES))
     p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(handler=cmd_verify)
@@ -299,9 +253,17 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.handler(args)
+    """Run one subcommand; every domain error leaves here as one line on stderr and exit 1.
+
+    Only ValueError and OSError are domain errors.  Anything else, such as the
+    kernel's RuntimeError, is an internal fault and keeps its traceback.
+    """
+    args = build_parser().parse_args(argv)
+    try:
+        return args.handler(args)
+    except (ValueError, OSError) as exc:
+        print(f"repbal {args.command}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

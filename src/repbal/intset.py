@@ -18,7 +18,6 @@ __all__ = [
     "BoundedSet",
     "OutOfWindowError",
     "ProgressionSpec",
-    "digit_sum_2",
     "progression_set",
 ]
 
@@ -30,13 +29,6 @@ MAX_BOUND = 1 << 24
 
 class OutOfWindowError(ValueError):
     """A membership or truncation query touched [bound, infinity)."""
-
-
-def digit_sum_2(n: int) -> int:
-    """Count of 1 digits in the binary representation of n; 0 for n = 0."""
-    if n < 0:
-        raise ValueError(f"binary digit sum is defined for n >= 0, got {n}")
-    return n.bit_count()
 
 
 @dataclass(frozen=True)
@@ -82,10 +74,6 @@ class BoundedSet:
                 raise ValueError(f"element {e} outside [0, {bound})")
             digits[top - e] = one
         return cls(bound, int(digits, 2) if digits else 0)
-
-    @classmethod
-    def empty(cls, bound: int) -> BoundedSet:
-        return cls(bound, 0)
 
     @classmethod
     def full(cls, bound: int) -> BoundedSet:

@@ -31,6 +31,7 @@ from .builders import build_family, family_cells, family_of
 from .intset import BoundedSet, ProgressionSpec, progression_set
 
 __all__ = [
+    "GRID_R_MAX_FACTOR",
     "STATUS_COMPLETED",
     "STATUS_CONTRADICTION",
     "ClassificationRecord",
@@ -45,6 +46,9 @@ __all__ = [
 
 STATUS_COMPLETED = "completed"
 STATUS_CONTRADICTION = "contradiction"
+
+# The standard grid's r range, r <= 2m: what predicted_solvable_cells covers and the CLI defaults to
+GRID_R_MAX_FACTOR = 2
 
 # forced_extend's side digits, and the tables that turn them into one class's binary numeral
 _A, _B = ord("1"), ord("2")
@@ -205,7 +209,6 @@ class FamilyMatch:
 
     family: str | None
     l: int | None
-    verified_to: int
 
 
 def match_family(outcome: ExtensionOutcome) -> FamilyMatch:
@@ -218,8 +221,8 @@ def match_family(outcome: ExtensionOutcome) -> FamilyMatch:
         family, l = found
         a, b, _ = build_family(family, l, bound)
         if a == outcome.a and b == outcome.b:
-            return FamilyMatch(family=family, l=l, verified_to=bound)
-    return FamilyMatch(family=None, l=None, verified_to=0)
+            return FamilyMatch(family=family, l=l)
+    return FamilyMatch(family=None, l=None)
 
 
 @dataclass(frozen=True)
@@ -235,11 +238,7 @@ class ClassificationRecord:
     forced_value: int | None
 
 
-def classify_grid(
-    m_max: int = 33,
-    r_max_factor: int = 2,
-    bound: int = 2048,
-) -> list[ClassificationRecord]:
+def classify_grid(m_max: int, r_max_factor: int, bound: int) -> list[ClassificationRecord]:
     """One record per cell of the grid m in [2, m_max], r in [0, r_max_factor*m].
 
     Contradictions are data, not failures; records come back sorted by (r, m).
@@ -287,6 +286,6 @@ def classify_grid(
     return records
 
 
-def predicted_solvable_cells(m_max: int, r_max_factor: int = 2) -> set[tuple[int, int]]:
+def predicted_solvable_cells(m_max: int) -> set[tuple[int, int]]:
     """Grid cells covered by some family pair: the expected completed cells."""
-    return {(p.r, p.m) for _, _, p in family_cells(m_max) if p.r <= r_max_factor * p.m}
+    return {(p.r, p.m) for _, _, p in family_cells(m_max) if p.r <= GRID_R_MAX_FACTOR * p.m}

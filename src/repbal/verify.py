@@ -24,6 +24,7 @@ from .repfn import (
     reverse_mask,
 )
 from .solver import (
+    GRID_R_MAX_FACTOR,
     STATUS_COMPLETED,
     classify_grid,
     forced_extend,
@@ -267,7 +268,6 @@ def _step_identity_failure(
 
 @dataclass(frozen=True)
 class SuiteProfile:
-    name: str
     family_l_max: int
     family_bound: int
     prefix_l_max: int
@@ -283,7 +283,6 @@ class SuiteProfile:
 
 PROFILES = {
     "quick": SuiteProfile(
-        name="quick",
         family_l_max=3,
         family_bound=2048,
         prefix_l_max=8,
@@ -297,7 +296,6 @@ PROFILES = {
         kernel_n_max=512,
     ),
     "full": SuiteProfile(
-        name="full",
         family_l_max=6,
         family_bound=1 << 14,
         prefix_l_max=10,
@@ -451,7 +449,7 @@ def _solver_agreement(p: SuiteProfile, seed: int) -> Verdicts:
 
 def _classification_grid(p: SuiteProfile, seed: int) -> Verdicts:
     predicted = predicted_solvable_cells(p.grid_m_max)
-    for rec in classify_grid(p.grid_m_max, 2, p.grid_bound):
+    for rec in classify_grid(p.grid_m_max, GRID_R_MAX_FACTOR, p.grid_bound):
         if (rec.r, rec.m) in predicted:
             ok = rec.status == STATUS_COMPLETED and rec.family is not None
             expected = STATUS_COMPLETED

@@ -78,7 +78,7 @@ def test_criterion_2_solver_reproduces_every_family():
 
 
 def test_criterion_3_classification_grid(grid_records):
-    predicted = predicted_solvable_cells(GRID_M_MAX, 2)
+    predicted = predicted_solvable_cells(GRID_M_MAX)
     completed = {(rec.r, rec.m) for rec in grid_records if rec.status == STATUS_COMPLETED}
     survivors = completed - predicted
     assert not survivors, f"cells outside the predicted set completed: {sorted(survivors)}"

@@ -3,7 +3,7 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from repbal.builders import (
@@ -23,10 +23,15 @@ from repbal.builders import (
     family_progression,
     family_weights,
 )
-from repbal.intset import BoundedSet, ProgressionSpec, digit_sum_2, progression_set
+from repbal.intset import BoundedSet, ProgressionSpec, progression_set
 
 # A family whose weights are the sequence s1(l) or s2(l).
 SEQUENCE_FAMILY = {"s1": S1T1, "s2": S2T2}
+
+
+def digit_sum_2(n):
+    """Count of 1 digits in the binary representation of n."""
+    return bin(n).count("1")
 
 
 def brute_parity_sums(weights, bound):
@@ -41,6 +46,18 @@ def brute_parity_sums(weights, bound):
     return even, odd
 
 
+def defined_family(family, l, bound):
+    """The pair and progression straight from the weight definitions, with l uncapped."""
+    prefix = [1 << i for i in range(l)]
+    if family == S2T2 and l > 0:
+        prefix[-1] += 1
+    report = build_parity_sets(doubling_weights(prefix, (1 << l) + 1, bound), bound)
+    a, b = report.even_set, report.odd_set
+    if family == S1T1_SHIFTED:
+        a, b = a.shift(1)[0], b.shift(1)[0]
+    return a, b, progression_set(family_progression(family, l), bound)
+
+
 class TestEvilOdious:
     def test_first_eight(self):
         evil, odious = build_evil_odious(8)
@@ -49,7 +66,7 @@ class TestEvilOdious:
 
     def test_empty_window(self):
         evil, odious = build_evil_odious(0)
-        assert evil == odious == BoundedSet.empty(0)
+        assert evil == odious == BoundedSet(0)
 
     def test_zero_is_evil(self):
         evil, _ = build_evil_odious(1)
@@ -110,6 +127,7 @@ class TestWeightSequences:
         powers = [1, 2, 4, 8, 16, 32, 64]
         assert family_weights(S1T1, 10**6, 100) == powers
         assert family_weights(S2T2, 10**6, 100) == powers
+        assert family_weights(S2T2, 10**13, 100) == powers  # 2^(10^13) would not fit in memory
         assert family_weights(S2T2, 7, 100) == powers[:-1] + [65]
 
     def test_validation(self):
@@ -237,6 +255,17 @@ class TestBuildFamily:
         assert a.isdisjoint(b) and a.isdisjoint(t) and b.isdisjoint(t)
         assert (a | b | t) == BoundedSet.full(bound)
         assert t == progression_set(family_progression(family, l), bound)
+
+    @given(st.sampled_from(FAMILIES), st.integers(1, 5000), st.integers(0, 20))
+    @example(S2T2, 63, 7)  # a cap of bit_length() alone would build s2(6) here
+    @example(S2T2, 65, 8)
+    def test_capped_parameter_builds_the_defined_sets(self, family, bound, l):
+        cap = bound.bit_length() + 1
+        assume(l <= cap + 6)
+        built = build_family(family, l, bound)
+        assert built == defined_family(family, l, bound)
+        if l > cap:
+            assert built == build_family(family, cap, bound)
 
     def test_s2_zero_equals_s1_zero(self):
         a1, b1, _ = build_family(S1T1, 0, 512)

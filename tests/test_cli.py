@@ -12,10 +12,10 @@ from repbal.cli import (
     EXIT_USAGE,
     classification_to_csv,
     main,
-    parse_classification_csv,
 )
 from repbal.intset import BoundedSet
 from repbal.solver import classify_grid
+from repbal.verify import SuiteReport
 
 
 def run(capsys, *argv):
@@ -84,6 +84,21 @@ class TestBuild:
         code, _, err = run(capsys, "build", "s9t9:1")
         assert code == EXIT_USAGE and "unknown family" in err
 
+    def test_huge_family_parameter_builds_the_capped_family(self, capsys):
+        # 2^(10^13) would take over a terabyte; at bound 64 every l >= 8 builds the same sets
+        _, expected, _ = run(capsys, "build", "s1t1:8", "--bound", "64")
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "build", "s1t1:10000000000000", "--bound", "64")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, out, err) == (EXIT_OK, expected, "")
+        assert peak < 1 << 20
+        _, expected, _ = run(capsys, "repfn", "--family", "s2t2:8", "--bound", "64")
+        code, out, _ = run(capsys, "repfn", "--family", "s2t2:10000000000000", "--bound", "64")
+        assert (code, out) == (EXIT_OK, expected)
+
 
 class TestRepfn:
     def test_pair_csv(self, capsys):
@@ -122,19 +137,15 @@ class TestClassify:
             capsys, "classify", "--m-max", "5", "--bound", "128", "--out", str(out_file)
         )
         assert code == EXIT_OK
-        text = out_file.read_text()
-        records = parse_classification_csv(text)
-        assert records == classify_grid(m_max=5, r_max_factor=2, bound=128)
-        assert classification_to_csv(records) == text
+        assert out_file.read_text() == classification_to_csv(classify_grid(5, 2, 128))
 
     def test_completed_rows_match_prediction(self, capsys):
         code, out, _ = run(capsys, "classify", "--m-max", "9", "--bound", "1024")
         assert code == EXIT_OK
-        completed = {
-            (rec.r, rec.m)
-            for rec in parse_classification_csv(out)
-            if rec.status == "completed"
-        }
+        lines = out.splitlines()
+        assert lines[0] == cli.CSV_HEADER
+        rows = [line.split(",") for line in lines[1:]]
+        completed = {(int(r), int(m)) for r, m, status, *_ in rows if status == "completed"}
         assert completed == {
             (1, 2), (0, 2), (2, 3), (0, 3), (1, 3),
             (4, 5), (0, 5), (2, 5), (8, 9), (0, 9), (4, 9),
@@ -252,6 +263,19 @@ class TestVerify:
         assert code == EXIT_OK
         assert out.splitlines()[0].startswith("PASS skip-one-partition")
 
+    def test_every_profile_is_a_choice(self, monkeypatch, capsys):
+        # a profile added to verify.PROFILES reaches run_suite with no edit to the parser
+        monkeypatch.setattr(cli, "PROFILES", {**cli.PROFILES, "deep": None})
+        seen = []
+
+        def stub_suite(profile, **kwargs):
+            seen.append(profile)
+            return SuiteReport(profile, [])
+
+        monkeypatch.setattr(cli, "run_suite", stub_suite)
+        code, out, _ = run(capsys, "verify", "--bound-profile", "deep")
+        assert (code, out, seen) == (EXIT_OK, "suite: PASS\n", ["deep"])
+
     def test_unknown_lemma_exits_one(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--lemma", "nope"])
@@ -273,6 +297,37 @@ class TestOutIntoAMissingDirectory:
         assert code == EXIT_USAGE
         assert err.startswith(f"repbal {argv[0]}: ") and err.count("\n") == 1
         assert str(missing) in err and "Traceback" not in err
+
+
+class TestErrorBoundary:
+    """cli.main alone turns a ValueError or OSError into one line and exit 1; other faults propagate."""
+
+    CALLS = [
+        (("build", "s1t1:1", "--bound", "14"), "_build_sets"),
+        (("repfn", "--family", "s1t1:1", "--bound", "14"), "r2_profile"),
+        (("solve", "--r", "2", "--m", "3", "--bound", "14"), "forced_extend"),
+        (("classify", "--m-max", "3", "--bound", "64"), "classify_grid"),
+        (("verify", "--lemma", "skip-one-partition"), "run_suite"),
+    ]
+
+    @pytest.mark.parametrize("error", [ValueError, OSError])
+    @pytest.mark.parametrize("argv,call", CALLS, ids=[argv[0] for argv, _ in CALLS])
+    def test_domain_error_is_one_line(self, monkeypatch, capsys, argv, call, error):
+        def fail(*args, **kwargs):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, call, fail)
+        assert run(capsys, *argv) == (EXIT_USAGE, "", f"repbal {argv[0]}: boom\n")
+
+    @pytest.mark.parametrize("argv,call", CALLS, ids=[argv[0] for argv, _ in CALLS])
+    def test_internal_fault_propagates(self, monkeypatch, capsys, argv, call):
+        def fail(*args, **kwargs):
+            raise RuntimeError("odd pair count")
+
+        monkeypatch.setattr(cli, call, fail)
+        with pytest.raises(RuntimeError, match="odd pair count"):
+            main(list(argv))
+        capsys.readouterr()
 
 
 class TestUsage:

@@ -1,4 +1,4 @@
-"""Bounded-set primitives: membership, digit sums, shifts, truncation, text format."""
+"""Bounded-set primitives: membership, shifts, truncation, text format."""
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,7 +10,6 @@ from repbal.intset import (
     BoundedSet,
     OutOfWindowError,
     ProgressionSpec,
-    digit_sum_2,
     progression_set,
 )
 
@@ -53,30 +52,6 @@ class TestChi:
             4 in s
 
 
-class TestDigitSum:
-    def test_zero(self):
-        assert digit_sum_2(0) == 0
-
-    def test_five(self):
-        assert digit_sum_2(5) == 2
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            digit_sum_2(-1)
-
-    @given(st.integers(0, 2**16 - 1), st.integers(0, 24))
-    def test_adding_a_high_bit_adds_one(self, n, k):
-        # holds whenever n < 2^k
-        if n < 2**k:
-            assert digit_sum_2(n + 2**k) == 1 + digit_sum_2(n)
-
-    def test_doubling_recurrences_up_to_2_pow_20(self):
-        for n in range(1 << 20):
-            d = digit_sum_2(n)
-            assert digit_sum_2(2 * n) == d
-            assert digit_sum_2(2 * n + 1) == d + 1
-
-
 class TestShift:
     def test_basic(self):
         s = BoundedSet.from_elements([0, 1], 8)
@@ -84,7 +59,7 @@ class TestShift:
         assert shifted.elements() == [2, 3] and dropped == 0
 
     def test_empty(self):
-        shifted, dropped = BoundedSet.empty(8).shift(5)
+        shifted, dropped = BoundedSet(8).shift(5)
         assert shifted.elements() == [] and dropped == 0
 
     def test_odious_prefix_shift(self):
@@ -100,7 +75,7 @@ class TestShift:
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            BoundedSet.empty(4).shift(-1)
+            BoundedSet(4).shift(-1)
 
 
 class TestTruncate:
@@ -118,7 +93,7 @@ class TestTruncate:
 
     def test_out_of_window_raises(self):
         with pytest.raises(OutOfWindowError):
-            BoundedSet.empty(8).truncate(8)
+            BoundedSet(8).truncate(8)
 
     @given(small_sets(), st.data())
     def test_subset_and_max(self, s, data):
@@ -225,7 +200,7 @@ class TestSetAlgebra:
 
     def test_bound_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            BoundedSet.empty(4) | BoundedSet.empty(5)
+            BoundedSet(4) | BoundedSet(5)
 
     def test_widen_keeps_elements(self):
         s = BoundedSet.from_elements([1, 3], 4)
@@ -242,7 +217,7 @@ class TestTextFormat:
         assert BoundedSet.from_text(s.to_text()) == s
 
     def test_empty_round_trip(self):
-        s = BoundedSet.empty(5)
+        s = BoundedSet(5)
         assert BoundedSet.from_text(s.to_text()) == s
 
     @given(small_sets())
@@ -269,7 +244,7 @@ class TestTextFormat:
     def test_bound_above_max_bound_rejected(self):
         with pytest.raises(ValueError, match=f"^bound {MAX_BOUND + 1} exceeds {MAX_BOUND}$"):
             BoundedSet.from_text(f"bound={MAX_BOUND + 1}\n1,9\n")
-        assert BoundedSet.from_text(f"bound={MAX_BOUND}\n\n") == BoundedSet.empty(MAX_BOUND)
+        assert BoundedSet.from_text(f"bound={MAX_BOUND}\n\n") == BoundedSet(MAX_BOUND)
 
 
 def test_mask_beyond_bound_rejected():

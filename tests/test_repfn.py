@@ -146,7 +146,7 @@ class TestProfiles:
             r2_profile(BoundedSet.from_elements([1], 4), 3)
 
     def test_empty_set_all_zero(self):
-        assert set(r2_profile(BoundedSet.empty(64), 63)) == {0}
+        assert set(r2_profile(BoundedSet(64), 63)) == {0}
 
     def test_zero_beyond_twice_the_maximum(self):
         s = BoundedSet.from_elements([1, 4], 64)
@@ -170,7 +170,7 @@ class TestProfiles:
 
     def test_window_error(self):
         with pytest.raises(OutOfWindowError):
-            r2_profile(BoundedSet.empty(8), 8)
+            r2_profile(BoundedSet(8), 8)
 
 
 class TestPairCount:
@@ -310,7 +310,7 @@ class TestFirstDifference:
 
     @settings(deadline=None)
     @given(set_pairs())
-    @example((BoundedSet.from_elements([3], 8), BoundedSet.empty(8), 7))  # the diagonal pair (3, 3)
+    @example((BoundedSet.from_elements([3], 8), BoundedSet(8), 7))  # the diagonal pair (3, 3)
     @example((BoundedSet.full(10000), BoundedSet.full(10000), 9999))
     def test_matches_the_first_differing_profile_entry(self, case):
         s, t, n_max = case

@@ -118,3 +118,37 @@ def test_family_names_only_in_builders(path):
 def test_family_rule_sees_builders():
     tree = ast.parse((SOURCES[0].parent / "builders.py").read_text())
     assert _family_name_uses(tree)
+
+
+TRY_NODES = (ast.Try, ast.TryStar) if hasattr(ast, "TryStar") else (ast.Try,)
+
+
+def _try_owners(tree):
+    """(innermost enclosing function, line) of every try statement; None outside any function."""
+    owners = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, TRY_NODES):
+            owners.append((owner, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
+    return owners
+
+
+def test_one_error_boundary_in_cli():
+    # a domain error leaves the command line through cli.main's one handler, never a cmd_* of its own
+    tree = ast.parse((SOURCES[0].parent / "cli.py").read_text())
+    owners = [owner for owner, _ in _try_owners(tree)]
+    assert owners == ["main"], f"cli.py has try statements in {owners}; let cli.main handle errors"
+
+
+def test_error_boundary_rule_sees_every_try():
+    # the rule must see main's try, and one in a handler, or it guards nothing
+    tree = ast.parse((SOURCES[0].parent / "cli.py").read_text())
+    assert "main" in [owner for owner, _ in _try_owners(tree)]
+    handler = "def cmd_x(args):\n    try:\n        pass\n    except ValueError:\n        pass\n"
+    assert _try_owners(ast.parse(handler)) == [("cmd_x", 2)]
