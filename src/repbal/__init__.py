@@ -9,7 +9,6 @@ and grid classification), ``verify`` (identity checkers and the suite),
 from .builders import (
     FAMILIES,
     AmbiguousParityError,
-    ParityBuildReport,
     build_ef,
     build_evil_odious,
     build_family,

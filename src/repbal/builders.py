@@ -9,18 +9,19 @@ or odd.  Each sequence is a finite prefix followed by ``start * 2^j``:
   s2(l):       1, 2, ..., 2^(l-2), 2^(l-1) + 1, start 2^l + 1
                (for l = 0 the prefix is empty and s2(0) == s1(0))
   xy:          2, 3, start 4
+  ef(u):       1, 2, ..., 2^(u-1), 2^u + 1, start 2^(u+1) + 1
+               (over [0, 3*2^u + 2); no subset sums to the top value
+               3*2^u + 1, which goes to the second set)
 
 This module is the one place that knows the named families (``s1t1``,
 ``s2t2``, ``s1t1+1``), the progression each leaves uncovered, and which
 family a progression belongs to.  Disjointness of the even- and odd-parity
 sets is a property of the particular weights; the builders detect collisions
-instead of assuming uniqueness of representation.  The punctured-window pair
-is assembled from evil/odious translates.
+instead of assuming uniqueness of representation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .intset import BoundedSet, ProgressionSpec, progression_set
@@ -31,7 +32,6 @@ __all__ = [
     "S1T1",
     "S1T1_SHIFTED",
     "S2T2",
-    "ParityBuildReport",
     "build_ef",
     "build_evil_odious",
     "build_family",
@@ -125,26 +125,13 @@ def family_of(spec: ProgressionSpec) -> tuple[str, int] | None:
     return None
 
 
-@dataclass(frozen=True)
-class ParityBuildReport:
-    """Subset sums of a weight sequence, split by parity of the term count.
-
-    ``ambiguous`` holds every value reachable with both parities; it equals
-    ``even_set & odd_set`` by construction and is empty exactly when the two
-    sets partition their union.
-    """
-
-    even_set: BoundedSet
-    odd_set: BoundedSet
-    ambiguous: BoundedSet
-
-
-def build_parity_sets(weights: Iterable[int], bound: int) -> ParityBuildReport:
-    """Exact parity-tagged subset-sum reachability over [0, bound).
+def build_parity_sets(weights: Iterable[int], bound: int) -> tuple[BoundedSet, BoundedSet]:
+    """Exact parity-tagged subset-sum reachability over [0, bound): (even, odd).
 
     One dynamic-programming pass per weight; adding weight h sends every
     reachable value v of one parity to v + h of the other.  All weights must
     be positive, so partial sums never shrink and the window mask is safe.
+    A value reachable with both parities lies in both sets.
     """
     window = (1 << bound) - 1
     even = 1 & window  # the empty sum
@@ -153,20 +140,17 @@ def build_parity_sets(weights: Iterable[int], bound: int) -> ParityBuildReport:
         if h <= 0:
             raise ValueError(f"weights must be positive, got {h}")
         even, odd = even | ((odd << h) & window), odd | ((even << h) & window)
-    return ParityBuildReport(
-        even_set=BoundedSet(bound, even),
-        odd_set=BoundedSet(bound, odd),
-        ambiguous=BoundedSet(bound, even & odd),
-    )
+    return BoundedSet(bound, even), BoundedSet(bound, odd)
 
 
 def _balanced_pair(weights: list[int], bound: int) -> tuple[BoundedSet, BoundedSet]:
-    report = build_parity_sets(weights, bound)
-    if report.ambiguous:
+    even, odd = build_parity_sets(weights, bound)
+    ambiguous = even & odd
+    if ambiguous:
         raise AmbiguousParityError(
-            f"weights {weights} reach {report.ambiguous.elements()[:4]} with both parities"
+            f"weights {weights} reach {ambiguous.elements()[:4]} with both parities"
         )
-    return report.even_set, report.odd_set
+    return even, odd
 
 
 def build_evil_odious(bound: int) -> tuple[BoundedSet, BoundedSet]:
@@ -193,27 +177,18 @@ def build_family(family: str, l: int, bound: int) -> tuple[BoundedSet, BoundedSe
 def build_ef(u: int) -> tuple[BoundedSet, BoundedSet]:
     """The equal-representation pair on the window [0, 3*2^u + 1] with 2^u removed.
 
-    Assembled from the evil/odious split of [0, 2^u) and two translates of it,
-    with the top of the window going to the second set.
+    The subset sums of the powers below 2^u fill [0, 2^u); adding 2^u + 1 or
+    2^(u+1) + 1 moves them to [2^u + 1, 2^(u+1) + 1) or [2^(u+1) + 1, 3*2^u + 1)
+    with the parity flipped, and both together pass the bound.  No subset sums
+    to the top of the window, which goes to the second set.
     """
     if u < 0:
         raise ValueError(f"window parameter must be >= 0, got {u}")
     block = 1 << u
     bound = 3 * block + 2
-    evil, odious = build_evil_odious(block)
-    evil = evil.widen(bound)
-    odious = odious.widen(bound)
-    e, f = evil, odious
-    for offset in (block + 1, 2 * block + 1):
-        moved_odious, dropped_o = odious.shift(offset)
-        moved_evil, dropped_e = evil.shift(offset)
-        if dropped_o or dropped_e:  # the top translate ends at bound - 2
-            raise RuntimeError(f"translate by {offset} left the window of size {bound}")
-        e = e | moved_odious
-        f = f | moved_evil
+    prefix = [1 << i for i in range(u)] + [block + 1]
+    e, f = _balanced_pair(doubling_weights(prefix, 2 * block + 1, bound), bound)
     f = f | BoundedSet.from_elements([bound - 1], bound)
-    if not e.isdisjoint(f):
-        raise RuntimeError(f"window pair for u={u} overlaps")
     if (e | f) != BoundedSet.full(bound) - BoundedSet.from_elements([block], bound):
         raise RuntimeError(f"window pair for u={u} does not cover the window minus {block}")
     return e, f

@@ -32,6 +32,7 @@ from .intset import BoundedSet, ProgressionSpec, progression_set
 
 __all__ = [
     "GRID_R_MAX_FACTOR",
+    "MAX_GRID_CELLS",
     "STATUS_COMPLETED",
     "STATUS_CONTRADICTION",
     "ClassificationRecord",
@@ -47,8 +48,11 @@ __all__ = [
 STATUS_COMPLETED = "completed"
 STATUS_CONTRADICTION = "contradiction"
 
-# The standard grid's r range, r <= 2m: what predicted_solvable_cells covers and the CLI defaults to
+# The standard grid's r range, r <= 2m: what the CLI and the verify grid default to
 GRID_R_MAX_FACTOR = 2
+
+# The most cells classify_grid takes; at about 300 B a record, the cap is 0.3 GB of records
+MAX_GRID_CELLS = 1 << 20
 
 # forced_extend's side digits, and the tables that turn them into one class's binary numeral
 _A, _B = ord("1"), ord("2")
@@ -254,7 +258,8 @@ def classify_grid(m_max: int, r_max_factor: int, bound: int) -> list[Classificat
 
     A grid with a cell at r >= bound - 1 is refused before any record is
     built, with the error forced_extend raises for the first such cell in
-    m-major order, r = max(bound - 1, 0).
+    m-major order, r = max(bound - 1, 0).  So is a grid of more than
+    MAX_GRID_CELLS cells, sum over m of (r_max_factor*m + 1).
     """
     if m_max < 2:
         return []
@@ -263,6 +268,9 @@ def classify_grid(m_max: int, r_max_factor: int, bound: int) -> list[Classificat
         raise ValueError(
             f"bound {bound} must reach past the first excluded value {first_unreachable}"
         )
+    cells = r_max_factor * (m_max * (m_max + 1) // 2 - 1) + m_max - 1
+    if cells > MAX_GRID_CELLS:
+        raise ValueError(f"grid of {cells} cells exceeds {MAX_GRID_CELLS}")
     records = []
     for r in range(r_max_factor * m_max + 1):
         probe = forced_extend(ProgressionSpec(r, m_max + 1), min(bound, r + m_max))
@@ -288,4 +296,4 @@ def classify_grid(m_max: int, r_max_factor: int, bound: int) -> list[Classificat
 
 def predicted_solvable_cells(m_max: int) -> set[tuple[int, int]]:
     """Grid cells covered by some family pair: the expected completed cells."""
-    return {(p.r, p.m) for _, _, p in family_cells(m_max) if p.r <= GRID_R_MAX_FACTOR * p.m}
+    return {(p.r, p.m) for _, _, p in family_cells(m_max)}

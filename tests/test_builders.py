@@ -51,8 +51,7 @@ def defined_family(family, l, bound):
     prefix = [1 << i for i in range(l)]
     if family == S2T2 and l > 0:
         prefix[-1] += 1
-    report = build_parity_sets(doubling_weights(prefix, (1 << l) + 1, bound), bound)
-    a, b = report.even_set, report.odd_set
+    a, b = build_parity_sets(doubling_weights(prefix, (1 << l) + 1, bound), bound)
     if family == S1T1_SHIFTED:
         a, b = a.shift(1)[0], b.shift(1)[0]
     return a, b, progression_set(family_progression(family, l), bound)
@@ -139,26 +138,25 @@ class TestWeightSequences:
 
 class TestParitySets:
     def test_s1_l1_example(self):
-        report = build_parity_sets(family_weights(S1T1, 1, 14), 14)
-        assert report.even_set.elements() == [0, 4, 7, 9, 13]
-        assert report.odd_set.elements() == [1, 3, 6, 10, 12]
-        assert not report.ambiguous
+        even, odd = build_parity_sets(family_weights(S1T1, 1, 14), 14)
+        assert even.elements() == [0, 4, 7, 9, 13]
+        assert odd.elements() == [1, 3, 6, 10, 12]
+        assert not even & odd
 
     def test_s1_l0_is_doubled_evil(self):
-        report = build_parity_sets(family_weights(S1T1, 0, 16), 16)
-        assert report.even_set.elements() == [0, 6, 10, 12]
+        even, _ = build_parity_sets(family_weights(S1T1, 0, 16), 16)
+        assert even.elements() == [0, 6, 10, 12]
 
     def test_single_weight(self):
-        report = build_parity_sets([1], 4)
-        assert report.even_set.elements() == [0]
-        assert report.odd_set.elements() == [1]
-        assert not report.ambiguous
+        even, odd = build_parity_sets([1], 4)
+        assert even.elements() == [0]
+        assert odd.elements() == [1]
+        assert not even & odd
 
     def test_ambiguity_detected(self):
         # 3 = 1 + 2 (two weights) and 3 alone (one weight)
-        report = build_parity_sets([1, 2, 3], 8)
-        assert 3 in report.ambiguous
-        assert report.ambiguous == (report.even_set & report.odd_set)
+        even, odd = build_parity_sets([1, 2, 3], 8)
+        assert 3 in even & odd
 
     def test_ambiguity_is_a_construction_error_for_pair_builders(self):
         from repbal.builders import _balanced_pair
@@ -173,27 +171,63 @@ class TestParitySets:
 
     @given(st.lists(st.integers(1, 70), max_size=9), st.integers(0, 130))
     def test_random_weights_match_brute_force(self, weights, bound):
-        report = build_parity_sets(weights, bound)
-        even, odd = brute_parity_sums(weights, bound)
-        assert set(report.even_set) == even and set(report.odd_set) == odd
-        assert set(report.ambiguous) == even & odd
+        even, odd = build_parity_sets(weights, bound)
+        assert (set(even), set(odd)) == brute_parity_sums(weights, bound)
 
     @pytest.mark.parametrize("kind,l", [("s1", 0), ("s1", 1), ("s1", 2), ("s1", 3),
                                         ("s2", 1), ("s2", 2), ("s2", 3)])
     def test_matches_brute_force(self, kind, l):
         bound = 300
         weights = family_weights(SEQUENCE_FAMILY[kind], l, bound)
-        report = build_parity_sets(weights, bound)
-        even, odd = brute_parity_sums(weights, bound)
-        assert set(report.even_set) == even
-        assert set(report.odd_set) == odd
+        even, odd = build_parity_sets(weights, bound)
+        assert (set(even), set(odd)) == brute_parity_sums(weights, bound)
 
     def test_xy_matches_brute_force(self):
         bound = 200
         weights = doubling_weights((2, 3), 4, bound)
-        report = build_parity_sets(weights, bound)
-        even, odd = brute_parity_sums(weights, bound)
-        assert set(report.even_set) == even and set(report.odd_set) == odd
+        even, odd = build_parity_sets(weights, bound)
+        assert (set(even), set(odd)) == brute_parity_sums(weights, bound)
+
+
+def table_weights(pair, param, bound):
+    """The weights the builders module docstring lists for a pair."""
+    powers = [1 << i for i in range(param or 0)]
+    if pair == "evil/odious":
+        prefix, start = [], 1
+    elif pair == "xy":
+        prefix, start = [2, 3], 4
+    elif pair in (S1T1, S1T1_SHIFTED):
+        prefix, start = powers, (1 << param) + 1
+    elif pair == S2T2:
+        prefix, start = powers, (1 << param) + 1
+        if param:
+            prefix[-1] += 1
+    else:  # ef
+        prefix, start = powers + [(1 << param) + 1], (2 << param) + 1
+    return doubling_weights(prefix, start, bound)
+
+
+PAIRS = ([("evil/odious", None), ("xy", None)]
+         + [(family, l) for family in FAMILIES for l in range(5)]
+         + [("ef", u) for u in range(9)])
+
+
+@pytest.mark.parametrize("pair,param", PAIRS)
+def test_every_pair_is_the_parity_split_of_its_table_weights(pair, param):
+    bound = 3 * (1 << param) + 2 if pair == "ef" else 300
+    even, odd = build_parity_sets(table_weights(pair, param, bound), bound)
+    if pair == "evil/odious":
+        built = build_evil_odious(bound)
+    elif pair == "xy":
+        built = build_xy(bound)
+    elif pair == "ef":
+        built = build_ef(param)
+        odd = odd | BoundedSet.from_elements([bound - 1], bound)  # the top value
+    else:
+        built = build_family(pair, param, bound)[:2]
+        if pair == S1T1_SHIFTED:
+            even, odd = even.shift(1)[0], odd.shift(1)[0]
+    assert built == (even, odd)
 
 
 class TestFamilyLookup:
@@ -203,6 +237,13 @@ class TestFamilyLookup:
         spec = family_progression(family, l)
         first = next(f for f in FAMILIES if family_progression(f, l) == spec)
         assert family_of(spec) == (first, l)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_first_excluded_value_is_below_the_modulus(self, family):
+        # so a grid's r <= factor * m never drops a family cell for a factor >= 1
+        for l in range(65):
+            spec = family_progression(family, l)
+            assert spec.r < spec.m == (1 << l) + 1
 
     def test_shared_cell_goes_to_the_first_family(self):
         # s1t1 and s2t2 coincide at l = 0
@@ -291,8 +332,8 @@ class TestBuildEF:
         assert f.elements() == [1, 3, 5, 7]
 
     def test_formula_against_direct_assembly(self):
-        # independent assembly from evil/odious prefixes, via plain python sets
-        for u in range(0, 6):
+        # independent assembly from evil/odious translates, via plain python sets
+        for u in range(0, 13):
             block = 1 << u
             evil = {n for n in range(block) if digit_sum_2(n) % 2 == 0}
             odious = set(range(block)) - evil

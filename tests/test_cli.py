@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from repbal import cli
+from repbal import cli, solver
 from repbal.cli import (
     EXIT_COUNTEREXAMPLE,
     EXIT_OK,
@@ -168,6 +168,22 @@ class TestClassify:
             tracemalloc.stop()
         assert code == EXIT_USAGE and out == ""
         assert err == "repbal classify: bound 4 must reach past the first excluded value 3\n"
+        assert peak < 8 << 20
+
+    def test_over_cap_grid_is_refused_before_any_extension(self, monkeypatch, capsys):
+        # 1,212,197 cells fit under the bound, but their records would take about 0.3 GB
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran an extension")
+
+        monkeypatch.setattr(solver, "forced_extend", refuse)
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "classify", "--m-max", "1100", "--bound", "4096")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"repbal classify: grid of 1212197 cells exceeds {1 << 20}\n"
         assert peak < 8 << 20
 
     def test_byte_determinism(self, capsys):

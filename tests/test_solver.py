@@ -334,3 +334,25 @@ class TestSharedProbes:
         message = f"bound {grid[2]} must reach past the first excluded value {first_unreachable}"
         with pytest.raises(ValueError, match=f"^{message}$"):
             classify_grid(*grid)
+
+
+class TestGridCap:
+    """classify_grid counts its cells in closed form and refuses more than MAX_GRID_CELLS."""
+
+    @pytest.mark.parametrize("grid", [(5, 2, 256), (9, 0, 64), (6, 3, 64), (2, 1, 8)])
+    def test_cap_is_the_cell_count(self, monkeypatch, grid):
+        cells = len(classify_grid(*grid))
+        monkeypatch.setattr(solver, "MAX_GRID_CELLS", cells)
+        assert len(classify_grid(*grid)) == cells
+        monkeypatch.setattr(solver, "MAX_GRID_CELLS", cells - 1)
+        with pytest.raises(ValueError, match=f"^grid of {cells} cells exceeds {cells - 1}$"):
+            classify_grid(*grid)
+
+    def test_factor_zero_grid_is_capped_before_any_extension(self, monkeypatch):
+        # r = 0 alone is always in reach, so only the cap bounds m_max
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran an extension")
+
+        monkeypatch.setattr(solver, "forced_extend", refuse)
+        with pytest.raises(ValueError, match=f"^grid of {10**12 - 1} cells exceeds {1 << 20}$"):
+            classify_grid(10**12, 0, 1 << 24)

@@ -152,3 +152,63 @@ def test_error_boundary_rule_sees_every_try():
     assert "main" in [owner for owner, _ in _try_owners(tree)]
     handler = "def cmd_x(args):\n    try:\n        pass\n    except ValueError:\n        pass\n"
     assert _try_owners(ast.parse(handler)) == [("cmd_x", 2)]
+
+
+def _pair_builder_faults(tree):
+    """(builder, fault) for every public build_* but build_parity_sets that skips
+    _balanced_pair or calls another public build_*."""
+    faults = []
+    for node in tree.body:
+        if not isinstance(node, ast.FunctionDef) or not node.name.startswith("build_"):
+            continue
+        if node.name == "build_parity_sets":
+            continue
+        calls = {
+            call.func.id
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+        }
+        if "_balanced_pair" not in calls:
+            faults.append((node.name, "no _balanced_pair"))
+        faults += [(node.name, name) for name in sorted(calls) if name.startswith("build_")]
+    return faults
+
+
+def test_every_pair_builder_is_one_parity_split():
+    # each named pair is the parity split of one weight list, not assembled from other pairs
+    source = (SOURCES[0].parent / "builders.py").read_text()
+    faults = _pair_builder_faults(ast.parse(source))
+    assert faults == [], f"builders.py: {faults}; build each pair with _balanced_pair of its weights"
+
+
+TRANSLATE_EF = """
+def build_ef(u):
+    if u < 0:
+        raise ValueError(f"window parameter must be >= 0, got {u}")
+    block = 1 << u
+    bound = 3 * block + 2
+    evil, odious = build_evil_odious(block)
+    evil = evil.widen(bound)
+    odious = odious.widen(bound)
+    e, f = evil, odious
+    for offset in (block + 1, 2 * block + 1):
+        moved_odious, dropped_o = odious.shift(offset)
+        moved_evil, dropped_e = evil.shift(offset)
+        if dropped_o or dropped_e:
+            raise RuntimeError(f"translate by {offset} left the window of size {bound}")
+        e = e | moved_odious
+        f = f | moved_evil
+    f = f | BoundedSet.from_elements([bound - 1], bound)
+    return e, f
+"""
+
+
+def test_parity_split_rule_sees_a_translate_builder():
+    # the rule must flag a pair assembled from another pair's translates, or it guards nothing
+    assert _pair_builder_faults(ast.parse(TRANSLATE_EF)) == [
+        ("build_ef", "no _balanced_pair"),
+        ("build_ef", "build_evil_odious"),
+    ]
+    tree = ast.parse((SOURCES[0].parent / "builders.py").read_text())
+    builders = [node.name for node in tree.body if isinstance(node, ast.FunctionDef)]
+    assert {"build_ef", "build_evil_odious", "build_family", "build_xy"} <= set(builders)
