@@ -169,8 +169,8 @@ def build_family(family: str, l: int, bound: int) -> tuple[BoundedSet, BoundedSe
     t = progression_set(family_progression(family, l), bound)
     a, b = _balanced_pair(family_weights(family, l, bound), bound)
     if family == S1T1_SHIFTED:
-        a, _ = a.shift(1)
-        b, _ = b.shift(1)
+        window = (1 << bound) - 1
+        a, b = BoundedSet(bound, (a.mask << 1) & window), BoundedSet(bound, (b.mask << 1) & window)
     return a, b, t
 
 

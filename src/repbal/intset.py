@@ -3,9 +3,9 @@
 Every set in this package is a finite window [0, bound) of a conceptually
 infinite set of nonnegative integers.  The bound is an exclusive knowledge
 horizon: queries at or past it raise ``OutOfWindowError`` instead of silently
-answering "absent", and the one operation that can push elements past the
-horizon (``shift``) reports how many it dropped.  Values are immutable and
-every operation is a pure function, so they are safe to share freely.
+answering "absent", and no operation moves an element past it.  Values are
+immutable and every operation is a pure function, so they are safe to share
+freely.
 """
 
 from __future__ import annotations
@@ -131,24 +131,6 @@ class BoundedSet:
         if not 0 <= x < self.bound:
             raise OutOfWindowError(f"truncate({x}) outside the window [0, {self.bound})")
         return BoundedSet(self.bound, self.mask & ((1 << (x + 1)) - 1))
-
-    def shift(self, a: int) -> tuple[BoundedSet, int]:
-        """Translate every element by a >= 0 within the same window.
-
-        Elements pushed to or past the bound are dropped; the second return
-        value reports how many, so callers can insist on losslessness.
-        """
-        if a < 0:
-            raise ValueError(f"shift distance must be >= 0, got {a}")
-        moved = self.mask << a
-        kept = moved & ((1 << self.bound) - 1)
-        return BoundedSet(self.bound, kept), (moved >> self.bound).bit_count()
-
-    def widen(self, new_bound: int) -> BoundedSet:
-        """Extend the knowledge window; the element content is unchanged."""
-        if new_bound < self.bound:
-            raise ValueError(f"widen cannot shrink the bound ({self.bound} -> {new_bound})")
-        return BoundedSet(new_bound, self.mask)
 
     def to_text(self) -> str:
         """Two-line fixture format: ``bound=<N>`` then comma-separated sorted elements."""

@@ -1,17 +1,17 @@
 """Two-element-sum counting over bounded sets.
 
 Single sums of a truncated set are counted by one bit-parallel primitive,
-``pairs_at`` over a ``reverse_mask``.  Whole profiles are one loop of it
-below ``SQUARE_WIDTH`` sums, and from there one exact square of the set's
-indicator packed into decimal digit fields; an independent pair-enumeration
-oracle is kept alongside both.  Whether two sets balance, and where they
-first do not, is one product of the same packed indicators.  All counts are
-exact integers and every query outside a set's materialized window is
-refused rather than answered partially.
+``pairs_at`` over a ``reverse_mask``.  A whole profile, at every width, is
+one exact square of the set's indicator packed into decimal digit fields; an
+independent pair-enumeration oracle is kept alongside it.  Whether two sets
+balance, and where they first do not, is one product of the same packed
+indicators.  All counts are exact integers and every query outside a set's
+materialized window is refused rather than answered partially.
 """
 
 from __future__ import annotations
 
+import bisect
 import decimal
 from typing import Sequence
 
@@ -58,9 +58,9 @@ def pairs_at(x: int, rev_y: int, width: int, n: int) -> int:
     """#{a in x : n - a in y} for 0 <= n < width, where rev_y = reverse_mask(y, width).
 
     The shift lines bit a of x up with bit n - a of y, so one AND and one
-    popcount count a machine word of pairs at a time.  Every bit-parallel pair
-    count in the package goes through here: the profiles, the truncated counts
-    and the identity checkers' cross sums.
+    popcount count a machine word of pairs at a time.  Every single-sum pair
+    count in the package goes through here: the truncated counts and the
+    identity checkers' cross sums.
     """
     return (x & (rev_y >> (width - 1 - n))).bit_count()
 
@@ -83,36 +83,34 @@ def strict_counts(ordered: Sequence[int], mask: int) -> tuple[int, ...]:
     return tuple(values)
 
 
-# Profiles of at least this many sums square a packed indicator; narrower ones
-# loop pairs_at, which is faster below it.
-SQUARE_WIDTH = 1 << 13
-
 # Exact integer arithmetic at any size, whatever the calling thread's context.
 _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
 
 
-def _packed(mask: int, width: int, stride: int) -> decimal.Decimal:
-    """Bits [0, width) of mask as one decimal number: bit a becomes the digit of 10^(stride*a)."""
-    bits = format(mask & ((1 << width) - 1), f"0{width}b")
-    return _EXACT.create_decimal(("0" * (stride - 1)).join(bits))
+def _packed(mask: int, width: int, doubled: bool = False) -> tuple[decimal.Decimal, int]:
+    """A set's indicator S at x = 10^d, for the sums below width, and the field width d.
+
+    Bit a of mask becomes the digit of 10^(d*a).  With doubled it is S(x^2)
+    instead: bit a, for 2a < width, becomes the digit of 10^(2*d*a).  An
+    ordered count of a sum below width is at most width < 10^d, so d digits
+    hold it.
+    """
+    d = len(str(width))
+    bits, stride = ((width + 1) // 2, 2 * d) if doubled else (width, d)
+    digits = format(mask & ((1 << bits) - 1), f"0{bits}b")
+    return _EXACT.create_decimal(("0" * (stride - 1)).join(digits)), d
 
 
 def _ordered_counts(s: BoundedSet, n_max: int) -> list[int]:
-    """Ordered-pair counts for every sum 0..n_max.
+    """Ordered-pair counts for every sum 0..n_max, from one square.
 
-    Below SQUARE_WIDTH sums: one pairs_at per sum.  From there: Kronecker
-    substitution.  Bit a of the mask becomes the digit field of 10^(d*a), so
-    squaring the packed number puts the ordered count of sum n in field n.  A
-    count never exceeds the width < 10^d, so no field carries into the next,
-    and libmpdec squares the whole number with a number-theoretic transform.
+    With the mask packed by _packed, squaring puts the ordered count of sum n
+    in field n.  No field carries into the next, and libmpdec squares the
+    whole number with a number-theoretic transform.
     """
     _require_window(s, n_max)
     width = n_max + 1  # elements > n_max occur in no sum <= n_max
-    if width < SQUARE_WIDTH:
-        rev = reverse_mask(s.mask, width)
-        return [pairs_at(s.mask, rev, width, n) for n in range(width)]
-    d = len(str(width))
-    packed = _packed(s.mask, width, d)
+    packed, d = _packed(s.mask, width)
     fields = str(_EXACT.multiply(packed, packed))[-width * d:].zfill(width * d)
     return [int(fields[i - d:i]) for i in range(width * d, 0, -d)]
 
@@ -120,8 +118,8 @@ def _ordered_counts(s: BoundedSet, n_max: int) -> list[int]:
 def first_r2_difference(s: BoundedSet, t: BoundedSet, n_max: int) -> int | None:
     """The least n <= n_max with r2(s, n) != r2(t, n), or None if the counts agree up to n_max.
 
-    With S and T the indicators packed as in _ordered_counts (bit a at the
-    digit field of 10^(d*a)), S(x)^2 - S(x^2) = 2 * sum_n r2(s, n) x^n, so
+    With S and T the indicators packed by _packed (bit a at the digit field of
+    10^(d*a)), S(x)^2 - S(x^2) = 2 * sum_n r2(s, n) x^n, so
     P = (S - T)(S + T) - (S(x^2) - T(x^2)) holds 2 * (r2(s, n) - r2(t, n)) in
     field n.  Every field up to n_max is at most the width < 10^d in absolute
     value, so the lowest nonzero one ends P in fewer than d zero digits of its
@@ -130,10 +128,8 @@ def first_r2_difference(s: BoundedSet, t: BoundedSet, n_max: int) -> int | None:
     _require_window(s, n_max)
     _require_window(t, n_max)
     width = n_max + 1  # elements > n_max occur in no sum <= n_max
-    half = n_max // 2 + 1  # the diagonal pairs (a, a) with 2a <= n_max
-    d = len(str(width))
-    s1, t1 = _packed(s.mask, width, d), _packed(t.mask, width, d)
-    s2, t2 = _packed(s.mask, half, 2 * d), _packed(t.mask, half, 2 * d)
+    (s1, d), (t1, _) = _packed(s.mask, width), _packed(t.mask, width)
+    (s2, _), (t2, _) = _packed(s.mask, width, doubled=True), _packed(t.mask, width, doubled=True)
     ordered = _EXACT.multiply(_EXACT.subtract(s1, t1), _EXACT.add(s1, t1))
     product = _EXACT.subtract(ordered, _EXACT.subtract(s2, t2))
     if not product:
@@ -156,7 +152,7 @@ def r2_profile(s: BoundedSet, n_max: int) -> tuple[int, ...]:
 def r2_profile_naive(s: BoundedSet, n_max: int) -> list[int]:
     """Reference oracle for r2_profile: enumerate element pairs directly.
 
-    Deliberately shares nothing with the bit-parallel kernel.
+    Deliberately shares nothing with the packed kernel.
     """
     _require_window(s, n_max)
     counts = [0] * (n_max + 1)
@@ -164,9 +160,6 @@ def r2_profile_naive(s: BoundedSet, n_max: int) -> list[int]:
     for i, a in enumerate(elems):
         if 2 * a >= n_max:
             break  # every partner b > a overshoots n_max
-        for b in elems[i + 1:]:
-            total = a + b
-            if total > n_max:
-                break
-            counts[total] += 1
+        for b in elems[i + 1:bisect.bisect_right(elems, n_max - a, i + 1)]:
+            counts[a + b] += 1
     return counts

@@ -1,4 +1,4 @@
-"""Bounded-set primitives: membership, shifts, truncation, text format."""
+"""Bounded-set primitives: membership, set algebra, truncation, text format."""
 
 import pytest
 from hypothesis import example, given, settings
@@ -50,32 +50,6 @@ class TestChi:
         assert 2 in s and 3 not in s
         with pytest.raises(OutOfWindowError):
             4 in s
-
-
-class TestShift:
-    def test_basic(self):
-        s = BoundedSet.from_elements([0, 1], 8)
-        shifted, dropped = s.shift(2)
-        assert shifted.elements() == [2, 3] and dropped == 0
-
-    def test_empty(self):
-        shifted, dropped = BoundedSet(8).shift(5)
-        assert shifted.elements() == [] and dropped == 0
-
-    def test_odious_prefix_shift(self):
-        # odious numbers below 4 are {1, 2}; translating by 3 gives {4, 5}
-        _, odious = build_evil_odious(8)
-        shifted, dropped = odious.truncate(3).shift(3)
-        assert shifted.elements() == [4, 5] and dropped == 0
-
-    def test_drop_count_reported(self):
-        s = BoundedSet.from_elements([0, 5, 6], 8)
-        shifted, dropped = s.shift(3)
-        assert shifted.elements() == [3] and dropped == 2
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            BoundedSet(4).shift(-1)
 
 
 class TestTruncate:
@@ -201,13 +175,6 @@ class TestSetAlgebra:
     def test_bound_mismatch_rejected(self):
         with pytest.raises(ValueError):
             BoundedSet(4) | BoundedSet(5)
-
-    def test_widen_keeps_elements(self):
-        s = BoundedSet.from_elements([1, 3], 4)
-        w = s.widen(10)
-        assert w.bound == 10 and w.elements() == [1, 3]
-        with pytest.raises(ValueError):
-            s.widen(3)
 
 
 class TestTextFormat:

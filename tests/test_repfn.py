@@ -83,7 +83,7 @@ class TestPointwise:
 
     def test_widen_permits_larger_sums(self):
         s = BoundedSet.from_elements([0, 1], 4)
-        assert r2_profile(s.widen(8), 5)[5] == 0
+        assert r2_profile(BoundedSet(8, s.mask), 5)[5] == 0
 
 
 class TestPrefix:
@@ -202,7 +202,7 @@ def ordered_from_oracle(s, n_max):
 
 
 class TestSquarePath:
-    """Profiles of at least SQUARE_WIDTH sums square a packed indicator instead of looping pairs_at."""
+    """Every profile, at every width, squares a packed indicator instead of looping pairs_at."""
 
     @pytest.fixture
     def no_pairs_at(self, monkeypatch):
@@ -211,15 +211,9 @@ class TestSquarePath:
 
         monkeypatch.setattr(repfn, "pairs_at", refuse)
 
-    @pytest.mark.parametrize("width", [8192, 8193, 1 << 14])
+    @pytest.mark.parametrize("width", [1, 2, 513, 1025, 2049, 8191, 8192, 8193, 1 << 14])
     def test_wide_profiles_do_not_loop_pairs_at(self, no_pairs_at, width):
         assert len(r1_profile(BoundedSet.full(width), width - 1)) == width
-
-    def test_narrower_profiles_loop_pairs_at(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(repfn, "pairs_at", lambda *args: calls.append(args) or 0)
-        r1_profile(BoundedSet.full(8191), 8190)
-        assert len(calls) == 8191
 
     @pytest.mark.parametrize("width", [8191, 8192, 9999, 10000, 10001])
     def test_full_set_closed_form(self, width):
@@ -254,10 +248,9 @@ class TestSquarePath:
 
     @given(small_sets(), st.data())
     def test_square_matches_oracle_at_every_small_width(self, s, data):
-        # moving the cutover to 1 sends every width, and every field width d, down the square path
+        # every width, and every field width d it needs, goes down the square path
         n_max = data.draw(st.integers(0, s.bound - 1))
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(repfn, "SQUARE_WIDTH", 1)
             patch.setattr(repfn, "pairs_at", None)
             p1, p2 = r1_profile(s, n_max), r2_profile(s, n_max)
         assert list(p2) == r2_profile_naive(s, n_max)

@@ -91,6 +91,48 @@ def test_decimal_rule_sees_the_kernel():
     assert _decimal_imports(tree)
 
 
+def _kronecker_sites(tree):
+    """Lines of ``create_decimal`` calls (packings) and of ``len(str(...))`` calls (field widths)."""
+    packings, field_widths = [], []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        if isinstance(node.func, ast.Attribute) and node.func.attr == "create_decimal":
+            packings.append(node.lineno)
+        elif (
+            isinstance(node.func, ast.Name)
+            and node.func.id == "len"
+            and len(node.args) == 1
+            and isinstance(node.args[0], ast.Call)
+            and isinstance(node.args[0].func, ast.Name)
+            and node.args[0].func.id == "str"
+        ):
+            field_widths.append(node.lineno)
+    return sorted(packings), sorted(field_widths)
+
+
+def test_kronecker_substitution_written_once():
+    # the profile square and the balance product pack indicators by one rule, in one place
+    packings, field_widths = _kronecker_sites(ast.parse((SOURCES[0].parent / "repfn.py").read_text()))
+    assert len(packings) == 1, f"repfn.py packs indicators at lines {packings}; use repfn._packed"
+    assert len(field_widths) == 1, f"repfn.py picks field widths at lines {field_widths}; use repfn._packed"
+
+
+TWO_PACKINGS = """
+def _ordered_counts(s, n_max):
+    d = len(str(n_max + 1))
+    packed = _EXACT.create_decimal(("0" * (d - 1)).join(format(s.mask, "b")))
+def first_r2_difference(s, t, n_max):
+    d = len(str(n_max + 1))
+    s1 = _EXACT.create_decimal(("0" * (d - 1)).join(format(s.mask, "b")))
+"""
+
+
+def test_kronecker_rule_sees_the_kernel():
+    # the rule must see each packing and each field width, or it counts nothing
+    assert _kronecker_sites(ast.parse(TWO_PACKINGS)) == ([4, 7], [3, 6])
+
+
 FAMILY_NAMES = {"S1T1", "S2T2", "S1T1_SHIFTED"}
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repbal import verify
+from repbal import repfn, verify
 from repbal.builders import build_ef, build_evil_odious
 from repbal.intset import BoundedSet, ProgressionSpec, progression_set
 from repbal.solver import forced_extend
@@ -282,6 +282,29 @@ class TestFailureRecords:
         assert report.to_json_dict()["checks"] == [{"lemma": check, **expected}]
 
 
+class TestKernelOracleRunsTheSquare:
+    """kernel-oracle checks the one profile kernel that every width runs."""
+
+    def test_passes_without_pairs_at(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a profile looped pairs_at")
+
+        monkeypatch.setattr(repfn, "pairs_at", refuse)
+        assert run_suite("quick", only="kernel-oracle").to_json_dict()["checks"] == [
+            {"lemma": "kernel-oracle", "instances": 25, "passed": 25, "first_failure": None}
+        ]
+
+    def test_a_perturbed_square_is_reported_at_its_sum(self, monkeypatch):
+        # two more ordered pairs at sum 300 of 513 make one more strict pair there
+        square = repfn._ordered_counts
+        monkeypatch.setattr(repfn, "_ordered_counts", lambda s, n_max: [
+            count + 2 * (n == 300) for n, count in enumerate(square(s, n_max))])
+        assert run_suite("quick", only="kernel-oracle").to_json_dict()["checks"] == [
+            {"lemma": "kernel-oracle", "instances": 25, "passed": 0, "first_failure": {
+                "inputs": {"set_index": 0, "n": 300}, "lhs": 1, "rhs": 0}}
+        ]
+
+
 def _profile_verdict_by_profiles(inputs, left, right, n_max):
     """The reference for verify._profile_verdict: two whole profiles, compared sum by sum."""
     pl, pr = r2_profile(left, n_max), r2_profile(right, n_max)
@@ -293,8 +316,8 @@ def _profile_verdict_by_profiles(inputs, left, right, n_max):
 
 class TestFailureRecordOnTheSquarePath:
     def test_full_family_balance_matches_the_two_profile_record(self, monkeypatch):
-        # at full every family pair spans 2^14 sums, past SQUARE_WIDTH, and a lost 9000
-        # first unbalances a sum above 8192
+        # at full every family pair spans 2^14 sums, and a lost 9000 first unbalances
+        # a sum above 8192
         monkeypatch.setattr(verify, "build_family", _faulty(
             "build_family", lambda abt, *_: (_flip(abt[0], 9000),) + abt[1:]))
         checks = run_suite("full", only="family-balance").to_json_dict()["checks"]
