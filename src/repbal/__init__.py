@@ -41,10 +41,8 @@ from .solver import (
     STATUS_CONTRADICTION,
     ClassificationRecord,
     ExtensionOutcome,
-    FamilyMatch,
     classify_grid,
     forced_extend,
-    forced_extend_naive,
     match_family,
     predicted_solvable_cells,
 )
@@ -53,10 +51,10 @@ from .verify import (
     FourTermInstance,
     InstanceError,
     SuiteReport,
-    check_step_identity,
     evil_odious_instances,
     four_term_residual,
     run_suite,
+    step_identity_failure,
     step_identity_residual,
     validate_four_term,
     window_pair_instances,

@@ -20,7 +20,7 @@ from .builders import (
     build_family,
     build_xy,
 )
-from .intset import MAX_BOUND, BoundedSet, ProgressionSpec
+from .intset import MAX_BOUND, BoundedSet, ProgressionSpec, progression_set
 from .repfn import r1_profile, r2_profile, strict_counts
 from .solver import (
     GRID_R_MAX_FACTOR,
@@ -159,7 +159,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "anchor": out.anchor,
             "a": out.a.elements(),
             "b": out.b.elements(),
-            "excluded": out.excluded.elements(),
+            "excluded": progression_set(spec, out.a.bound).elements(),
             "contradiction_at": out.contradiction_at,
             "forced_value": out.forced_value,
         }

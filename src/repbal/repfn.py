@@ -32,7 +32,8 @@ __all__ = [
 def _require_window(s: BoundedSet, n: int) -> None:
     if not 0 <= n < s.bound:
         raise OutOfWindowError(
-            f"sum index {n} outside the materialized window [0, {s.bound}); widen the set first"
+            f"sum index {n} outside the materialized window [0, {s.bound});"
+            " build the set with a larger bound"
         )
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .builders import build_family, family_cells, family_of
-from .intset import BoundedSet, ProgressionSpec, progression_set
+from .intset import BoundedSet, ProgressionSpec
 
 __all__ = [
     "GRID_R_MAX_FACTOR",
@@ -37,10 +37,8 @@ __all__ = [
     "STATUS_CONTRADICTION",
     "ClassificationRecord",
     "ExtensionOutcome",
-    "FamilyMatch",
     "classify_grid",
     "forced_extend",
-    "forced_extend_naive",
     "match_family",
     "predicted_solvable_cells",
 ]
@@ -64,8 +62,11 @@ _B_ONLY = bytes.maketrans(b"12", b"01")
 class ExtensionOutcome:
     """Result of forcing a partition from its pair-count constraints.
 
-    On contradiction the decided prefixes stop at the first undecidable
-    position; ``contradiction_at`` is the sum whose constraint failed and
+    ``a`` and ``b`` share one window, [0, a.bound): the whole bound when the
+    extension completed, the decided prefix when it died.  The excluded
+    values in that window are ``progression_set(spec, a.bound)``.  On
+    contradiction the prefix stops at the first undecidable position;
+    ``contradiction_at`` is the sum whose constraint failed and
     ``forced_value`` the out-of-range membership value it demanded (a legal
     demand is 0 or 1 at a free position, 0 at an excluded one).
     """
@@ -75,7 +76,6 @@ class ExtensionOutcome:
     anchor: int
     a: BoundedSet
     b: BoundedSet
-    excluded: BoundedSet
     contradiction_at: int | None = None
     forced_value: int | None = None
 
@@ -106,18 +106,7 @@ def forced_extend(spec: ProgressionSpec, bound: int) -> ExtensionOutcome:
     side[top - anchor] = _A
     balance = 0  # |A'| - |B|
     by_residue = [0] * m  # members of A' less members of B, up to the limit, by residue
-
-    def contradiction(frontier: int, target: int, demanded: int) -> ExtensionOutcome:
-        return ExtensionOutcome(
-            status=STATUS_CONTRADICTION,
-            spec=spec,
-            anchor=anchor,
-            a=_side_set(side[bound - frontier:], _A_ONLY),
-            b=_side_set(side[bound - frontier:], _B_ONLY),
-            excluded=progression_set(spec, frontier),
-            contradiction_at=target,
-            forced_value=demanded,
-        )
+    frontier = bound  # the decided window is [0, frontier); a contradiction at f cuts it to f
 
     for f in range(anchor + 1, bound):
         x = f - lag
@@ -136,7 +125,8 @@ def forced_extend(spec: ProgressionSpec, bound: int) -> ExtensionOutcome:
         demanded = twice >> 1
         if f >= r and (f - r) % m == 0:  # f is excluded
             if demanded:
-                return contradiction(f, target, demanded)
+                frontier = f
+                break
         elif demanded == 1:
             side[top - f] = _A
             balance += 1
@@ -144,15 +134,19 @@ def forced_extend(spec: ProgressionSpec, bound: int) -> ExtensionOutcome:
             side[top - f] = _B
             balance -= 1
         else:
-            return contradiction(f, target, demanded)
+            frontier = f
+            break
 
+    died = frontier < bound
+    decided = side[bound - frontier:]
     return ExtensionOutcome(
-        status=STATUS_COMPLETED,
+        status=STATUS_CONTRADICTION if died else STATUS_COMPLETED,
         spec=spec,
         anchor=anchor,
-        a=_side_set(side, _A_ONLY),
-        b=_side_set(side, _B_ONLY),
-        excluded=progression_set(spec, bound),
+        a=_side_set(decided, _A_ONLY),
+        b=_side_set(decided, _B_ONLY),
+        contradiction_at=target if died else None,
+        forced_value=demanded if died else None,
     )
 
 
@@ -161,72 +155,21 @@ def _side_set(digits: bytearray, table: bytes) -> BoundedSet:
     return BoundedSet(len(digits), int(digits.translate(table), 2))
 
 
-def forced_extend_naive(spec: ProgressionSpec, bound: int) -> ExtensionOutcome:
-    """Oracle for forced_extend: recount every pair from scratch at each step."""
-    if bound < spec.r + 2:
-        raise ValueError(f"bound {bound} must reach past the first excluded value {spec.r}")
-    excluded = progression_set(spec, bound)
-    t_set = set(excluded)
-    anchor = 0 if spec.r else 1
-    set_a, set_b = {anchor}, set()
+def match_family(outcome: ExtensionOutcome) -> tuple[str, int] | None:
+    """The built family, as (family, l), that reproduces a completed extension elementwise.
 
-    def snapshot(status: str, window: int, target: int | None, demanded: int | None) -> ExtensionOutcome:
-        return ExtensionOutcome(
-            status=status,
-            spec=spec,
-            anchor=anchor,
-            a=BoundedSet.from_elements(sorted(set_a), window),
-            b=BoundedSet.from_elements(sorted(set_b), window),
-            excluded=BoundedSet.from_elements(sorted(x for x in t_set if x < window), window),
-            contradiction_at=target,
-            forced_value=demanded,
-        )
-
-    for f in range(anchor + 1, bound):
-        target = anchor + f
-        count_a = count_b = 0
-        for y in range(min(f, target + 1)):
-            x = target - y
-            if not 0 <= x < y:
-                continue
-            if x in set_a and y in set_a:
-                count_a += 1
-            elif x in set_b and y in set_b:
-                count_b += 1
-        demanded = count_b - count_a
-        if f in t_set:
-            if demanded:
-                return snapshot(STATUS_CONTRADICTION, f, target, demanded)
-        elif demanded == 1:
-            set_a.add(f)
-        elif demanded == 0:
-            set_b.add(f)
-        else:
-            return snapshot(STATUS_CONTRADICTION, f, target, demanded)
-
-    return snapshot(STATUS_COMPLETED, bound, None, None)
-
-
-@dataclass(frozen=True)
-class FamilyMatch:
-    """Which built family, if any, reproduces a completed extension elementwise."""
-
-    family: str | None
-    l: int | None
-
-
-def match_family(outcome: ExtensionOutcome) -> FamilyMatch:
-    """Check the family whose predicted complement is the excluded progression."""
+    The one candidate is the family whose predicted complement is the excluded
+    progression (``builders.family_of``); None when there is none, or when its
+    sets differ from the extension's.
+    """
     if outcome.status != STATUS_COMPLETED:
         raise ValueError("family matching needs a completed extension")
-    bound = outcome.a.bound
     found = family_of(outcome.spec)
     if found is not None:
-        family, l = found
-        a, b, _ = build_family(family, l, bound)
+        a, b, _ = build_family(*found, outcome.a.bound)
         if a == outcome.a and b == outcome.b:
-            return FamilyMatch(family=family, l=l)
-    return FamilyMatch(family=None, l=None)
+            return found
+    return None
 
 
 @dataclass(frozen=True)
@@ -280,17 +223,11 @@ def classify_grid(m_max: int, r_max_factor: int, bound: int) -> list[Classificat
                 out = probe
             else:
                 out = forced_extend(ProgressionSpec(r, m), bound)
-            if out.status == STATUS_COMPLETED:
-                match = match_family(out)
-                records.append(
-                    ClassificationRecord(r, m, out.status, match.family, match.l, None, None)
-                )
-            else:
-                records.append(
-                    ClassificationRecord(
-                        r, m, out.status, None, None, out.contradiction_at, out.forced_value
-                    )
-                )
+            match = match_family(out) if out.status == STATUS_COMPLETED else None
+            family, l = match or (None, None)
+            records.append(ClassificationRecord(
+                r, m, out.status, family, l, out.contradiction_at, out.forced_value
+            ))
     return records
 
 

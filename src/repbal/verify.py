@@ -40,10 +40,10 @@ __all__ = [
     "PROFILES",
     "SuiteProfile",
     "SuiteReport",
-    "check_step_identity",
     "evil_odious_instances",
     "four_term_residual",
     "run_suite",
+    "step_identity_failure",
     "step_identity_residual",
     "validate_four_term",
     "window_pair_instances",
@@ -168,9 +168,10 @@ def evil_odious_instances(spec: ProgressionSpec) -> Iterator[FourTermInstance]:
     c, d = build_evil_odious(window)
     if c.chi(cutoff):
         raise InstanceError(f"first excluded value {cutoff} is not odious")
+    t = progression_set(spec, window)
     for n in range(cutoff, 2 * cutoff + 1):
         for N in range(n, 2 * cutoff + 1):
-            yield FourTermInstance(out.a, out.b, c, d, out.excluded, cutoff, 2 * cutoff, n, N)
+            yield FourTermInstance(out.a, out.b, c, d, t, cutoff, 2 * cutoff, n, N)
 
 
 def window_pair_instances(
@@ -229,16 +230,14 @@ def step_identity_residual(
     return lhs - rhs
 
 
-def check_step_identity(spec: ProgressionSpec, bound: int | None = None) -> bool:
-    """Solve the partition, pin the digit parity of the first excluded value,
-    and check the step identity for every positive n below twice that value."""
-    return _step_identity_failure(spec, bound) is None
-
-
-def _step_identity_failure(
+def step_identity_failure(
     spec: ProgressionSpec, bound: int | None = None
 ) -> dict[str, Any] | None:
-    """check_step_identity's failure record for spec, or None when the identity holds."""
+    """Solve the partition, pin the digit parity of the first excluded value,
+    and check the step identity for every positive n below twice that value.
+
+    Returns the first failure record, or None when the identity holds.
+    """
     if spec.r < 1:
         raise InstanceError("the excluded progression must not contain 0")
     cutoff = spec.r
@@ -254,8 +253,9 @@ def _step_identity_failure(
     inputs = {"r": spec.r, "m": spec.m}
     if evil.chi(cutoff):  # the first excluded value must be odious
         return {"inputs": {**inputs, "check": "first-excluded-parity"}, "lhs": 1, "rhs": 0}
+    t = progression_set(spec, bound)
     for n in range(1, 2 * cutoff):
-        residual = step_identity_residual(out.a, out.excluded, evil, cutoff, n)
+        residual = step_identity_residual(out.a, t, evil, cutoff, n)
         if residual:
             return {"inputs": {**inputs, "n": n}, "lhs": residual, "rhs": 0}
     return None
@@ -435,7 +435,7 @@ def _four_term(p: SuiteProfile, seed: int) -> Verdicts:
 
 def _step_identity(p: SuiteProfile, seed: int) -> Verdicts:
     for spec in _solvable_specs(p):
-        yield _step_identity_failure(spec)
+        yield step_identity_failure(spec)
 
 
 def _solver_agreement(p: SuiteProfile, seed: int) -> Verdicts:

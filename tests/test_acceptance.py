@@ -16,7 +16,7 @@ from repbal.builders import (
     build_family,
     family_progression,
 )
-from repbal.intset import BoundedSet, ProgressionSpec
+from repbal.intset import BoundedSet, ProgressionSpec, progression_set
 from repbal.repfn import r2_profile, r2_profile_naive
 from repbal.solver import (
     STATUS_COMPLETED,
@@ -26,9 +26,9 @@ from repbal.solver import (
 )
 from repbal.verify import (
     FourTermInstance,
-    check_step_identity,
     evil_odious_instances,
     four_term_residual,
+    step_identity_failure,
     step_identity_residual,
     validate_four_term,
     window_pair_instances,
@@ -153,12 +153,13 @@ def test_criterion_7_identity_checkers_and_mutation_sensitivity():
 
     # step identity: every realized family cell, epsilon branch at n = 2r-1 included
     for r, m in sorted(p for p in predicted_solvable_cells(GRID_M_MAX) if p[0] >= 1):
-        assert check_step_identity(ProgressionSpec(r, m)) is True, (r, m)
+        assert step_identity_failure(ProgressionSpec(r, m)) is None, (r, m)
 
     # sensitivity: at least one single-element mutation flips each identity
     out = forced_extend(ProgressionSpec(2, 3), 5)
+    t = progression_set(ProgressionSpec(2, 3), 5)
     evil, odious = build_evil_odious(5)
-    valid = FourTermInstance(out.a, out.b, evil, odious, out.excluded, 2, 4, 4, 4)
+    valid = FourTermInstance(out.a, out.b, evil, odious, t, 2, 4, 4, 4)
     assert four_term_residual(valid) == 0
     mutated = FourTermInstance(
         valid.a, valid.b, valid.c,
@@ -167,9 +168,9 @@ def test_criterion_7_identity_checkers_and_mutation_sensitivity():
     )
     assert four_term_residual(mutated) != 0
 
-    assert step_identity_residual(out.a, out.excluded, evil, 2, 2) == 0
+    assert step_identity_residual(out.a, t, evil, 2, 2) == 0
     flipped = BoundedSet(5, evil.mask ^ (1 << 3))
-    assert step_identity_residual(out.a, out.excluded, flipped, 2, 2) != 0
+    assert step_identity_residual(out.a, t, flipped, 2, 2) != 0
     print("PASS criterion 7: identity checkers hold on every generated instance "
           "(epsilon branches included) and flip under single-element mutation")
 

@@ -55,6 +55,29 @@ class TestSolve:
         assert out == "contradiction: sum=8 forced=2\nA={0,4,6}\nB={1,3,5,7}\n"
         assert peak < 1 << 20
 
+    def test_contradiction_json_cuts_excluded_at_the_frontier(self, capsys):
+        # (1, 4) dies at position 5, so excluded runs over [0, 5), not over the bound
+        code, out, _ = run(capsys, "solve", "--r", "1", "--m", "4", "--bound", "64", "--emit", "json")
+        payload = {
+            "a": [0],
+            "anchor": 0,
+            "b": [2, 3, 4],
+            "bound": 64,
+            "contradiction_at": 5,
+            "excluded": [1],
+            "forced_value": 1,
+            "m": 4,
+            "r": 1,
+            "status": "contradiction",
+        }
+        assert (code, out) == (EXIT_OK, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+    def test_huge_modulus_json_excludes_r_alone(self, capsys):
+        argv = ("solve", "--r", "2", "--m", "1000000000000", "--bound", "64", "--emit", "json")
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert json.loads(out)["excluded"] == [2]
+
     def test_domain_error_exits_one(self, capsys):
         code, _, err = run(capsys, "solve", "--r", "9", "--m", "2", "--bound", "5")
         assert code == EXIT_USAGE
@@ -122,6 +145,16 @@ class TestRepfn:
         code, out, err = run(capsys, "repfn", "--input", str(fixture))
         assert code == EXIT_USAGE and out == ""
         assert err == "repbal repfn: bound must be >= 0, got -20\n"
+
+    def test_sum_past_the_fixture_bound_exits_one(self, capsys, tmp_path):
+        fixture = tmp_path / "set.txt"
+        fixture.write_text("bound=512\n0,3,5,6\n")
+        code, out, err = run(capsys, "repfn", "--input", str(fixture), "--n-max", "600")
+        assert code == EXIT_USAGE and out == ""
+        assert err == (
+            "repbal repfn: sum index 600 outside the materialized window [0, 512);"
+            " build the set with a larger bound\n"
+        )
 
     def test_requires_exactly_one_source(self, capsys):
         code, _, err = run(capsys, "repfn")

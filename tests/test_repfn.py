@@ -81,7 +81,7 @@ class TestPointwise:
         with pytest.raises(OutOfWindowError):
             r2_prefix(s, 1, 4)
 
-    def test_widen_permits_larger_sums(self):
+    def test_larger_bound_permits_larger_sums(self):
         s = BoundedSet.from_elements([0, 1], 4)
         assert r2_profile(BoundedSet(8, s.mask), 5)[5] == 0
 

@@ -15,7 +15,6 @@ from repbal.solver import (
     STATUS_CONTRADICTION,
     classify_grid,
     forced_extend,
-    forced_extend_naive,
     match_family,
     predicted_solvable_cells,
 )
@@ -77,20 +76,6 @@ class TestForcedExtend:
             assert large.contradiction_at == small.contradiction_at
             assert large.forced_value == small.forced_value
 
-    # r = 0 completed cells end on target == bound, the top of the reversed window
-    @example(cell=(0, 3, 200))
-    @example(cell=(0, 5, 97))
-    @example(cell=(0, 2, 64))
-    @given(st.integers(2, 12).flatmap(
-        lambda m: st.integers(0, 2 * m).flatmap(
-            lambda r: st.tuples(st.just(r), st.just(m), st.integers(r + 2, 200))
-        )
-    ))
-    def test_agrees_with_naive_oracle(self, cell):
-        r, m, bound = cell
-        spec = ProgressionSpec(r, m)
-        assert forced_extend(spec, bound) == forced_extend_naive(spec, bound)
-
     @pytest.mark.parametrize("r,m", [(1, 2), (2, 3), (1, 3), (0, 5), (4, 5)])
     def test_soundness_full_profile_equality(self, r, m):
         bound = 512
@@ -107,7 +92,6 @@ def _forced_extend_bitparallel(spec, bound):
     O(bound^2 / w) in all; each step pays two popcounts and a whole-window reversed-mask update.
     """
     r, m = spec.r, spec.m
-    excluded = progression_set(spec, bound)
     anchor = 0 if r else 1
     width = bound + 1
     mask_a, mask_b = 1 << anchor, 0
@@ -121,7 +105,6 @@ def _forced_extend_bitparallel(spec, bound):
             anchor=anchor,
             a=BoundedSet(frontier, mask_a & window),
             b=BoundedSet(frontier, mask_b & window),
-            excluded=BoundedSet(frontier, excluded.mask & window),
             contradiction_at=target,
             forced_value=demanded,
         )
@@ -147,7 +130,6 @@ def _forced_extend_bitparallel(spec, bound):
         anchor=anchor,
         a=BoundedSet(bound, mask_a),
         b=BoundedSet(bound, mask_b),
-        excluded=excluded,
     )
 
 
@@ -186,7 +168,7 @@ class TestResidueCounts:
         out = forced_extend(family_progression(family, 2), bound)
         a, b, excluded = build_family(family, 2, bound)
         assert out.status == STATUS_COMPLETED
-        assert (out.a, out.b, out.excluded) == (a, b, excluded)
+        assert (out.a, out.b, progression_set(out.spec, out.a.bound)) == (a, b, excluded)
 
     def test_two_to_the_eighteen(self):
         bound = 1 << 18
@@ -199,21 +181,18 @@ class TestResidueCounts:
 class TestMatchFamily:
     def test_r2_m3_matches_first_family(self):
         out = forced_extend(ProgressionSpec(2, 3), 256)
-        match = match_family(out)
-        assert (match.family, match.l) == ("s1t1", 1)
+        assert match_family(out) == ("s1t1", 1)
 
     def test_r0_m3_matches_shifted(self):
-        match = match_family(forced_extend(ProgressionSpec(0, 3), 256))
-        assert (match.family, match.l) == ("s1t1+1", 1)
+        assert match_family(forced_extend(ProgressionSpec(0, 3), 256)) == ("s1t1+1", 1)
 
     def test_r1_m3_matches_second_family(self):
-        match = match_family(forced_extend(ProgressionSpec(1, 3), 256))
-        assert (match.family, match.l) == ("s2t2", 1)
+        assert match_family(forced_extend(ProgressionSpec(1, 3), 256)) == ("s2t2", 1)
 
     def test_modulus_past_two_to_the_sixteen_plus_one(self):
         # m = 2^17 + 1: only 0 is excluded below the bound, and the shifted family still matches
         match = match_family(forced_extend(ProgressionSpec(0, (1 << 17) + 1), 256))
-        assert (match.family, match.l) == ("s1t1+1", 17)
+        assert match == ("s1t1+1", 17)
 
     def test_solver_equals_builder_for_every_family(self):
         for family in FAMILIES:
@@ -223,6 +202,12 @@ class TestMatchFamily:
                 assert out.status == STATUS_COMPLETED
                 a, b, _ = build_family(family, l, 512)
                 assert out.a == a and out.b == b
+
+    def test_completed_cell_outside_every_family_matches_none(self):
+        # (1, 4) dies at position 5, so a window of 5 completes; m = 4 is no 2^l + 1
+        out = forced_extend(ProgressionSpec(1, 4), 5)
+        assert out.status == STATUS_COMPLETED
+        assert match_family(out) is None
 
     def test_contradiction_outcome_rejected(self):
         out = forced_extend(ProgressionSpec(1, 4), 64)
@@ -264,10 +249,8 @@ def _classify_grid_per_cell(m_max, r_max_factor, bound):
         for r in range(0, r_max_factor * m + 1):
             out = forced_extend(ProgressionSpec(r, m), bound)
             if out.status == STATUS_COMPLETED:
-                match = match_family(out)
-                records.append(
-                    ClassificationRecord(r, m, out.status, match.family, match.l, None, None)
-                )
+                family, l = match_family(out) or (None, None)
+                records.append(ClassificationRecord(r, m, out.status, family, l, None, None))
             else:
                 records.append(
                     ClassificationRecord(

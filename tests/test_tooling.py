@@ -254,3 +254,51 @@ def test_parity_split_rule_sees_a_translate_builder():
     tree = ast.parse((SOURCES[0].parent / "builders.py").read_text())
     builders = [node.name for node in tree.body if isinstance(node, ast.FunctionDef)]
     assert {"build_ef", "build_evil_odious", "build_family", "build_xy"} <= set(builders)
+
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _public_names_without_caller(sources):
+    """``module.name`` of every public module-level def or class that no module references.
+
+    ``sources`` maps module names to source text.  A reference is a loaded
+    ``Name`` or ``Attribute`` outside the name's own definition; a string in
+    ``__all__`` is not one.
+    """
+    defined, referenced = [], set()
+    for module, text in sources.items():
+        for node in ast.parse(text).body:
+            owner = node.name if isinstance(node, DEFINITIONS) else None
+            if owner is not None and not owner.startswith("_"):
+                defined.append((module, owner))
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                    name = sub.id
+                elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                    name = sub.attr
+                else:
+                    continue
+                if name != owner:
+                    referenced.add(name)
+    return [f"{module}.{name}" for module, name in defined if name not in referenced]
+
+
+def test_every_public_name_has_a_caller_in_the_library():
+    # no library surface without a caller: a public name only tests or __all__ use is deleted
+    sources = {p.stem: p.read_text() for p in SOURCES if p.name != "__init__.py"}
+    unused = _public_names_without_caller(sources)
+    assert unused == [], f"{unused} have no caller in src/repbal; delete them or make them private"
+
+
+SPARE_DEF = {
+    "kernel": "__all__ = ['square', 'spare']\n\n"
+    "def square(x):\n    return x * x\n\n"
+    "def spare(x):\n    return spare(x - 1) if x else 0\n",
+    "front": "from . import kernel\n\nprint(kernel.square(3))\n",
+}
+
+
+def test_caller_rule_sees_an_unreferenced_def():
+    # __all__ and a call inside its own body do not count as callers
+    assert _public_names_without_caller(SPARE_DEF) == ["kernel.spare"]

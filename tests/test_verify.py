@@ -16,10 +16,10 @@ from repbal.verify import (
     CHECK_IDS,
     FourTermInstance,
     InstanceError,
-    check_step_identity,
     evil_odious_instances,
     four_term_residual,
     run_suite,
+    step_identity_failure,
     step_identity_residual,
     validate_four_term,
     window_pair_instances,
@@ -28,9 +28,11 @@ from repbal.verify import (
 
 def base_instance(n=3, N=4):
     """The (r=2, m=3) partition paired with the evil/odious split on [0, 5)."""
-    out = forced_extend(ProgressionSpec(2, 3), 5)
+    spec = ProgressionSpec(2, 3)
+    out = forced_extend(spec, 5)
     evil, odious = build_evil_odious(5)
-    return FourTermInstance(out.a, out.b, evil, odious, out.excluded, L=2, K=4, n=n, N=N)
+    t = progression_set(spec, 5)
+    return FourTermInstance(out.a, out.b, evil, odious, t, L=2, K=4, n=n, N=N)
 
 
 class TestFourTerm:
@@ -103,38 +105,38 @@ class TestFourTerm:
 class TestStepIdentity:
     @pytest.mark.parametrize("r,m", [(2, 3), (4, 5), (1, 2), (1, 3), (8, 9), (2, 5)])
     def test_holds_on_solved_partitions(self, r, m):
-        assert check_step_identity(ProgressionSpec(r, m)) is True
+        assert step_identity_failure(ProgressionSpec(r, m)) is None
 
     def test_epsilon_branch_is_reached(self):
         # n = 2r - 1 = 7 sits inside the checked range for (4, 5)
         spec = ProgressionSpec(4, 5)
         out = forced_extend(spec, 9)
         evil, _ = build_evil_odious(9)
-        assert step_identity_residual(out.a, out.excluded, evil, 4, 7) == 0
+        assert step_identity_residual(out.a, progression_set(spec, 9), evil, 4, 7) == 0
 
     def test_smallest_window(self):
         # r = 1 checks only n = 1
-        assert check_step_identity(ProgressionSpec(1, 2)) is True
+        assert step_identity_failure(ProgressionSpec(1, 2)) is None
 
     def test_mutation_flips_the_verdict(self):
         spec = ProgressionSpec(2, 3)
         out = forced_extend(spec, 5)
         evil, _ = build_evil_odious(5)
         mutated = BoundedSet(5, evil.mask ^ (1 << 3))  # flip the parity bit of 3
-        assert step_identity_residual(out.a, out.excluded, mutated, 2, 2) == -1
+        assert step_identity_residual(out.a, progression_set(spec, 5), mutated, 2, 2) == -1
 
     def test_zero_offset_rejected(self):
         with pytest.raises(InstanceError):
-            check_step_identity(ProgressionSpec(0, 3))
+            step_identity_failure(ProgressionSpec(0, 3))
 
     def test_contradictory_spec_rejected(self):
         # (1, 4) dies at sum 5; a window that reaches it must be refused
         with pytest.raises(InstanceError):
-            check_step_identity(ProgressionSpec(1, 4), bound=64)
+            step_identity_failure(ProgressionSpec(1, 4), bound=64)
 
     def test_undersized_bound_rejected(self):
         with pytest.raises(InstanceError):
-            check_step_identity(ProgressionSpec(4, 5), bound=7)
+            step_identity_failure(ProgressionSpec(4, 5), bound=7)
 
 
 class TestSuite:
@@ -464,11 +466,13 @@ class TestResidualsAgainstElementwiseReferences:
     def test_step_identity(self, cell, data, flips):
         cutoff = cell[0]
         bound = 2 * cutoff + 1
-        out = forced_extend(ProgressionSpec(*cell), bound)
+        spec = ProgressionSpec(*cell)
+        out = forced_extend(spec, bound)
+        t = progression_set(spec, bound)
         evil, _ = build_evil_odious(bound)
         n = data.draw(st.integers(1, 2 * cutoff - 1))
-        args = (out.a, out.excluded, evil, cutoff, n)
+        args = (out.a, t, evil, cutoff, n)
         assert step_identity_residual(*args) == _step_identity_residual_by_chi(*args) == 0
-        a, t, e = (_flip_all(s, f) for s, f in zip((out.a, out.excluded, evil), flips))
+        a, t, e = (_flip_all(s, f) for s, f in zip((out.a, t, evil), flips))
         bad = (a, t, e, cutoff, n)
         assert step_identity_residual(*bad) == _step_identity_residual_by_chi(*bad)
