@@ -48,16 +48,16 @@ from .solver import (
 )
 from .verify import (
     CHECK_IDS,
-    FourTermInstance,
+    FourTermBattery,
     InstanceError,
     SuiteReport,
-    evil_odious_instances,
+    evil_odious_battery,
     four_term_residual,
     run_suite,
     step_identity_failure,
     step_identity_residual,
     validate_four_term,
-    window_pair_instances,
+    window_pair_batteries,
 )
 
 __version__ = "0.1.0"

@@ -3,8 +3,10 @@
 Each checker instantiates an exact counting identity from built families,
 machine-checks the identity's hypotheses, then evaluates both sides with
 exact integer arithmetic.  A hypothesis violation is an ``InstanceError``,
-never a reported identity failure.  ``run_suite`` bundles every check into a
-report with one entry per check id.
+never a reported identity failure.  The four-term identity is checked by
+batteries: one window's sets, validated once, then evaluated at every (n, N)
+point; the step identity shares the evil/odious battery's window.
+``run_suite`` bundles every check into a report with one entry per check id.
 """
 
 from __future__ import annotations
@@ -35,18 +37,18 @@ __all__ = [
     "CHECK_IDS",
     "CheckResult",
     "DEFAULT_SEED",
-    "FourTermInstance",
+    "FourTermBattery",
     "InstanceError",
     "PROFILES",
     "SuiteProfile",
     "SuiteReport",
-    "evil_odious_instances",
+    "evil_odious_battery",
     "four_term_residual",
     "run_suite",
     "step_identity_failure",
     "step_identity_residual",
     "validate_four_term",
-    "window_pair_instances",
+    "window_pair_batteries",
 ]
 
 DEFAULT_SEED = 1729
@@ -62,13 +64,13 @@ class InstanceError(ValueError):
 
 
 @dataclass(frozen=True)
-class FourTermInstance:
-    """One evaluation point of the four-set truncated counting identity.
+class FourTermBattery:
+    """The four-set truncated counting identity on one window, at all its points.
 
     a/b partition their window minus the excluded set t; c/d partition [0, K]
     minus the excluded values below L; the two pairs agree below L, L itself
-    is excluded and lies outside c.  The identity is evaluated at truncation
-    point n and sum N with L <= n <= N <= K <= 2L.
+    is excluded and lies outside c.  The identity is evaluated at every
+    truncation point n and sum N with L <= n <= N <= K <= 2L.
     """
 
     a: BoundedSet
@@ -78,22 +80,24 @@ class FourTermInstance:
     t: BoundedSet
     L: int
     K: int
-    n: int
-    N: int
+
+    def points(self) -> Iterator[tuple[int, int]]:
+        """Every evaluation point (n, N), n-major."""
+        for n in range(self.L, self.K + 1):
+            for N in range(n, self.K + 1):
+                yield n, N
 
 
-def validate_four_term(inst: FourTermInstance) -> None:
+def validate_four_term(battery: FourTermBattery) -> None:
     """Machine-check every hypothesis; raise InstanceError on the first violation."""
-    L, K, n, N = inst.L, inst.K, inst.n, inst.N
+    L, K = battery.L, battery.K
     if not 1 <= L <= K <= 2 * L:
         raise InstanceError(f"window shape needs 1 <= L <= K <= 2L, got L={L} K={K}")
-    if not L <= n <= N <= K:
-        raise InstanceError(f"evaluation point needs L <= n <= N <= K, got n={n} N={N}")
-    a, b, c, d, t = inst.a, inst.b, inst.c, inst.d, inst.t
+    a, b, c, d, t = battery.a, battery.b, battery.c, battery.d, battery.t
     if not a.bound == b.bound == t.bound:
         raise InstanceError("a, b and t must share one window")
-    if a.bound < N + 1:
-        raise InstanceError(f"a/b/t window must cover sums up to {N}")
+    if a.bound < K + 1:
+        raise InstanceError(f"a/b/t window must cover sums up to {K}")
     if c.bound != d.bound or c.bound < K + 1:
         raise InstanceError(f"c/d window must cover [0, {K}]")
     if t.chi(L) != 1:
@@ -130,10 +134,9 @@ def _lowest(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def four_term_residual(inst: FourTermInstance) -> int:
-    """Left minus right side of the identity; zero exactly when it holds."""
-    a, b, c, d, t = inst.a, inst.b, inst.c, inst.d, inst.t
-    L, n, N = inst.L, inst.n, inst.N
+def four_term_residual(battery: FourTermBattery, n: int, N: int) -> int:
+    """Left minus right side of the identity at (n, N); zero exactly when it holds."""
+    a, b, c, d, t, L = battery.a, battery.b, battery.c, battery.d, battery.t, battery.L
     lhs = (
         r2_prefix(a, n, N) + r2_prefix(d, n, N) - r2_prefix(b, n, N) - r2_prefix(c, n, N)
     )
@@ -152,32 +155,27 @@ def four_term_residual(inst: FourTermInstance) -> int:
     return lhs - rhs
 
 
-def evil_odious_instances(spec: ProgressionSpec) -> Iterator[FourTermInstance]:
-    """Instances pairing a solved partition with the evil/odious split.
+def evil_odious_battery(spec: ProgressionSpec) -> FourTermBattery:
+    """A solved partition paired with the evil/odious split on [0, 2r].
 
-    L is the first excluded value and K = 2L, so every (n, N) point of the
-    identity window is emitted, including the N = 2L branch.
+    L is the first excluded value r and K = 2L, so the battery's points
+    include the N = 2L branch.
     """
     if spec.r < 1:
-        raise InstanceError("needs an excluded progression starting above zero")
-    cutoff = spec.r
-    window = 2 * cutoff + 1
+        raise InstanceError("the excluded progression must not contain 0")
+    window = 2 * spec.r + 1
     out = forced_extend(spec, window)
     if out.status != STATUS_COMPLETED:
         raise InstanceError(f"no balanced partition below {window} for {spec}")
-    c, d = build_evil_odious(window)
-    if c.chi(cutoff):
-        raise InstanceError(f"first excluded value {cutoff} is not odious")
+    evil, odious = build_evil_odious(window)
     t = progression_set(spec, window)
-    for n in range(cutoff, 2 * cutoff + 1):
-        for N in range(n, 2 * cutoff + 1):
-            yield FourTermInstance(out.a, out.b, c, d, t, cutoff, 2 * cutoff, n, N)
+    return FourTermBattery(out.a, out.b, evil, odious, t, spec.r, 2 * spec.r)
 
 
-def window_pair_instances(
+def window_pair_batteries(
     u: int, m: int, seeds: tuple[int, ...] = (0, 1)
-) -> Iterator[FourTermInstance]:
-    """Instances pairing random valid partitions with the punctured-window pair.
+) -> Iterator[FourTermBattery]:
+    """One battery per seed, pairing a random valid partition with the punctured-window pair.
 
     The excluded progression starts at 2^u and its second element L = 2^u + m
     must land in the second window set.  Below L the partition prefix is
@@ -189,8 +187,6 @@ def window_pair_instances(
     if not 2 * r + 2 <= cutoff <= 3 * r:
         raise InstanceError(f"second excluded value {cutoff} outside [2^(u+1)+2, 3*2^u]")
     c, d = build_ef(u)
-    if c.chi(cutoff):
-        raise InstanceError(f"second excluded value {cutoff} lies in the first window set")
     K = min(2 * cutoff, 3 * r + 1)
     width = K + 1
     t = progression_set(ProgressionSpec(r, m), width)
@@ -205,11 +201,7 @@ def window_pair_instances(
                 mask_a |= 1 << x
             else:
                 mask_b |= 1 << x
-        a = BoundedSet(width, mask_a)
-        b = BoundedSet(width, mask_b)
-        for n in range(cutoff, K + 1):
-            for N in range(n, K + 1):
-                yield FourTermInstance(a, b, c, d, t, cutoff, K, n, N)
+        yield FourTermBattery(BoundedSet(width, mask_a), BoundedSet(width, mask_b), c, d, t, cutoff, K)
 
 
 # ---------------------------------------------------------------------------
@@ -230,32 +222,19 @@ def step_identity_residual(
     return lhs - rhs
 
 
-def step_identity_failure(
-    spec: ProgressionSpec, bound: int | None = None
-) -> dict[str, Any] | None:
-    """Solve the partition, pin the digit parity of the first excluded value,
-    and check the step identity for every positive n below twice that value.
+def step_identity_failure(spec: ProgressionSpec) -> dict[str, Any] | None:
+    """On the evil/odious battery, pin the digit parity of the first excluded
+    value and check the step identity for every positive n below twice it.
 
     Returns the first failure record, or None when the identity holds.
     """
-    if spec.r < 1:
-        raise InstanceError("the excluded progression must not contain 0")
-    cutoff = spec.r
-    needed = 2 * cutoff + 1
-    if bound is None:
-        bound = max(needed, spec.r + 2)
-    if bound < needed:
-        raise InstanceError(f"bound {bound} below the identity window {needed}")
-    out = forced_extend(spec, bound)
-    if out.status != STATUS_COMPLETED:
-        raise InstanceError(f"no balanced partition at bound {bound} for {spec}")
-    evil, _ = build_evil_odious(bound)
+    battery = evil_odious_battery(spec)
+    a, t, evil, cutoff = battery.a, battery.t, battery.c, battery.L
     inputs = {"r": spec.r, "m": spec.m}
     if evil.chi(cutoff):  # the first excluded value must be odious
         return {"inputs": {**inputs, "check": "first-excluded-parity"}, "lhs": 1, "rhs": 0}
-    t = progression_set(spec, bound)
     for n in range(1, 2 * cutoff):
-        residual = step_identity_residual(out.a, t, evil, cutoff, n)
+        residual = step_identity_residual(a, t, evil, cutoff, n)
         if residual:
             return {"inputs": {**inputs, "n": n}, "lhs": residual, "rhs": 0}
     return None
@@ -418,19 +397,18 @@ def _skip_one(p: SuiteProfile, seed: int) -> Verdicts:
 
 
 def _four_term(p: SuiteProfile, seed: int) -> Verdicts:
-    batteries = [
-        ({"kind": "evil-odious", "r": spec.r, "m": spec.m}, evil_odious_instances(spec))
-        for spec in _solvable_specs(p)
-    ] + [
-        ({"kind": "window-pair", "u": u, "m": m}, window_pair_instances(u, m))
-        for u, m in p.window_pair_params
-    ]
-    for inputs, instances in batteries:
-        for inst in instances:
-            validate_four_term(inst)
-            residual = four_term_residual(inst)
-            inputs_at = {**inputs, "n": inst.n, "N": inst.N}
-            yield {"inputs": inputs_at, "lhs": residual, "rhs": 0} if residual else None
+    def batteries() -> Iterator[tuple[dict[str, Any], FourTermBattery]]:
+        for spec in _solvable_specs(p):
+            yield {"kind": "evil-odious", "r": spec.r, "m": spec.m}, evil_odious_battery(spec)
+        for u, m in p.window_pair_params:
+            for battery in window_pair_batteries(u, m):
+                yield {"kind": "window-pair", "u": u, "m": m}, battery
+
+    for inputs, battery in batteries():
+        validate_four_term(battery)
+        for n, N in battery.points():
+            residual = four_term_residual(battery, n, N)
+            yield {"inputs": {**inputs, "n": n, "N": N}, "lhs": residual, "rhs": 0} if residual else None
 
 
 def _step_identity(p: SuiteProfile, seed: int) -> Verdicts:

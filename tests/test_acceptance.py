@@ -25,13 +25,13 @@ from repbal.solver import (
     predicted_solvable_cells,
 )
 from repbal.verify import (
-    FourTermInstance,
-    evil_odious_instances,
+    FourTermBattery,
+    evil_odious_battery,
     four_term_residual,
     step_identity_failure,
     step_identity_residual,
     validate_four_term,
-    window_pair_instances,
+    window_pair_batteries,
 )
 
 DESK_BOUND = 1 << 14
@@ -139,16 +139,18 @@ def test_criterion_7_identity_checkers_and_mutation_sensitivity():
     epsilon_points = 0
     count = 0
     for r, m in sorted(p for p in predicted_solvable_cells(GRID_M_MAX) if p[0] >= 1):
-        for inst in evil_odious_instances(ProgressionSpec(r, m)):
-            validate_four_term(inst)
-            assert four_term_residual(inst) == 0, (r, m, inst.n, inst.N)
-            epsilon_points += inst.N == 2 * inst.L
+        battery = evil_odious_battery(ProgressionSpec(r, m))
+        validate_four_term(battery)
+        for n, N in battery.points():
+            assert four_term_residual(battery, n, N) == 0, (r, m, n, N)
+            epsilon_points += N == 2 * battery.L
             count += 1
     for u, m in [(2, 8), (3, 12), (3, 14), (3, 15), (4, 20), (4, 23)]:
-        for inst in window_pair_instances(u, m):
-            validate_four_term(inst)
-            assert four_term_residual(inst) == 0, (u, m, inst.n, inst.N)
-            count += 1
+        for battery in window_pair_batteries(u, m):
+            validate_four_term(battery)
+            for n, N in battery.points():
+                assert four_term_residual(battery, n, N) == 0, (u, m, n, N)
+                count += 1
     assert epsilon_points > 0 and count > 1000
 
     # step identity: every realized family cell, epsilon branch at n = 2r-1 included
@@ -159,14 +161,14 @@ def test_criterion_7_identity_checkers_and_mutation_sensitivity():
     out = forced_extend(ProgressionSpec(2, 3), 5)
     t = progression_set(ProgressionSpec(2, 3), 5)
     evil, odious = build_evil_odious(5)
-    valid = FourTermInstance(out.a, out.b, evil, odious, t, 2, 4, 4, 4)
-    assert four_term_residual(valid) == 0
-    mutated = FourTermInstance(
+    valid = FourTermBattery(out.a, out.b, evil, odious, t, 2, 4)
+    assert four_term_residual(valid, 4, 4) == 0
+    mutated = FourTermBattery(
         valid.a, valid.b, valid.c,
         BoundedSet(odious.bound, odious.mask ^ (1 << 4)),
-        valid.t, 2, 4, 4, 4,
+        valid.t, 2, 4,
     )
-    assert four_term_residual(mutated) != 0
+    assert four_term_residual(mutated, 4, 4) != 0
 
     assert step_identity_residual(out.a, t, evil, 2, 2) == 0
     flipped = BoundedSet(5, evil.mask ^ (1 << 3))

@@ -302,3 +302,50 @@ SPARE_DEF = {
 def test_caller_rule_sees_an_unreferenced_def():
     # __all__ and a call inside its own body do not count as callers
     assert _public_names_without_caller(SPARE_DEF) == ["kernel.spare"]
+
+
+def _all_mismatches(text):
+    """Names in ``__all__`` the module does not define, then public module-level
+    defs and classes missing from it; None for a module without ``__all__``.
+
+    A module defines a name by a def, a class or an assignment, not by an import.
+    """
+    listed, defined, public = None, set(), []
+    for node in ast.parse(text).body:
+        if isinstance(node, DEFINITIONS):
+            defined.add(node.name)
+            if not node.name.startswith("_"):
+                public.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name):
+                    defined.add(target.id)
+                    if target.id == "__all__":
+                        listed = ast.literal_eval(node.value)
+    if listed is None:
+        return None
+    return [name for name in listed if name not in defined], [name for name in public if name not in listed]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_all_matches_the_module(path):
+    # a rename must reach __all__, and a new public def must be exported or made private
+    mismatches = _all_mismatches(path.read_text())
+    assert mismatches in (None, ([], [])), f"{path.name}: (stale in __all__, unlisted) = {mismatches}"
+
+
+STALE_ALL = (
+    "from .intset import BoundedSet\n\n"
+    "__all__ = ['LIMIT', 'square', 'cube', 'BoundedSet']\n\n"
+    "LIMIT = 3\n\n"
+    "def square(x):\n    return x * x\n\n"
+    "def spare(x):\n    return x\n\n"
+    "def _helper(x):\n    return x\n"
+)
+
+
+def test_all_rule_sees_a_stale_name():
+    # a renamed def leaves its old name in __all__ and its new one unlisted; imports define nothing
+    assert _all_mismatches(STALE_ALL) == (["cube", "BoundedSet"], ["spare"])
+    assert _all_mismatches("def f():\n    pass\n") is None
+    assert _all_mismatches((SOURCES[0].parent / "verify.py").read_text()) is not None

@@ -8,98 +8,88 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repbal import repfn, verify
-from repbal.builders import build_ef, build_evil_odious
+from repbal.builders import build_evil_odious
 from repbal.intset import BoundedSet, ProgressionSpec, progression_set
 from repbal.solver import forced_extend
 from repbal.repfn import r2_prefix, r2_profile
 from repbal.verify import (
     CHECK_IDS,
-    FourTermInstance,
+    FourTermBattery,
     InstanceError,
-    evil_odious_instances,
+    evil_odious_battery,
     four_term_residual,
     run_suite,
     step_identity_failure,
     step_identity_residual,
     validate_four_term,
-    window_pair_instances,
+    window_pair_batteries,
 )
 
 
-def base_instance(n=3, N=4):
+def base_battery():
     """The (r=2, m=3) partition paired with the evil/odious split on [0, 5)."""
     spec = ProgressionSpec(2, 3)
     out = forced_extend(spec, 5)
     evil, odious = build_evil_odious(5)
     t = progression_set(spec, 5)
-    return FourTermInstance(out.a, out.b, evil, odious, t, L=2, K=4, n=n, N=N)
+    return FourTermBattery(out.a, out.b, evil, odious, t, L=2, K=4)
 
 
 class TestFourTerm:
     def test_base_instance_holds(self):
-        inst = base_instance()
-        validate_four_term(inst)
-        assert four_term_residual(inst) == 0
+        battery = base_battery()
+        validate_four_term(battery)
+        assert four_term_residual(battery, 3, 4) == 0
 
     def test_epsilon_branch_at_doubled_cutoff(self):
-        inst = base_instance(n=4, N=4)  # N = 2L
-        assert four_term_residual(inst) == 0
+        assert four_term_residual(base_battery(), 4, 4) == 0  # N = 2L
 
     def test_every_point_of_the_evil_odious_battery(self):
         for r, m in [(2, 3), (1, 3), (4, 5), (2, 5), (8, 9)]:
-            for inst in evil_odious_instances(ProgressionSpec(r, m)):
-                validate_four_term(inst)
-                assert four_term_residual(inst) == 0, (r, m, inst.n, inst.N)
+            battery = evil_odious_battery(ProgressionSpec(r, m))
+            validate_four_term(battery)
+            for n, N in battery.points():
+                assert four_term_residual(battery, n, N) == 0, (r, m, n, N)
 
     def test_window_pair_battery(self):
         saw_points = 0
         for u, m in [(2, 8), (3, 12), (3, 14)]:
-            for inst in window_pair_instances(u, m, seeds=(0, 1, 2)):
-                validate_four_term(inst)
-                assert four_term_residual(inst) == 0, (u, m, inst.n, inst.N)
-                saw_points += 1
+            for battery in window_pair_batteries(u, m, seeds=(0, 1, 2)):
+                validate_four_term(battery)
+                for n, N in battery.points():
+                    assert four_term_residual(battery, n, N) == 0, (u, m, n, N)
+                    saw_points += 1
         assert saw_points > 0
 
     def test_mutation_flips_the_verdict(self):
         # dropping 4 from the second finite set breaks the identity at (n, N) = (4, 4)
-        inst = base_instance(n=4, N=4)
-        mutated = FourTermInstance(
-            inst.a, inst.b, inst.c,
-            BoundedSet(inst.d.bound, inst.d.mask ^ (1 << 4)),
-            inst.t, inst.L, inst.K, inst.n, inst.N,
-        )
-        assert four_term_residual(mutated) == 1
+        battery = base_battery()
+        mutated = dataclasses.replace(battery, d=_flip(battery.d, 4))
+        assert four_term_residual(mutated, 4, 4) == 1
 
     def test_mutation_is_caught_by_validation(self):
-        inst = base_instance(n=4, N=4)
-        mutated = FourTermInstance(
-            inst.a, inst.b, inst.c,
-            BoundedSet(inst.d.bound, inst.d.mask ^ (1 << 4)),
-            inst.t, inst.L, inst.K, inst.n, inst.N,
-        )
+        battery = base_battery()
+        mutated = dataclasses.replace(battery, d=_flip(battery.d, 4))
         with pytest.raises(InstanceError):
             validate_four_term(mutated)
 
     def test_bad_window_shape_rejected(self):
-        inst = base_instance()
-        bad = FourTermInstance(inst.a, inst.b, inst.c, inst.d, inst.t, L=2, K=5, n=3, N=4)
-        with pytest.raises(InstanceError):
-            validate_four_term(bad)
-
-    def test_bad_evaluation_point_rejected(self):
-        inst = base_instance()
-        bad = FourTermInstance(inst.a, inst.b, inst.c, inst.d, inst.t, L=2, K=4, n=1, N=4)
+        bad = dataclasses.replace(base_battery(), K=5)
         with pytest.raises(InstanceError):
             validate_four_term(bad)
 
     def test_window_pair_rejects_wrong_second_excluded_value(self):
         # u=2: L = 4 + 6 = 10 lies in the first window set
-        with pytest.raises(InstanceError):
-            list(window_pair_instances(2, 6))
+        with pytest.raises(InstanceError, match="^L=10 must lie outside c$"):
+            validate_four_term(next(window_pair_batteries(2, 6)))
 
     def test_unsolvable_spec_rejected(self):
         with pytest.raises(InstanceError):
-            list(evil_odious_instances(ProgressionSpec(3, 2)))
+            evil_odious_battery(ProgressionSpec(3, 2))
+
+    def test_points_cover_the_window_n_major(self):
+        battery = base_battery()
+        assert list(battery.points()) == [(2, 2), (2, 3), (2, 4), (3, 3), (3, 4), (4, 4)]
 
 
 class TestStepIdentity:
@@ -130,13 +120,9 @@ class TestStepIdentity:
             step_identity_failure(ProgressionSpec(0, 3))
 
     def test_contradictory_spec_rejected(self):
-        # (1, 4) dies at sum 5; a window that reaches it must be refused
+        # (2, 2) dies at sum 4, inside its window [0, 5)
         with pytest.raises(InstanceError):
-            step_identity_failure(ProgressionSpec(1, 4), bound=64)
-
-    def test_undersized_bound_rejected(self):
-        with pytest.raises(InstanceError):
-            step_identity_failure(ProgressionSpec(4, 5), bound=7)
+            step_identity_failure(ProgressionSpec(2, 2))
 
 
 class TestSuite:
@@ -169,18 +155,15 @@ class TestSuite:
 
 class TestInstanceGeneratorsRespectWindows:
     def test_evil_odious_instances_include_the_epsilon_point(self):
-        points = [(inst.n, inst.N) for inst in evil_odious_instances(ProgressionSpec(2, 3))]
+        points = list(evil_odious_battery(ProgressionSpec(2, 3)).points())
         assert (4, 4) in points  # N = 2L
         assert (2, 2) in points
 
     def test_window_pair_prefix_agreement(self):
-        e, _ = build_ef(2)
-        for inst in window_pair_instances(2, 8, seeds=(0,)):
-            for x in range(inst.L):
-                assert inst.a.chi(x) == inst.c.chi(x)
-            t = progression_set(ProgressionSpec(4, 8), inst.t.bound)
-            assert inst.t == t
-            break
+        battery = next(window_pair_batteries(2, 8, seeds=(0,)))
+        for x in range(battery.L):
+            assert battery.a.chi(x) == battery.c.chi(x)
+        assert battery.t == progression_set(ProgressionSpec(4, 8), battery.t.bound)
 
 
 def _flip(s, x):
@@ -234,7 +217,7 @@ FAULTS = [
             "inputs": {"r": 1, "m": 2, "check": "first-excluded-parity"}, "lhs": 1, "rhs": 0}},
     ),
     (
-        ("four_term_residual", lambda res, inst: res - (inst.N == 2 * inst.L)),
+        ("four_term_residual", lambda res, bat, n, N: res - (N == 2 * bat.L)),
         "four-term-identity",
         {"instances": 141, "passed": 112, "first_failure": {
             "inputs": {"kind": "evil-odious", "r": 1, "m": 2, "n": 1, "N": 2}, "lhs": -1, "rhs": 0}},
@@ -284,6 +267,27 @@ class TestFailureRecords:
         assert report.to_json_dict()["checks"] == [{"lemma": check, **expected}]
 
 
+class TestFourTermValidatesEachBatteryOnce:
+    """The four-term check validates a battery once, then evaluates all its points."""
+
+    @pytest.mark.parametrize("profile,batteries,points", [("quick", 11, 141), ("full", 23, 1427)])
+    def test_one_validation_per_battery(self, monkeypatch, profile, batteries, points):
+        validated = []
+        validate = verify.validate_four_term
+        monkeypatch.setattr(
+            verify, "validate_four_term", lambda bat: validated.append(bat) or validate(bat)
+        )
+        (result,) = run_suite(profile, only="four-term-identity").results
+        assert (len(validated), result.instances, result.passed) == (batteries, points, points)
+
+    def test_a_first_excluded_value_inside_c_is_refused(self, monkeypatch):
+        # with evil and odious swapped, c holds L = 1; validation, not the generator, refuses it
+        swap = _faulty("build_evil_odious", lambda pair, *_: pair[::-1])
+        monkeypatch.setattr(verify, "build_evil_odious", swap)
+        with pytest.raises(InstanceError, match="^L=1 must lie outside c$"):
+            run_suite("quick", only="four-term-identity")
+
+
 class TestKernelOracleRunsTheSquare:
     """kernel-oracle checks the one profile kernel that every width runs."""
 
@@ -331,31 +335,31 @@ class TestFailureRecordOnTheSquarePath:
 class TestValidationMessages:
     """validate_four_term names the lowest offending value, overlap before coverage.
 
-    The base instance has c = {0, 3}, d = {1, 2, 4}, L = 2 and K = 4."""
+    The base battery has c = {0, 3}, d = {1, 2, 4}, L = 2 and K = 4."""
 
     def _rejects(self, message, **changes):
-        bad = dataclasses.replace(base_instance(), **changes)
+        bad = dataclasses.replace(base_battery(), **changes)
         with pytest.raises(InstanceError, match=f"^{message}$"):
             validate_four_term(bad)
 
     def test_overlap(self):
-        base = base_instance()
+        base = base_battery()
         self._rejects("c and d overlap at 3", d=_flip(base.d, 3))
 
     def test_overlap_below_a_coverage_gap(self):
-        base = base_instance()
+        base = base_battery()
         self._rejects("c and d overlap at 3", d=_flip(_flip(base.d, 3), 4))
 
     def test_coverage_gap(self):
-        base = base_instance()
+        base = base_battery()
         self._rejects("c/d coverage wrong at 4", d=_flip(base.d, 4))
 
     def test_coverage_gap_below_an_overlap(self):
-        base = base_instance()
+        base = base_battery()
         self._rejects("c/d coverage wrong at 2", d=_flip(_flip(base.d, 2), 3))
 
     def test_disagreement_below_L(self):
-        base = base_instance()
+        base = base_battery()
         self._rejects(
             "the pairs must agree below L, they differ at 1",
             c=_flip(base.c, 1), d=_flip(base.d, 1),
@@ -364,14 +368,14 @@ class TestValidationMessages:
     @given(st.sets(st.integers(1, 13)), st.sets(st.integers(1, 13)))
     def test_masks_match_the_per_value_scan(self, flips_c, flips_d):
         # L = 12 with the excluded value 4 below it; c and d cover [0, K] with K = 13
-        inst = next(window_pair_instances(2, 8, seeds=(0,)))
-        flips_c.discard(inst.L)  # L must stay outside c, a check made before these
-        c, d = inst.c, inst.d
+        battery = next(window_pair_batteries(2, 8, seeds=(0,)))
+        flips_c.discard(battery.L)  # L must stay outside c, a check made before these
+        c, d = battery.c, battery.d
         for x in flips_c:
             c = _flip(c, x)
         for x in flips_d:
             d = _flip(d, x)
-        bad = dataclasses.replace(inst, c=c, d=d)
+        bad = dataclasses.replace(battery, c=c, d=d)
         expected = _scan_c_d(bad)
         if expected is None:
             validate_four_term(bad)
@@ -380,24 +384,23 @@ class TestValidationMessages:
                 validate_four_term(bad)
 
 
-def _scan_c_d(inst):
+def _scan_c_d(bat):
     """Reference for validate_four_term's c/d checks, one value at a time."""
-    for x in range(inst.K + 1):
-        cx, dx = inst.c.chi(x), inst.d.chi(x)
+    for x in range(bat.K + 1):
+        cx, dx = bat.c.chi(x), bat.d.chi(x)
         if cx and dx:
             return f"c and d overlap at {x}"
-        if cx + dx != (0 if x < inst.L and inst.t.chi(x) else 1):
+        if cx + dx != (0 if x < bat.L and bat.t.chi(x) else 1):
             return f"c/d coverage wrong at {x}"
-    for x in range(inst.L):
-        if inst.a.chi(x) != inst.c.chi(x) or inst.b.chi(x) != inst.d.chi(x):
+    for x in range(bat.L):
+        if bat.a.chi(x) != bat.c.chi(x) or bat.b.chi(x) != bat.d.chi(x):
             return f"the pairs must agree below L, they differ at {x}"
     return None
 
 
-def _four_term_residual_by_chi(inst):
+def _four_term_residual_by_chi(bat, n, N):
     """Reference for four_term_residual: every cross sum one element at a time."""
-    a, b, c, d, t = inst.a, inst.b, inst.c, inst.d, inst.t
-    L, n, N = inst.L, inst.n, inst.N
+    a, b, c, d, t, L = bat.a, bat.b, bat.c, bat.d, bat.t, bat.L
     lhs = r2_prefix(a, n, N) + r2_prefix(d, n, N) - r2_prefix(b, n, N) - r2_prefix(c, n, N)
     excluded_mid = [x for x in range(L, n + 1) if t.chi(x)]
     mid = set(excluded_mid)
@@ -428,11 +431,11 @@ def _flip_all(s, flips):
     return s
 
 
-def _mutated(inst, flips):
-    """inst with the listed bits of a, b, c, d and t flipped."""
+def _mutated(bat, flips):
+    """bat with the listed bits of a, b, c, d and t flipped."""
     names = ("a", "b", "c", "d", "t")
     return dataclasses.replace(
-        inst, **{name: _flip_all(getattr(inst, name), f) for name, f in zip(names, flips)}
+        bat, **{name: _flip_all(getattr(bat, name), f) for name, f in zip(names, flips)}
     )
 
 
@@ -447,20 +450,20 @@ class TestResidualsAgainstElementwiseReferences:
 
     @given(st.sampled_from(SOLVABLE), st.data(), BIT_FLIPS)
     def test_four_term_on_evil_odious_instances(self, cell, data, flips):
-        instances = list(evil_odious_instances(ProgressionSpec(*cell)))
-        inst = data.draw(st.sampled_from(instances))
-        assert four_term_residual(inst) == _four_term_residual_by_chi(inst) == 0
-        bad = _mutated(inst, flips)
-        assert four_term_residual(bad) == _four_term_residual_by_chi(bad)
+        battery = evil_odious_battery(ProgressionSpec(*cell))
+        n, N = data.draw(st.sampled_from(list(battery.points())))
+        assert four_term_residual(battery, n, N) == _four_term_residual_by_chi(battery, n, N) == 0
+        bad = _mutated(battery, flips)
+        assert four_term_residual(bad, n, N) == _four_term_residual_by_chi(bad, n, N)
 
     @given(st.sampled_from(WINDOW_PAIRS), st.integers(0, 1 << 30), st.data(), BIT_FLIPS)
     def test_four_term_on_window_pair_instances(self, params, seed, data, flips):
-        instances = list(window_pair_instances(*params, seeds=(seed,)))
-        inst = data.draw(st.sampled_from(instances))
-        validate_four_term(inst)
-        assert four_term_residual(inst) == _four_term_residual_by_chi(inst) == 0
-        bad = _mutated(inst, flips)
-        assert four_term_residual(bad) == _four_term_residual_by_chi(bad)
+        (battery,) = window_pair_batteries(*params, seeds=(seed,))
+        n, N = data.draw(st.sampled_from(list(battery.points())))
+        validate_four_term(battery)
+        assert four_term_residual(battery, n, N) == _four_term_residual_by_chi(battery, n, N) == 0
+        bad = _mutated(battery, flips)
+        assert four_term_residual(bad, n, N) == _four_term_residual_by_chi(bad, n, N)
 
     @given(st.sampled_from(SOLVABLE), st.data(), BIT_FLIPS)
     def test_step_identity(self, cell, data, flips):
