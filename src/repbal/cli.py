@@ -20,7 +20,7 @@ from .builders import (
     build_family,
     build_xy,
 )
-from .intset import MAX_BOUND, BoundedSet, ProgressionSpec, progression_set
+from .intset import MAX_BOUND, BoundedSet, ProgressionSpec, check_bound, progression_set
 from .repfn import r1_profile, r2_profile, strict_counts
 from .solver import (
     GRID_R_MAX_FACTOR,
@@ -41,7 +41,6 @@ CSV_HEADER = "r,m,status,family,l,contradiction_at,forced_value"
 # Subcommand defaults; all randomness is seeded, never timed.
 DEFAULT_BOUND = 4096
 DEFAULT_M_MAX = 33
-DEFAULT_R_MAX_FACTOR = GRID_R_MAX_FACTOR
 DEFAULT_GRID_BOUND = 2048
 
 
@@ -53,15 +52,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _check_bound(bound: int) -> int:
-    """Refuse a window before anything of its size is allocated or looped over."""
-    if bound > MAX_BOUND:
-        raise ValueError(f"bound {bound} exceeds {MAX_BOUND}")
-    return bound
-
-
-def _write_out(path: str, text: str, what: str) -> None:
-    """Write an --out file and note it on stderr."""
+def _write_out(path: str | None, text: str, what: str) -> None:
+    """Write an --out file and note it on stderr, or print the text when there is no path."""
+    if path is None:
+        print(text, end="")
+        return
     out = Path(path)
     out.write_text(text)
     print(f"wrote {what} to {out}", file=sys.stderr)
@@ -89,10 +84,10 @@ def _build_sets(token: str, bound: int | None) -> list[tuple[str, BoundedSet]]:
             raise ValueError("ef:<u> fixes its own bound; drop --bound")
         if param >= MAX_BOUND.bit_length():  # over the limit without building 3 * 2^u + 2
             raise ValueError(f"bound 3*2^{param}+2 exceeds {MAX_BOUND}")
-        _check_bound(3 * (1 << param) + 2)
+        check_bound(3 * (1 << param) + 2)
         e, f = build_ef(param)
         return [("E", e), ("F", f)]
-    bound = _check_bound(DEFAULT_BOUND if bound is None else bound)
+    bound = check_bound(DEFAULT_BOUND if bound is None else bound)
     if bound < 4:
         raise ValueError(f"bound must be >= 4, got {bound}")
     if name == "uv":
@@ -126,7 +121,7 @@ def cmd_repfn(args: argparse.Namespace) -> int:
     else:
         sets = [BoundedSet.from_text(Path(args.input).read_text())]
     bound = sets[0].bound
-    n_max = _check_bound(args.n_max) if args.n_max is not None else bound - 1
+    n_max = check_bound(args.n_max) if args.n_max is not None else bound - 1
     if args.family is not None:
         pa = r2_profile(sets[0], n_max)
         pb = r2_profile(sets[1], n_max)
@@ -139,17 +134,13 @@ def cmd_repfn(args: argparse.Namespace) -> int:
         p2 = strict_counts(p1, sets[0].mask)  # R3 = R1 - R2
         lines = ["n,R1,R2,R3"]
         lines += [f"{n},{p1[n]},{p2[n]},{p1[n] - p2[n]}" for n in range(n_max + 1)]
-    text = "\n".join(lines) + "\n"
-    if args.out is not None:
-        _write_out(args.out, text, f"{len(lines) - 1} rows")
-    else:
-        print(text, end="")
+    _write_out(args.out, "\n".join(lines) + "\n", f"{len(lines) - 1} rows")
     return EXIT_OK
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
     spec = ProgressionSpec(args.r, args.m)
-    out = forced_extend(spec, _check_bound(args.bound))
+    out = forced_extend(spec, check_bound(args.bound))
     if args.emit == "json":
         payload = {
             "status": out.status,
@@ -183,12 +174,8 @@ def classification_to_csv(records: list[ClassificationRecord]) -> str:
 def cmd_classify(args: argparse.Namespace) -> int:
     if args.m_max < 2 or args.bound < 4 or args.r_max_factor < 0:
         raise ValueError("need m-max >= 2, bound >= 4, r-max-factor >= 0")
-    records = classify_grid(args.m_max, args.r_max_factor, _check_bound(args.bound))
-    text = classification_to_csv(records)
-    if args.out is not None:
-        _write_out(args.out, text, f"{len(records)} records")
-    else:
-        print(text, end="")
+    records = classify_grid(args.m_max, args.r_max_factor, check_bound(args.bound))
+    _write_out(args.out, classification_to_csv(records), f"{len(records)} records")
     return EXIT_OK
 
 
@@ -237,7 +224,7 @@ def build_parser() -> _Parser:
 
     p_classify = sub.add_parser("classify", help="sweep an (r, m) grid")
     p_classify.add_argument("--m-max", type=int, default=DEFAULT_M_MAX)
-    p_classify.add_argument("--r-max-factor", type=int, default=DEFAULT_R_MAX_FACTOR)
+    p_classify.add_argument("--r-max-factor", type=int, default=GRID_R_MAX_FACTOR)
     p_classify.add_argument("--bound", type=int, default=DEFAULT_GRID_BOUND)
     p_classify.add_argument("--out", default=None)
     p_classify.set_defaults(handler=cmd_classify)

@@ -18,6 +18,7 @@ __all__ = [
     "BoundedSet",
     "OutOfWindowError",
     "ProgressionSpec",
+    "check_bound",
     "progression_set",
 ]
 
@@ -25,6 +26,13 @@ __all__ = [
 # Largest window a fixture may declare, and the command line may build:
 # 2 MiB per mask, past every planned size.
 MAX_BOUND = 1 << 24
+
+
+def check_bound(bound: int) -> int:
+    """Refuse a window past MAX_BOUND before anything of its size is allocated or looped over."""
+    if bound > MAX_BOUND:
+        raise ValueError(f"bound {bound} exceeds {MAX_BOUND}")
+    return bound
 
 
 class OutOfWindowError(ValueError):
@@ -43,6 +51,11 @@ class ProgressionSpec:
             raise ValueError(f"progression offset must be >= 0, got r={self.r}")
         if self.m < 2:
             raise ValueError(f"progression modulus must be >= 2, got m={self.m}")
+
+    @property
+    def anchor(self) -> int:
+        """The least value outside the progression: 0, or 1 when r = 0 (m >= 2 frees 1)."""
+        return 0 if self.r else 1
 
 
 @dataclass(frozen=True)
@@ -145,8 +158,7 @@ class BoundedSet:
         bound = int(lines[0][len("bound="):])
         if bound < 0:
             raise ValueError(f"bound must be >= 0, got {bound}")
-        if bound > MAX_BOUND:
-            raise ValueError(f"bound {bound} exceeds {MAX_BOUND}")
+        check_bound(bound)
         body = lines[1].strip()
         if not body:
             return cls(bound, 0)

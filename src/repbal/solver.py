@@ -73,11 +73,15 @@ class ExtensionOutcome:
 
     status: str
     spec: ProgressionSpec
-    anchor: int
     a: BoundedSet
     b: BoundedSet
     contradiction_at: int | None = None
     forced_value: int | None = None
+
+    @property
+    def anchor(self) -> int:
+        """The spec's least free value, pinned to class A."""
+        return self.spec.anchor
 
 
 def forced_extend(spec: ProgressionSpec, bound: int) -> ExtensionOutcome:
@@ -99,7 +103,7 @@ def forced_extend(spec: ProgressionSpec, bound: int) -> ExtensionOutcome:
         raise ValueError(f"bound {bound} must reach past the first excluded value {spec.r}")
     r = spec.r
     m = min(spec.m, bound + 1)  # below the bound, any modulus past it excludes r alone
-    anchor = 0 if r else 1  # least value outside the progression; m >= 2 frees 1
+    anchor = spec.anchor
     lag = r or 1  # f - lag = min(f - 1, t - r), the newest member that the counts take in
     top = bound - 1
     side = bytearray(b"0") * bound  # position x's digit at top - x: _A, _B or 0 (excluded)
@@ -142,7 +146,6 @@ def forced_extend(spec: ProgressionSpec, bound: int) -> ExtensionOutcome:
     return ExtensionOutcome(
         status=STATUS_CONTRADICTION if died else STATUS_COMPLETED,
         spec=spec,
-        anchor=anchor,
         a=_side_set(decided, _A_ONLY),
         b=_side_set(decided, _B_ONLY),
         contradiction_at=target if died else None,

@@ -359,8 +359,7 @@ def _evil_odious_prefix(p: SuiteProfile, seed: int) -> Verdicts:
 def _family_balance(p: SuiteProfile, seed: int) -> Verdicts:
     for family, l, spec in family_cells((1 << p.family_l_max) + 1):
         a, b, _ = build_family(family, l, p.family_bound)
-        anchor = 0 if spec.r else 1  # the least value outside the progression
-        n_max = p.family_bound - anchor - 1
+        n_max = p.family_bound - spec.anchor - 1
         yield _profile_verdict({"family": family, "l": l}, a, b, n_max)
 
 

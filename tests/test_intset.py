@@ -10,6 +10,7 @@ from repbal.intset import (
     BoundedSet,
     OutOfWindowError,
     ProgressionSpec,
+    check_bound,
     progression_set,
 )
 
@@ -153,6 +154,12 @@ class TestProgression:
         with pytest.raises(ValueError, match=r"^bound must be >= 0, got -20$"):
             progression_set(ProgressionSpec(3, 4), -20)
 
+    @given(st.integers(0, 50), st.integers(2, 50))
+    def test_anchor_is_the_least_value_outside(self, r, m):
+        excluded = set(range(r, r + 2 * m + 2, m))
+        least = next(x for x in range(r + 2) if x not in excluded)
+        assert ProgressionSpec(r, m).anchor == least
+
     def test_modulus_below_two_rejected(self):
         with pytest.raises(ValueError):
             ProgressionSpec(0, 1)
@@ -212,6 +219,12 @@ class TestTextFormat:
         with pytest.raises(ValueError, match=f"^bound {MAX_BOUND + 1} exceeds {MAX_BOUND}$"):
             BoundedSet.from_text(f"bound={MAX_BOUND + 1}\n1,9\n")
         assert BoundedSet.from_text(f"bound={MAX_BOUND}\n\n") == BoundedSet(MAX_BOUND)
+
+
+def test_check_bound_caps_the_window():
+    assert check_bound(MAX_BOUND) == MAX_BOUND
+    with pytest.raises(ValueError, match=r"^bound 16777217 exceeds 16777216$"):
+        check_bound(MAX_BOUND + 1)
 
 
 def test_mask_beyond_bound_rejected():

@@ -1,5 +1,7 @@
 """Forced extension: frozen outcomes, oracle agreement, matching, grids."""
 
+import dataclasses
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -54,6 +56,11 @@ class TestForcedExtend:
             assert out.anchor == (0 if r else 1)
             assert out.a.chi(out.anchor) == 1
 
+    def test_anchor_is_read_from_the_spec(self):
+        assert "anchor" not in {field.name for field in dataclasses.fields(ExtensionOutcome)}
+        for spec in (ProgressionSpec(0, 4), ProgressionSpec(3, 2)):
+            assert forced_extend(spec, 64).anchor == spec.anchor
+
     def test_bound_too_small_rejected(self):
         with pytest.raises(ValueError):
             forced_extend(ProgressionSpec(9, 2), 10)
@@ -102,7 +109,6 @@ def _forced_extend_bitparallel(spec, bound):
         return ExtensionOutcome(
             status=STATUS_CONTRADICTION,
             spec=spec,
-            anchor=anchor,
             a=BoundedSet(frontier, mask_a & window),
             b=BoundedSet(frontier, mask_b & window),
             contradiction_at=target,
@@ -127,7 +133,6 @@ def _forced_extend_bitparallel(spec, bound):
     return ExtensionOutcome(
         status=STATUS_COMPLETED,
         spec=spec,
-        anchor=anchor,
         a=BoundedSet(bound, mask_a),
         b=BoundedSet(bound, mask_b),
     )

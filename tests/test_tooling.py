@@ -1,9 +1,13 @@
 """Source-level rules for the library package."""
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import pytest
+
+import repbal
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "repbal").glob("*.py"))
 
@@ -349,3 +353,22 @@ def test_all_rule_sees_a_stale_name():
     assert _all_mismatches(STALE_ALL) == (["cube", "BoundedSet"], ["spare"])
     assert _all_mismatches("def f():\n    pass\n") is None
     assert _all_mismatches((SOURCES[0].parent / "verify.py").read_text()) is not None
+
+
+EXPORTING_MODULES = ("builders", "intset", "repfn", "solver", "verify")
+
+
+def test_package_namespace_is_the_modules_all():
+    # repbal re-exports each module's __all__, so no second list of names is kept by hand
+    exported = [
+        name
+        for module in EXPORTING_MODULES
+        for name in importlib.import_module(f"repbal.{module}").__all__
+    ]
+    assert len(exported) == len(set(exported)), "two modules export one name"
+    public = {
+        name
+        for name, value in vars(repbal).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == set(exported)
