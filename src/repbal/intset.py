@@ -156,12 +156,10 @@ class BoundedSet:
         if len(lines) != 2 or not lines[0].startswith("bound="):
             raise ValueError("expected two lines: 'bound=<N>' then the elements")
         bound = int(lines[0][len("bound="):])
-        if bound < 0:
-            raise ValueError(f"bound must be >= 0, got {bound}")
-        check_bound(bound)
+        empty = cls(check_bound(bound))  # the constructor refuses a negative bound
         body = lines[1].strip()
         if not body:
-            return cls(bound, 0)
+            return empty
         elems = [int(tok) for tok in body.split(",")]
         if any(elems[i] >= elems[i + 1] for i in range(len(elems) - 1)):
             raise ValueError("elements must be strictly increasing")

@@ -1,8 +1,8 @@
 """Two-element-sum counting over bounded sets.
 
 Single sums of a truncated set are counted by one bit-parallel primitive,
-``pairs_at`` over a ``reverse_mask``.  A whole profile, at every width, is
-one exact square of the set's indicator packed into decimal digit fields; an
+``pairs_at``, over plain masks.  A whole profile, at every width, is one
+exact square of the set's indicator packed into decimal digit fields; an
 independent pair-enumeration oracle is kept alongside it.  Whether two sets
 balance, and where they first do not, is one product of the same packed
 indicators.  All counts are exact integers and every query outside a set's
@@ -24,7 +24,6 @@ __all__ = [
     "r2_prefix",
     "r2_profile",
     "r2_profile_naive",
-    "reverse_mask",
     "strict_counts",
 ]
 
@@ -47,23 +46,19 @@ def r2_prefix(s: BoundedSet, x: int, n: int) -> int:
     """
     _require_window(s, n)
     mask = s.truncate(x).mask
-    return pairs_at(mask, reverse_mask(mask, n + 1), n + 1, n) // 2
+    return pairs_at(mask, mask, n) // 2
 
 
-def reverse_mask(mask: int, width: int) -> int:
-    """Bits [0, width) of mask in reverse order: bit a moves to bit width - 1 - a."""
-    return int(format(mask & ((1 << width) - 1), f"0{width}b")[::-1], 2)
+def pairs_at(x: int, y: int, n: int) -> int:
+    """#{a in x : n - a in y} for n >= 0; bits of x or y above n count for nothing.
 
-
-def pairs_at(x: int, rev_y: int, width: int, n: int) -> int:
-    """#{a in x : n - a in y} for 0 <= n < width, where rev_y = reverse_mask(y, width).
-
-    The shift lines bit a of x up with bit n - a of y, so one AND and one
-    popcount count a machine word of pairs at a time.  Every single-sum pair
-    count in the package goes through here: the truncated counts and the
-    identity checkers' cross sums.
+    Reversing the low n + 1 bits of y moves bit n - a to bit a, in line with
+    bit a of x, so one AND and one popcount count a machine word of pairs at a
+    time.  Every single-sum pair count in the package goes through here: the
+    truncated counts and the identity checkers' cross sums.
     """
-    return (x & (rev_y >> (width - 1 - n))).bit_count()
+    rev_y = int(format(y & ((1 << (n + 1)) - 1), f"0{n + 1}b")[::-1], 2)
+    return (x & rev_y).bit_count()
 
 
 def strict_counts(ordered: Sequence[int], mask: int) -> tuple[int, ...]:

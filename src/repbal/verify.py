@@ -23,11 +23,11 @@ from .repfn import (
     r2_prefix,
     r2_profile,
     r2_profile_naive,
-    reverse_mask,
 )
 from .solver import (
     GRID_R_MAX_FACTOR,
     STATUS_COMPLETED,
+    STATUS_CONTRADICTION,
     classify_grid,
     forced_extend,
     predicted_solvable_cells,
@@ -140,16 +140,14 @@ def four_term_residual(battery: FourTermBattery, n: int, N: int) -> int:
     lhs = (
         r2_prefix(a, n, N) + r2_prefix(d, n, N) - r2_prefix(b, n, N) - r2_prefix(c, n, N)
     )
-    width = N + 1
     upto_n = (1 << (n + 1)) - 1
     mid = t.mask & upto_n & ~((1 << L) - 1)  # t restricted to [L, n]
     d_only = d.mask & ~b.mask & ~mid & upto_n
     c_only = c.mask & ~a.mask & ~mid & upto_n
-    rev_t, rev_c, rev_d = (reverse_mask(s.mask, width) for s in (t, c, d))
-    cross_t_d = pairs_at(d_only, rev_t, width, N)
-    cross_t_c = pairs_at(c_only, rev_t, width, N)
-    cross_d = pairs_at(mid & d.mask, rev_d, width, N)
-    cross_c = pairs_at(mid & c.mask, rev_c, width, N)
+    cross_t_d = pairs_at(d_only, t.mask, N)
+    cross_t_c = pairs_at(c_only, t.mask, N)
+    cross_d = pairs_at(mid & d.mask, d.mask, N)
+    cross_c = pairs_at(mid & c.mask, c.mask, N)
     eps = 1 if N == 2 * L else 0
     rhs = d_only.bit_count() - cross_t_d + cross_d - c_only.bit_count() + cross_t_c - cross_c - eps
     return lhs - rhs
@@ -187,13 +185,12 @@ def window_pair_batteries(
     if not 2 * r + 2 <= cutoff <= 3 * r:
         raise InstanceError(f"second excluded value {cutoff} outside [2^(u+1)+2, 3*2^u]")
     c, d = build_ef(u)
-    K = min(2 * cutoff, 3 * r + 1)
-    width = K + 1
-    t = progression_set(ProgressionSpec(r, m), width)
+    K = 3 * r + 1  # the cap 2 * cutoff never binds: cutoff >= 2r + 2 makes it >= 4r + 4
+    t = progression_set(ProgressionSpec(r, m), K + 1)
     for seed in seeds:
         rng = random.Random(seed)
         mask_a = mask_b = 0
-        for x in range(width):
+        for x in range(K + 1):
             if t.chi(x):
                 continue
             side_a = c.chi(x) if x < cutoff else rng.randrange(2)
@@ -201,7 +198,7 @@ def window_pair_batteries(
                 mask_a |= 1 << x
             else:
                 mask_b |= 1 << x
-        yield FourTermBattery(BoundedSet(width, mask_a), BoundedSet(width, mask_b), c, d, t, cutoff, K)
+        yield FourTermBattery(BoundedSet(K + 1, mask_a), BoundedSet(K + 1, mask_b), c, d, t, cutoff, K)
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +211,9 @@ def step_identity_residual(
 ) -> int:
     """lhs - rhs of the step identity at n, where cutoff is the first excluded value."""
     in_t = t.mask & ((1 << (n + 1)) - 1)
-    width = n + 2
-    rev_evil = reverse_mask(evil.mask, width)
-    lhs = pairs_at(in_t, rev_evil, width, n + 1)
+    lhs = pairs_at(in_t, evil.mask, n + 1)
     eps = 1 if n == 2 * cutoff - 1 else 0
-    rhs = pairs_at(in_t, rev_evil, width, n) + a.chi(n + 1) - evil.chi(n + 1) - eps
+    rhs = pairs_at(in_t, evil.mask, n) + a.chi(n + 1) - evil.chi(n + 1) - eps
     return lhs - rhs
 
 
@@ -432,7 +427,7 @@ def _classification_grid(p: SuiteProfile, seed: int) -> Verdicts:
             expected = STATUS_COMPLETED
         else:
             ok = rec.status != STATUS_COMPLETED
-            expected = "contradiction"
+            expected = STATUS_CONTRADICTION
         failure = {"inputs": {"r": rec.r, "m": rec.m}, "lhs": rec.status, "rhs": expected}
         yield None if ok else failure
 

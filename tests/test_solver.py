@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repbal import solver
 from repbal.builders import FAMILIES, build_family, family_progression
 from repbal.intset import BoundedSet, ProgressionSpec, progression_set
-from repbal.repfn import pairs_at, r2_profile
+from repbal.repfn import r2_profile
 from repbal.solver import (
     ClassificationRecord,
     ExtensionOutcome,
@@ -94,15 +94,20 @@ class TestForcedExtend:
 
 
 def _forced_extend_bitparallel(spec, bound):
-    """Reference: count both classes' pairs at every target with pairs_at over reversed masks.
+    """Reference: count both classes' pairs at every target with its own popcounts over reversed masks.
 
-    O(bound^2 / w) in all; each step pays two popcounts and a whole-window reversed-mask update.
+    Each class keeps its mask and that mask reversed across [0, bound] (bit x
+    at bit bound - x), so one target's pairs are one shift, one AND and one
+    popcount, and nothing is shared with repfn.  O(bound^2 / w) in all; each
+    step pays two popcounts and a whole-window reversed-mask update.
     """
     r, m = spec.r, spec.m
     anchor = 0 if r else 1
-    width = bound + 1
     mask_a, mask_b = 1 << anchor, 0
     rev_a, rev_b = 1 << (bound - anchor), 0
+
+    def pairs(mask, rev, target):
+        return (mask & (rev >> (bound - target))).bit_count()
 
     def contradiction(frontier, target, demanded):
         window = (1 << frontier) - 1
@@ -117,7 +122,7 @@ def _forced_extend_bitparallel(spec, bound):
 
     for f in range(anchor + 1, bound):
         target = anchor + f
-        demanded = pairs_at(mask_b, rev_b, width, target) // 2 - pairs_at(mask_a, rev_a, width, target) // 2
+        demanded = pairs(mask_b, rev_b, target) // 2 - pairs(mask_a, rev_a, target) // 2
         if f >= r and (f - r) % m == 0:
             if demanded:
                 return contradiction(f, target, demanded)
