@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .intset import BoundedSet, ProgressionSpec, progression_set
+from .intset import BoundedSet, ProgressionSpec, partition_fault, progression_set
 
 __all__ = [
     "AmbiguousParityError",
@@ -189,7 +189,7 @@ def build_ef(u: int) -> tuple[BoundedSet, BoundedSet]:
     prefix = [1 << i for i in range(u)] + [block + 1]
     e, f = _balanced_pair(doubling_weights(prefix, 2 * block + 1, bound), bound)
     f = f | BoundedSet.from_elements([bound - 1], bound)
-    if (e | f) != BoundedSet.full(bound) - BoundedSet.from_elements([block], bound):
+    if partition_fault(bound, e.mask, f.mask, 1 << block) is not None:
         raise RuntimeError(f"window pair for u={u} does not cover the window minus {block}")
     return e, f
 

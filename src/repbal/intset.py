@@ -19,6 +19,7 @@ __all__ = [
     "OutOfWindowError",
     "ProgressionSpec",
     "check_bound",
+    "partition_fault",
     "progression_set",
 ]
 
@@ -88,10 +89,6 @@ class BoundedSet:
             digits[top - e] = one
         return cls(bound, int(digits, 2) if digits else 0)
 
-    @classmethod
-    def full(cls, bound: int) -> BoundedSet:
-        return cls(bound, (1 << bound) - 1)
-
     def chi(self, t: int) -> int:
         """Characteristic function: 1 iff t is a member, 0 otherwise."""
         if not 0 <= t < self.bound:
@@ -131,14 +128,6 @@ class BoundedSet:
         self._check_same_bound(other)
         return BoundedSet(self.bound, self.mask & other.mask)
 
-    def __sub__(self, other: BoundedSet) -> BoundedSet:
-        self._check_same_bound(other)
-        return BoundedSet(self.bound, self.mask & ~other.mask)
-
-    def isdisjoint(self, other: BoundedSet) -> bool:
-        self._check_same_bound(other)
-        return self.mask & other.mask == 0
-
     def truncate(self, x: int) -> BoundedSet:
         """Subset of elements <= x (inclusive); the knowledge window is kept."""
         if not 0 <= x < self.bound:
@@ -169,6 +158,17 @@ class BoundedSet:
         elems = self.elements()
         shown = ",".join(map(str, elems[:12])) + (",..." if len(elems) > 12 else "")
         return f"BoundedSet(bound={self.bound}, {{{shown}}})"
+
+
+def partition_fault(width: int, *masks: int) -> int | None:
+    """The least x in [0, width) in none of the masks or in two or more, or None if they
+    partition the window; bits at or past width are ignored."""
+    once = twice = 0
+    for m in masks:
+        twice |= once & m
+        once |= m
+    bad = (twice | ~once) & ((1 << width) - 1)
+    return (bad & -bad).bit_length() - 1 if bad else None
 
 
 def progression_set(spec: ProgressionSpec, bound: int) -> BoundedSet:

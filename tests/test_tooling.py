@@ -259,32 +259,50 @@ def test_parity_split_rule_sees_a_translate_builder():
     assert {"build_ef", "build_evil_odious", "build_family", "build_xy"} <= set(builders)
 
 
-DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFINITIONS = FUNCTIONS + (ast.ClassDef,)
+
+
+def _loads(node, enclosing=()):
+    """(name, is an attribute, names of the enclosing defs) of every loaded ``Name`` or
+    ``Attribute`` under node."""
+    if isinstance(node, FUNCTIONS):
+        enclosing += (node.name,)
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        yield node.id, False, enclosing
+    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        yield node.attr, True, enclosing
+    for child in ast.iter_child_nodes(node):
+        yield from _loads(child, enclosing)
 
 
 def _public_names_without_caller(sources):
-    """``module.name`` of every public module-level def or class that no module references.
+    """``module.name`` of every public module-level def or class, and ``module.Class.method``
+    of every public method of a public class, that no module references.
 
-    ``sources`` maps module names to source text.  A reference is a loaded
-    ``Name`` or ``Attribute`` outside the name's own definition; a string in
-    ``__all__`` is not one.
+    ``sources`` maps module names to source text.  A reference to a name is a
+    loaded ``Name`` or ``Attribute`` outside the name's own definition; one to
+    a method is a loaded ``Attribute`` outside the method's own body.  A
+    string in ``__all__`` is not one.  Dunders and private names are exempt.
     """
-    defined, referenced = [], set()
+    defined, referenced, called = [], set(), set()
     for module, text in sources.items():
         for node in ast.parse(text).body:
             owner = node.name if isinstance(node, DEFINITIONS) else None
             if owner is not None and not owner.startswith("_"):
-                defined.append((module, owner))
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-                    name = sub.id
-                elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
-                    name = sub.attr
-                else:
-                    continue
+                defined.append((f"{module}.{owner}", owner, referenced))
+                if isinstance(node, ast.ClassDef):
+                    defined += [
+                        (f"{module}.{owner}.{sub.name}", sub.name, called)
+                        for sub in node.body
+                        if isinstance(sub, FUNCTIONS) and not sub.name.startswith("_")
+                    ]
+            for name, is_attribute, enclosing in _loads(node):
                 if name != owner:
                     referenced.add(name)
-    return [f"{module}.{name}" for module, name in defined if name not in referenced]
+                if is_attribute and name not in enclosing:
+                    called.add(name)
+    return [label for label, name, references in defined if name not in references]
 
 
 def test_every_public_name_has_a_caller_in_the_library():
@@ -305,6 +323,23 @@ SPARE_DEF = {
 def test_caller_rule_sees_an_unreferenced_def():
     # __all__ and a call inside its own body do not count as callers
     assert _public_names_without_caller(SPARE_DEF) == ["kernel.spare"]
+
+
+SPARE_METHOD = {
+    "kernel": "__all__ = ['Window']\n\n"
+    "class Window:\n"
+    "    def size(self):\n        return 1\n\n"
+    "    def spare(self, n):\n        return self.spare(n - 1) if n else self.size()\n\n"
+    "    def __len__(self):\n        return 0\n\n"
+    "class _Hidden:\n"
+    "    def lonely(self):\n        return 0\n",
+    "front": "from .kernel import Window, _Hidden\n\nprint(Window, _Hidden)\n",
+}
+
+
+def test_caller_rule_sees_a_method_only_its_own_body_calls():
+    # a method called from a sibling has a caller; dunders and private classes are exempt
+    assert _public_names_without_caller(SPARE_METHOD) == ["kernel.Window.spare"]
 
 
 def _all_mismatches(text):

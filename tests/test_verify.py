@@ -2,13 +2,14 @@
 single-element mutations flip the verdict, injected faults give exact reports."""
 
 import dataclasses
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repbal import repfn, verify
-from repbal.builders import build_evil_odious
+from repbal.builders import build_ef, build_evil_odious
 from repbal.intset import BoundedSet, ProgressionSpec, progression_set
 from repbal.solver import forced_extend
 from repbal.repfn import r2_prefix, r2_profile
@@ -159,6 +160,14 @@ class TestInstanceGeneratorsRespectWindows:
         assert (4, 4) in points  # N = 2L
         assert (2, 2) in points
 
+    @pytest.mark.parametrize("u", range(5))
+    def test_window_pair_batteries_match_the_per_value_loop(self, u):
+        seeds = tuple(range(5))
+        r = 1 << u
+        for m in range(r + 2, 2 * r + 1):  # the second excluded value r + m in [2r + 2, 3r]
+            expected = list(_window_pair_batteries_by_chi(u, m, seeds))
+            assert list(window_pair_batteries(u, m, seeds)) == expected, (u, m)
+
     def test_window_pair_prefix_agreement(self):
         battery = next(window_pair_batteries(2, 8, seeds=(0,)))
         for x in range(battery.L):
@@ -168,6 +177,27 @@ class TestInstanceGeneratorsRespectWindows:
 
 def _flip(s, x):
     return BoundedSet(s.bound, s.mask ^ (1 << x))
+
+
+def _window_pair_batteries_by_chi(u, m, seeds):
+    """Reference for window_pair_batteries: place every value of the window one at a time,
+    copying c below L and drawing a side for each free value from L up."""
+    r = 1 << u
+    cutoff, K = r + m, 3 * r + 1
+    c, d = build_ef(u)
+    t = progression_set(ProgressionSpec(r, m), K + 1)
+    for seed in seeds:
+        rng = random.Random(seed)
+        mask_a = mask_b = 0
+        for x in range(K + 1):
+            if t.chi(x):
+                continue
+            side_a = c.chi(x) if x < cutoff else rng.randrange(2)
+            if side_a:
+                mask_a |= 1 << x
+            else:
+                mask_b |= 1 << x
+        yield FourTermBattery(BoundedSet(K + 1, mask_a), BoundedSet(K + 1, mask_b), c, d, t, cutoff, K)
 
 
 def _faulty(name, corrupt):
@@ -229,7 +259,7 @@ FAULTS = [
             "inputs": {"l": 2, "n": 3}, "lhs": 0, "rhs": 1}},
     ),
     (
-        ("build_xy", lambda xy, bound: tuple(s - BoundedSet.from_elements([bound - 1], bound) for s in xy)),
+        ("build_xy", lambda xy, bound: tuple(BoundedSet(bound, s.mask & ~(1 << bound - 1)) for s in xy)),
         "skip-one-partition",
         {"instances": 2, "passed": 0, "first_failure": {
             "inputs": {"bound": 2048}, "lhs": 2046, "rhs": 2047}},
@@ -335,12 +365,21 @@ class TestFailureRecordOnTheSquarePath:
 class TestValidationMessages:
     """validate_four_term names the lowest offending value, overlap before coverage.
 
-    The base battery has c = {0, 3}, d = {1, 2, 4}, L = 2 and K = 4."""
+    The base battery has a = {0, 4}, b = {1, 3}, t = {2}, c = {0, 3}, d = {1, 2, 4},
+    L = 2 and K = 4."""
 
     def _rejects(self, message, **changes):
         bad = dataclasses.replace(base_battery(), **changes)
         with pytest.raises(InstanceError, match=f"^{message}$"):
             validate_four_term(bad)
+
+    def test_a_b_t_overlap_below_a_gap(self):
+        base = base_battery()
+        self._rejects("a, b and t overlap at 2", a=_flip(base.a, 4), b=_flip(base.b, 2))
+
+    def test_a_b_t_gap_below_an_overlap(self):
+        base = base_battery()
+        self._rejects("a, b and t leave 3 uncovered", b=_flip(_flip(base.b, 3), 4))
 
     def test_overlap(self):
         base = base_battery()
@@ -382,6 +421,28 @@ class TestValidationMessages:
         else:
             with pytest.raises(InstanceError, match=f"^{expected}$"):
                 validate_four_term(bad)
+
+    @given(st.sets(st.integers(1, 13)), st.sets(st.integers(1, 13)), st.sets(st.integers(1, 13)))
+    def test_a_b_t_masks_match_the_per_value_scan(self, flips_a, flips_b, swaps):
+        # a, b and t cover [0, 13]; a flip of a or b breaks that, while a value swapped
+        # between a and b keeps it and leaves the later checks to answer
+        battery = next(window_pair_batteries(2, 8, seeds=(0,)))
+        bad = _mutated(battery, [flips_a ^ swaps, flips_b ^ swaps])
+        expected = _scan_a_b_t(bad) or _scan_c_d(bad)
+        if expected is None:
+            validate_four_term(bad)
+        else:
+            with pytest.raises(InstanceError, match=f"^{expected}$"):
+                validate_four_term(bad)
+
+
+def _scan_a_b_t(bat):
+    """Reference for validate_four_term's a/b/t check, one value at a time."""
+    for x in range(bat.a.bound):
+        cover = bat.a.chi(x) + bat.b.chi(x) + bat.t.chi(x)
+        if cover != 1:
+            return f"a, b and t overlap at {x}" if cover else f"a, b and t leave {x} uncovered"
+    return None
 
 
 def _scan_c_d(bat):
