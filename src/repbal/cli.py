@@ -20,7 +20,7 @@ from .builders import (
     build_family,
     build_xy,
 )
-from .intset import MAX_BOUND, BoundedSet, ProgressionSpec, check_bound, progression_set
+from .intset import MAX_BOUND, BoundedSet, ProgressionSpec, check_bound
 from .repfn import r1_profile, r2_profile, strict_counts
 from .solver import (
     GRID_R_MAX_FACTOR,
@@ -36,6 +36,9 @@ EXIT_USAGE = 1
 EXIT_COUNTEREXAMPLE = 2
 
 CSV_HEADER = "r,m,status,family,l,contradiction_at,forced_value"
+
+# Stands in for an int list while the rest of a JSON payload is dumped.
+_LIST_SLOT = "\0int list\0"
 
 
 # Subcommand defaults; all randomness is seeded, never timed.
@@ -63,7 +66,39 @@ def _write_out(path: str | None, text: str, what: str) -> None:
 
 
 def _set_braces(s: BoundedSet) -> str:
-    return "{" + ",".join(str(e) for e in s) + "}"
+    return "{" + ",".join(map(str, s)) + "}"
+
+
+def _json_text(payload: dict) -> str:
+    """Exactly ``json.dumps(payload, sort_keys=True, indent=2)`` for a payload whose lists
+    all hold ints.
+
+    ``indent`` runs the pure-Python encoder, one step per element.  So each non-empty
+    list becomes a placeholder in the dumped skeleton, and is joined back in C loops at
+    the indent of its depth.
+    """
+    lists: list[str] = []
+
+    def skeleton(node: dict, depth: int) -> dict:
+        out = {}
+        for key in sorted(node):  # the order the dump writes, so lists[i] fills slot i
+            value = node[key]
+            if isinstance(value, dict):
+                value = skeleton(value, depth + 1)
+            elif isinstance(value, list) and value:
+                pad = "\n" + "  " * (depth + 1)
+                lists.append("[" + pad + ("," + pad).join(map(str, value)) + "\n" + "  " * depth + "]")
+                value = _LIST_SLOT
+            out[key] = value
+        return out
+
+    parts = json.dumps(skeleton(payload, 1), sort_keys=True, indent=2).split(json.dumps(_LIST_SLOT))
+    if len(parts) != len(lists) + 1:  # a string in the payload spells the placeholder
+        return json.dumps(payload, sort_keys=True, indent=2)
+    text = [parts[0]]
+    for rendered, part in zip(lists, parts[1:]):
+        text += (rendered, part)
+    return "".join(text)
 
 
 def _parse_family_token(token: str) -> tuple[str, int | None]:
@@ -106,7 +141,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         payload = {
             label: {"bound": s.bound, "elements": s.elements()} for label, s in labeled
         }
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(_json_text(payload))
     else:
         blocks = [f"{label}:\n{s.to_text()}" for label, s in labeled]
         print("\n".join(blocks), end="")
@@ -150,11 +185,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "anchor": out.anchor,
             "a": out.a.elements(),
             "b": out.b.elements(),
-            "excluded": progression_set(spec, out.a.bound).elements(),
+            "excluded": list(range(spec.r, out.a.bound, spec.m)),
             "contradiction_at": out.contradiction_at,
             "forced_value": out.forced_value,
         }
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(_json_text(payload))
         return EXIT_OK
     if out.status != STATUS_COMPLETED:
         print(f"contradiction: sum={out.contradiction_at} forced={out.forced_value}")

@@ -11,6 +11,7 @@ freely.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -23,6 +24,9 @@ __all__ = [
     "progression_set",
 ]
 
+
+# The binary numeral's digits as 0/1 bytes: selectors for itertools.compress.
+_DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 # Largest window a fixture may declare, and the command line may build:
 # 2 MiB per mask, past every planned size.
@@ -99,13 +103,11 @@ class BoundedSet:
         return self.chi(t) == 1
 
     def __iter__(self) -> Iterator[int]:
-        """Ascending members, from one scan of the binary numeral from its low end."""
-        digits = format(self.mask, "b")
-        top = len(digits) - 1
-        i = digits.rfind("1")
-        while i >= 0:
-            yield top - i
-            i = digits.rfind("1", 0, i)
+        """Ascending members, selected from the binary numeral's digits in C loops."""
+        digits = format(self.mask, "b").encode().translate(_DIGIT_BITS)
+        members = list(compress(range(len(digits) - 1, -1, -1), digits))
+        members.reverse()
+        return iter(members)
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -136,7 +138,7 @@ class BoundedSet:
 
     def to_text(self) -> str:
         """Two-line fixture format: ``bound=<N>`` then comma-separated sorted elements."""
-        return f"bound={self.bound}\n" + ",".join(str(e) for e in self) + "\n"
+        return f"bound={self.bound}\n" + ",".join(map(str, self)) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> BoundedSet:

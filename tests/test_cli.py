@@ -1,9 +1,13 @@
 """Command-line behavior: output shapes, exit codes, determinism, round-trips."""
 
+import contextlib
+import io
 import json
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repbal import cli, solver
 from repbal.cli import (
@@ -121,6 +125,62 @@ class TestBuild:
         _, expected, _ = run(capsys, "repfn", "--family", "s2t2:8", "--bound", "64")
         code, out, _ = run(capsys, "repfn", "--family", "s2t2:10000000000000", "--bound", "64")
         assert (code, out) == (EXIT_OK, expected)
+
+
+def _indented(text):
+    """The same JSON as dumped by ``json.dumps(..., sort_keys=True, indent=2)`` alone."""
+    return json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+def _stdout(*argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(list(argv)) == EXIT_OK
+    return out.getvalue()
+
+
+_int_lists = st.lists(st.integers(-(10**12), 10**12), max_size=5)
+_leaves = st.one_of(st.none(), st.text(max_size=6), st.integers(), _int_lists)
+_nodes = st.one_of(_leaves, st.dictionaries(st.text(max_size=4), _leaves, max_size=4))
+
+
+class TestJsonText:
+    @given(st.dictionaries(st.text(max_size=4), _nodes, max_size=5))
+    @example({})
+    @example({"a": [], "b": [0], "c": {"elements": [1, 2], "none": None}})
+    @example({"a": [1], "slot": cli._LIST_SLOT})  # a string that spells the placeholder
+    @example({"a": [1], "b": {"slot": '"' + cli._LIST_SLOT, "c": [2, 3]}})
+    def test_equals_the_indented_dump(self, payload):
+        assert cli._json_text(payload) == json.dumps(payload, sort_keys=True, indent=2)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(2, 1 << 12).flatmap(  # forced_extend needs bound >= r + 2
+        lambda bound: st.tuples(st.integers(0, bound - 2), st.integers(2, 40), st.just(bound))
+    ))
+    @example(cell=(3, 2, 5))  # contradicted, nothing excluded below the frontier
+    @example(cell=(0, 2, 3))  # completed with an empty b
+    @example(cell=(2, 3, 1 << 12))
+    def test_solve_json_is_the_indented_dump(self, cell):
+        r, m, bound = cell
+        out = _stdout("solve", "--r", str(r), "--m", str(m), "--bound", str(bound), "--emit", "json")
+        assert out == _indented(out)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.one_of(
+        st.tuples(
+            st.sampled_from(("s1t1", "s2t2", "s1t1+1")).flatmap(
+                lambda family: st.integers(0, 6).map(lambda l: f"{family}:{l}")
+            ),
+            st.integers(4, 1 << 10),
+        ),
+        st.tuples(st.sampled_from(("xy", "uv")), st.integers(4, 1 << 10)),
+        st.tuples(st.integers(0, 8).map(lambda u: f"ef:{u}"), st.none()),
+    ))
+    @example(case=("ef:0", None))
+    def test_build_json_is_the_indented_dump(self, case):
+        token, bound = case
+        argv = ("build", token, "--format", "json") + (() if bound is None else ("--bound", str(bound)))
+        out = _stdout(*argv)
+        assert out == _indented(out)
 
 
 class TestRepfn:

@@ -124,12 +124,15 @@ class TestIteration:
     @example(case=(17, 1))  # bit 0 alone
     @example(case=(17, 1 << 16))  # bit bound - 1 alone
     @example(case=(17, 1 | 1 << 16))
+    @example(case=(17, (1 << 17) - 1))  # every bit
     @example(case=(5, 0))
     @example(case=(0, 0))  # the empty window
     def test_matches_the_bit_clearing_reference(self, case):
         bound, mask = case
         s = BoundedSet(bound, mask)
-        assert list(s) == s.elements() == _bit_clearing_elements(mask)
+        per_bit = [i for i in range(bound) if mask >> i & 1]
+        assert list(s) == s.elements() == _bit_clearing_elements(mask) == per_bit
+        assert s.elements() is not s.elements()  # each caller owns its list
 
 
 class TestProgression:
