@@ -35,7 +35,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_COUNTEREXAMPLE = 2
 
-CSV_HEADER = "r,m,status,family,l,contradiction_at,forced_value"
+CSV_HEADER = ",".join(ClassificationRecord._fields)
 
 # Stands in for an int list while the rest of a JSON payload is dumped.
 _LIST_SLOT = "\0int list\0"
@@ -201,8 +201,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def classification_to_csv(records: list[ClassificationRecord]) -> str:
     lines = [CSV_HEADER]
     for rec in records:
-        fields = (rec.r, rec.m, rec.status, rec.family, rec.l, rec.contradiction_at, rec.forced_value)
-        lines.append(",".join("" if value is None else str(value) for value in fields))
+        lines.append(",".join("" if value is None else str(value) for value in rec))
     return "\n".join(lines) + "\n"
 
 

@@ -19,13 +19,15 @@ sweeps whole (r, m) grids, recording contradictions as data.  The decision at
 position f reads only the decided positions below f and whether f itself is
 excluded, so the prefix up to f depends on P only through P n [0, f].  Cells
 (r, m) and (r, m') with m <= m' share P n [0, r + m) = {r} and decide every
-f < r + m alike, contradictions included.  A grid sweep therefore runs one
-probe per r and reuses its contradiction in every cell whose r + m lies past it.
+f < r + m alike, contradictions included.  A grid sweep therefore extends the
+top cell (r, m_max) of each r first, and reuses its contradiction in every
+cell of that r whose r + m lies past it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .builders import build_family, family_cells, family_of
 from .intset import BoundedSet, ProgressionSpec
@@ -49,7 +51,8 @@ STATUS_CONTRADICTION = "contradiction"
 # The standard grid's r range, r <= 2m: what the CLI and the verify grid default to
 GRID_R_MAX_FACTOR = 2
 
-# The most cells classify_grid takes; at about 300 B a record, the cap is 0.3 GB of records
+# The most cells classify_grid takes; records hold 112 B each on 129/8192 and 137 B on 513/32768
+# (tracemalloc, list slot included), so the cap is about 0.15 GB of records
 MAX_GRID_CELLS = 1 << 20
 
 # forced_extend's side digits, and the tables that turn them into one class's binary numeral
@@ -175,9 +178,8 @@ def match_family(outcome: ExtensionOutcome) -> tuple[str, int] | None:
     return None
 
 
-@dataclass(frozen=True)
-class ClassificationRecord:
-    """One (r, m) grid cell: how the forced extension ended, and which family fits."""
+class ClassificationRecord(NamedTuple):
+    """One (r, m) grid cell and its CSV row: how the forced extension ended, and which family fits."""
 
     r: int
     m: int
@@ -193,14 +195,10 @@ def classify_grid(m_max: int, r_max_factor: int, bound: int) -> list[Classificat
 
     Contradictions are data, not failures; records come back sorted by (r, m).
 
-    One probe per r decides most cells.  The decision at position f reads only
-    the decided positions below f and whether f itself is excluded, so by
-    induction the prefix up to f depends on the progression only through
-    P n [0, f].  Every cell (r, m) shares P n [0, r + m) = {r} with the probe
-    (r, m_max + 1) run over [0, min(bound, r + m_max)), so a probe that dies
-    below r + m dies there for the cell too, with the same sum and demanded
-    value.  Only the cells whose second excluded value r + m is at or below
-    the probe's frontier get an extension of their own.
+    Each r extends its top cell (r, m_max) over the whole bound.  By the prefix
+    lemma in the module docstring, a top cell that dies below r + m dies there
+    for the cell (r, m) too, with the same sum and demanded value, so that cell
+    reuses it.  Every other cell gets an extension of its own.
 
     A grid with a cell at r >= bound - 1 is refused before any record is
     built, with the error forced_extend raises for the first such cell in
@@ -219,11 +217,11 @@ def classify_grid(m_max: int, r_max_factor: int, bound: int) -> list[Classificat
         raise ValueError(f"grid of {cells} cells exceeds {MAX_GRID_CELLS}")
     records = []
     for r in range(r_max_factor * m_max + 1):
-        probe = forced_extend(ProgressionSpec(r, m_max + 1), min(bound, r + m_max))
-        probe_died = probe.status == STATUS_CONTRADICTION
+        top = forced_extend(ProgressionSpec(r, m_max), bound)
+        top_died = top.status == STATUS_CONTRADICTION
         for m in range(max(2, -(-r // (r_max_factor or 1))), m_max + 1):  # r <= r_max_factor*m
-            if probe_died and probe.a.bound < r + m:
-                out = probe
+            if m == m_max or top_died and top.a.bound < r + m:
+                out = top
             else:
                 out = forced_extend(ProgressionSpec(r, m), bound)
             match = match_family(out) if out.status == STATUS_COMPLETED else None

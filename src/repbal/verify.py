@@ -236,7 +236,6 @@ class SuiteProfile:
     family_bound: int
     prefix_l_max: int
     ef_u_max: int
-    xy_bound: int
     grid_m_max: int
     grid_bound: int
     agreement_bound: int
@@ -251,7 +250,6 @@ PROFILES = {
         family_bound=2048,
         prefix_l_max=8,
         ef_u_max=6,
-        xy_bound=2048,
         grid_m_max=9,
         grid_bound=512,
         agreement_bound=1024,
@@ -264,7 +262,6 @@ PROFILES = {
         family_bound=1 << 14,
         prefix_l_max=10,
         ef_u_max=8,
-        xy_bound=1 << 14,
         grid_m_max=33,
         grid_bound=2048,
         agreement_bound=4096,
@@ -372,12 +369,12 @@ def _window_pair(p: SuiteProfile, seed: int) -> Verdicts:
 
 
 def _skip_one(p: SuiteProfile, seed: int) -> Verdicts:
-    x, y = build_xy(p.xy_bound)
-    if partition_fault(p.xy_bound, x.mask, y.mask, 1 << 1) is None:
+    x, y = build_xy(p.family_bound)
+    if partition_fault(p.family_bound, x.mask, y.mask, 1 << 1) is None:
         yield None
     else:
-        yield {"inputs": {"bound": p.xy_bound}, "lhs": len(x | y), "rhs": p.xy_bound - 1}
-    yield _profile_verdict({}, x, y, p.xy_bound - 1)
+        yield {"inputs": {"bound": p.family_bound}, "lhs": len(x | y), "rhs": p.family_bound - 1}
+    yield _profile_verdict({}, x, y, p.family_bound - 1)
 
 
 def _four_term(p: SuiteProfile, seed: int) -> Verdicts:

@@ -1,6 +1,7 @@
 """Command-line behavior: output shapes, exit codes, determinism, round-trips."""
 
 import contextlib
+import hashlib
 import io
 import json
 import tracemalloc
@@ -224,6 +225,22 @@ class TestRepfn:
 
 
 class TestClassify:
+    def test_csv_header_is_pinned(self):
+        # derived from the record's fields, so a renamed field would change classify's stdout
+        assert cli.CSV_HEADER == "r,m,status,family,l,contradiction_at,forced_value"
+
+    def test_record_values_are_in_header_order(self):
+        rec = next(rec for rec in classify_grid(5, 2, 128) if (rec.r, rec.m) == (2, 3))
+        assert tuple(rec) == (
+            rec.r, rec.m, rec.status, rec.family, rec.l, rec.contradiction_at, rec.forced_value
+        ) == (2, 3, "completed", "s1t1", 1, None, None)
+
+    def test_default_grid_csv_bytes_are_pinned(self):
+        text = classification_to_csv(classify_grid(33, 2, 2048))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "9f4ab27b6b754ff107d5ad26407f1d3582ab17583b4e771dff07cbceb6aacd48"
+        )
+
     def test_csv_round_trip(self, capsys, tmp_path):
         out_file = tmp_path / "grid.csv"
         code, _, _ = run(

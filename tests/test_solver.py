@@ -292,11 +292,12 @@ def _outcome_or_error(fn, *args):
         return f"ValueError: {exc}"
 
 
-class TestSharedProbes:
-    """One probe per r against one extension per cell, and the prefix lemma behind it."""
+class TestSharedCells:
+    """One top cell (r, m_max) per r against one extension per cell, and the prefix lemma behind it."""
 
     @settings(deadline=None)
     @example(grid=(5, 0, 64))
+    @example(grid=(40, 0, 30))  # m_max past the bound: the top cell completes
     @example(grid=(2, 100, 5))
     @example(grid=(9, 2, 4))
     @example(grid=(65, 2, 4096))
@@ -307,6 +308,19 @@ class TestSharedProbes:
         assert _outcome_or_error(classify_grid, *grid) == _outcome_or_error(
             _classify_grid_per_cell, *grid
         )
+
+    def test_every_extension_is_a_grid_cell_over_the_whole_bound(self, monkeypatch):
+        calls = []
+
+        def recording(spec, bound):
+            calls.append((spec.r, spec.m, bound))
+            return forced_extend(spec, bound)
+
+        monkeypatch.setattr(solver, "forced_extend", recording)
+        records = classify_grid(33, 2, 2048)
+        assert len(calls) == len(set(calls)) == 214
+        assert all(2 <= m <= 33 and r <= 2 * m and bound == 2048 for r, m, bound in calls)
+        assert {(r, m) for r, m, _ in calls} <= {(rec.r, rec.m) for rec in records}
 
     @given(st.integers(2, 40).flatmap(
         lambda m: st.tuples(st.just(m), st.integers(m + 1, 3 * m), st.integers(0, 3 * m))
