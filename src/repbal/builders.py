@@ -84,9 +84,8 @@ def family_weights(family: str, l: int, bound: int) -> list[int]:
     """The weights below bound whose parity split builds the named family:
     s1(l) for ``s1t1`` and ``s1t1+1``, s2(l) for ``s2t2``."""
     l = _capped(family, l, bound)
-    n = min(l, bound.bit_length())  # a power 2^i with i >= bound.bit_length() is past the bound
-    prefix = [1 << i for i in range(n)]
-    if family == S2T2 and 0 < l == n:
+    prefix = [1 << i for i in range(l)]
+    if family == S2T2 and l:
         prefix[-1] += 1
     return doubling_weights(prefix, (1 << l) + 1, bound)
 
@@ -145,11 +144,10 @@ def build_parity_sets(weights: Iterable[int], bound: int) -> tuple[BoundedSet, B
 
 def _balanced_pair(weights: list[int], bound: int) -> tuple[BoundedSet, BoundedSet]:
     even, odd = build_parity_sets(weights, bound)
-    ambiguous = even & odd
+    ambiguous = even.mask & odd.mask
     if ambiguous:
-        raise AmbiguousParityError(
-            f"weights {weights} reach {ambiguous.elements()[:4]} with both parities"
-        )
+        shown = BoundedSet(bound, ambiguous).elements()[:4]
+        raise AmbiguousParityError(f"weights {weights} reach {shown} with both parities")
     return even, odd
 
 
@@ -188,7 +186,7 @@ def build_ef(u: int) -> tuple[BoundedSet, BoundedSet]:
     bound = 3 * block + 2
     prefix = [1 << i for i in range(u)] + [block + 1]
     e, f = _balanced_pair(doubling_weights(prefix, 2 * block + 1, bound), bound)
-    f = f | BoundedSet.from_elements([bound - 1], bound)
+    f = BoundedSet(bound, f.mask | 1 << (bound - 1))
     if partition_fault(bound, e.mask, f.mask, 1 << block) is not None:
         raise RuntimeError(f"window pair for u={u} does not cover the window minus {block}")
     return e, f

@@ -10,6 +10,7 @@ freely.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Iterator
@@ -67,8 +68,7 @@ class ProgressionSpec:
 class BoundedSet:
     """Immutable set of integers in [0, bound); bit i of mask is set iff i is a member.
 
-    Binary set operations require both operands to share one bound, so that a
-    result never quietly pretends to know more than its inputs.  Membership
+    Sets combine as masks: ``BoundedSet(bound, a.mask | b.mask)``.  Membership
     queries (``chi`` and ``in``) are total on [0, bound) and refuse anything
     outside it.
     """
@@ -83,15 +83,25 @@ class BoundedSet:
             raise ValueError("mask holds elements at or beyond the bound")
 
     @classmethod
+    def from_digits(cls, bound: int, digits: bytearray) -> BoundedSet:
+        """The set whose members are the positions x with ``digits[x] == ord("1")``.
+
+        The one parse of a binary numeral, which reads its highest position
+        first: ``digits`` is reversed in place, so the caller gives it up.
+        """
+        digits.reverse()
+        return cls(bound, int(digits, 2) if digits else 0)
+
+    @classmethod
     def from_elements(cls, elements: Iterable[int], bound: int) -> BoundedSet:
-        """One pass: each element sets its digit in a binary numeral, most significant first."""
+        """One pass: each element sets the digit at its own position."""
         digits = bytearray(b"0") * bound
-        top, one = bound - 1, ord("1")
+        one = ord("1")
         for e in elements:
             if not 0 <= e < bound:
                 raise ValueError(f"element {e} outside [0, {bound})")
-            digits[top - e] = one
-        return cls(bound, int(digits, 2) if digits else 0)
+            digits[e] = one
+        return cls.from_digits(bound, digits)
 
     def chi(self, t: int) -> int:
         """Characteristic function: 1 iff t is a member, 0 otherwise."""
@@ -112,23 +122,8 @@ class BoundedSet:
     def __len__(self) -> int:
         return self.mask.bit_count()
 
-    def __bool__(self) -> bool:
-        return self.mask != 0
-
     def elements(self) -> list[int]:
         return list(self)
-
-    def _check_same_bound(self, other: BoundedSet) -> None:
-        if self.bound != other.bound:
-            raise ValueError(f"bound mismatch: {self.bound} != {other.bound}")
-
-    def __or__(self, other: BoundedSet) -> BoundedSet:
-        self._check_same_bound(other)
-        return BoundedSet(self.bound, self.mask | other.mask)
-
-    def __and__(self, other: BoundedSet) -> BoundedSet:
-        self._check_same_bound(other)
-        return BoundedSet(self.bound, self.mask & other.mask)
 
     def truncate(self, x: int) -> BoundedSet:
         """Subset of elements <= x (inclusive); the knowledge window is kept."""
@@ -151,8 +146,8 @@ class BoundedSet:
         body = lines[1].strip()
         if not body:
             return empty
-        elems = [int(tok) for tok in body.split(",")]
-        if any(elems[i] >= elems[i + 1] for i in range(len(elems) - 1)):
+        elems = list(map(int, body.split(",")))
+        if any(map(operator.ge, elems, elems[1:])):
             raise ValueError("elements must be strictly increasing")
         return cls.from_elements(elems, bound)
 
@@ -174,8 +169,7 @@ def partition_fault(width: int, *masks: int) -> int | None:
 
 
 def progression_set(spec: ProgressionSpec, bound: int) -> BoundedSet:
-    """Materialize {r + m*k : k >= 0} inside [0, bound): one slice of a binary numeral."""
+    """Materialize {r + m*k : k >= 0} inside [0, bound): one slice of digits."""
     digits = bytearray(b"0") * bound
-    if spec.r < bound:
-        digits[bound - 1 - spec.r::-spec.m] = b"1" * len(range(spec.r, bound, spec.m))
-    return BoundedSet(bound, int(digits, 2) if digits else 0)
+    digits[spec.r::spec.m] = b"1" * len(range(spec.r, bound, spec.m))
+    return BoundedSet.from_digits(bound, digits)

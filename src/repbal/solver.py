@@ -55,7 +55,7 @@ GRID_R_MAX_FACTOR = 2
 # (tracemalloc, list slot included), so the cap is about 0.15 GB of records
 MAX_GRID_CELLS = 1 << 20
 
-# forced_extend's side digits, and the tables that turn them into one class's binary numeral
+# forced_extend's side digits, and the tables that keep one class's digits as b"1"
 _A, _B = ord("1"), ord("2")
 _A_ONLY = bytes.maketrans(b"2", b"0")
 _B_ONLY = bytes.maketrans(b"12", b"01")
@@ -108,9 +108,8 @@ def forced_extend(spec: ProgressionSpec, bound: int) -> ExtensionOutcome:
     m = min(spec.m, bound + 1)  # below the bound, any modulus past it excludes r alone
     anchor = spec.anchor
     lag = r or 1  # f - lag = min(f - 1, t - r), the newest member that the counts take in
-    top = bound - 1
-    side = bytearray(b"0") * bound  # position x's digit at top - x: _A, _B or 0 (excluded)
-    side[top - anchor] = _A
+    side = bytearray(b"0") * bound  # position x's digit: _A, _B or b"0" (excluded)
+    side[anchor] = _A
     balance = 0  # |A'| - |B|
     by_residue = [0] * m  # members of A' less members of B, up to the limit, by residue
     frontier = bound  # the decided window is [0, frontier); a contradiction at f cuts it to f
@@ -118,7 +117,7 @@ def forced_extend(spec: ProgressionSpec, bound: int) -> ExtensionOutcome:
     for f in range(anchor + 1, bound):
         x = f - lag
         if x > anchor:
-            digit = side[top - x]
+            digit = side[x]
             if digit == _A:
                 by_residue[x % m] += 1
             elif digit == _B:
@@ -127,7 +126,7 @@ def forced_extend(spec: ProgressionSpec, bound: int) -> ExtensionOutcome:
         # twice the demanded value: -(R_A - R_B) plus the diagonal pair of A less that of B
         twice = by_residue[(target - r) % m] - balance
         if not target & 1:
-            digit = side[top - (target >> 1)]
+            digit = side[target >> 1]
             twice += (digit == _A) - (digit == _B)
         demanded = twice >> 1
         if f >= r and (f - r) % m == 0:  # f is excluded
@@ -135,30 +134,25 @@ def forced_extend(spec: ProgressionSpec, bound: int) -> ExtensionOutcome:
                 frontier = f
                 break
         elif demanded == 1:
-            side[top - f] = _A
+            side[f] = _A
             balance += 1
         elif demanded == 0:
-            side[top - f] = _B
+            side[f] = _B
             balance -= 1
         else:
             frontier = f
             break
 
     died = frontier < bound
-    decided = side[bound - frontier:]
+    del side[frontier:]
     return ExtensionOutcome(
         status=STATUS_CONTRADICTION if died else STATUS_COMPLETED,
         spec=spec,
-        a=_side_set(decided, _A_ONLY),
-        b=_side_set(decided, _B_ONLY),
+        a=BoundedSet.from_digits(frontier, side.translate(_A_ONLY)),
+        b=BoundedSet.from_digits(frontier, side.translate(_B_ONLY)),
         contradiction_at=target if died else None,
         forced_value=demanded if died else None,
     )
-
-
-def _side_set(digits: bytearray, table: bytes) -> BoundedSet:
-    """One class of a side-digit buffer, most significant position first."""
-    return BoundedSet(len(digits), int(digits.translate(table), 2))
 
 
 def match_family(outcome: ExtensionOutcome) -> tuple[str, int] | None:

@@ -373,7 +373,8 @@ def _skip_one(p: SuiteProfile, seed: int) -> Verdicts:
     if partition_fault(p.family_bound, x.mask, y.mask, 1 << 1) is None:
         yield None
     else:
-        yield {"inputs": {"bound": p.family_bound}, "lhs": len(x | y), "rhs": p.family_bound - 1}
+        covered = (x.mask | y.mask).bit_count()
+        yield {"inputs": {"bound": p.family_bound}, "lhs": covered, "rhs": p.family_bound - 1}
     yield _profile_verdict({}, x, y, p.family_bound - 1)
 
 

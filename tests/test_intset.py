@@ -1,7 +1,7 @@
-"""Bounded-set primitives: membership, set algebra, truncation, text format."""
+"""Bounded-set primitives: the digit constructors, membership, truncation, text format."""
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repbal.builders import build_evil_odious
@@ -96,6 +96,21 @@ class TestFromElements:
     def test_negative_bound_reports_the_element(self):
         with pytest.raises(ValueError, match=r"^element 3 outside \[0, -20\)$"):
             BoundedSet.from_elements([3], -20)
+
+    def test_negative_bound_rejected_without_elements(self):
+        # the empty digit buffer must not stand in for the bound
+        with pytest.raises(ValueError, match=r"^bound must be >= 0, got -3$"):
+            BoundedSet.from_elements([], -3)
+
+
+class TestFromDigits:
+    @given(st.lists(st.sampled_from(b"01"), max_size=300).map(bytearray))
+    @example(digits=bytearray())
+    @example(digits=bytearray(b"1"))
+    def test_matches_the_positions_holding_a_one(self, digits):
+        members = [x for x, d in enumerate(digits) if d == ord("1")]
+        bound = len(digits)
+        assert BoundedSet.from_digits(bound, digits) == BoundedSet.from_elements(members, bound)
 
 
 def _bit_clearing_elements(mask):
@@ -197,22 +212,6 @@ class TestPartitionFault:
         width, masks = case
         counts = [sum(mask >> x & 1 for mask in masks) for x in range(width)]
         assert partition_fault(width, *masks) == next((x for x, n in enumerate(counts) if n != 1), None)
-
-
-class TestSetAlgebra:
-    @settings(max_examples=60)
-    @given(st.integers(1, 1 << 12), st.data())
-    def test_ops_agree_with_elementwise_membership(self, bound, data):
-        mask_a = data.draw(st.integers(0, (1 << bound) - 1))
-        mask_b = data.draw(st.integers(0, (1 << bound) - 1))
-        a, b = BoundedSet(bound, mask_a), BoundedSet(bound, mask_b)
-        ea, eb = set(a), set(b)
-        assert set(a | b) == ea | eb
-        assert set(a & b) == ea & eb
-
-    def test_bound_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            BoundedSet(4) | BoundedSet(5)
 
 
 class TestTextFormat:

@@ -199,6 +199,56 @@ def test_error_boundary_rule_sees_every_try():
     assert _try_owners(ast.parse(handler)) == [("cmd_x", 2)]
 
 
+def _numeral_parses(node, enclosing=None):
+    """(enclosing def, line) of every base-2 ``int(..., 2)`` call under node."""
+    if isinstance(node, FUNCTIONS):
+        enclosing = node.name
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "int"
+        and len(node.args) == 2
+        and isinstance(node.args[1], ast.Constant)
+        and node.args[1].value == 2
+    ):
+        yield enclosing, node.lineno
+    for child in ast.iter_child_nodes(node):
+        yield from _numeral_parses(child, enclosing)
+
+
+def test_binary_numeral_parsed_once():
+    # BoundedSet.from_digits alone knows a numeral reads its highest position first;
+    # repfn.pairs_at's reversed numeral belongs to the pair-counting rule
+    sites = [
+        (path.name, name)
+        for path in SOURCES
+        if path.name != "repfn.py"
+        for name, _ in _numeral_parses(ast.parse(path.read_text()))
+    ]
+    assert sites == [("intset.py", "from_digits")], f"base-2 int() parses at {sites}; use from_digits"
+
+
+HAND_PARSED_NUMERALS = """
+def _side_set(digits, table):
+    return BoundedSet(len(digits), int(digits.translate(table), 2))
+
+
+def progression_set(spec, bound):
+    digits = bytearray(b"0") * bound
+    if spec.r < bound:
+        digits[bound - 1 - spec.r::-spec.m] = b"1" * len(range(spec.r, bound, spec.m))
+    return BoundedSet(bound, int(digits, 2) if digits else 0)
+"""
+
+
+def test_numeral_rule_sees_a_hand_parsed_numeral():
+    # the rule must flag the parses that from_digits replaced, or it guards nothing
+    assert [name for name, _ in _numeral_parses(ast.parse(HAND_PARSED_NUMERALS))] == [
+        "_side_set",
+        "progression_set",
+    ]
+
+
 def _pair_builder_faults(tree):
     """(builder, fault) for every public build_* but build_parity_sets that skips
     _balanced_pair or calls another public build_*."""
