@@ -9,7 +9,9 @@ for a given argument vector and seed.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import operator
 import sys
 from pathlib import Path
 
@@ -160,16 +162,15 @@ def cmd_repfn(args: argparse.Namespace) -> int:
     if args.family is not None:
         pa = r2_profile(sets[0], n_max)
         pb = r2_profile(sets[1], n_max)
-        lines = ["n,R2_A,R2_B,equal"]
-        lines += [
-            f"{n},{pa[n]},{pb[n]},{1 if pa[n] == pb[n] else 0}" for n in range(n_max + 1)
-        ]
+        header, columns = "n,R2_A,R2_B,equal", (pa, pb, map(operator.eq, pa, pb))
     else:
         p1 = r1_profile(sets[0], n_max)
         p2 = strict_counts(p1, sets[0].mask)  # R3 = R1 - R2
-        lines = ["n,R1,R2,R3"]
-        lines += [f"{n},{p1[n]},{p2[n]},{p1[n] - p2[n]}" for n in range(n_max + 1)]
-    _write_out(args.out, "\n".join(lines) + "\n", f"{len(lines) - 1} rows")
+        header, columns = "n,R1,R2,R3", (p1, p2, map(operator.sub, p1, p2))
+    # One format over the flattened rows; %d prints a bool as 0 or 1.
+    width = n_max + 1
+    rows = tuple(itertools.chain.from_iterable(zip(range(width), *columns)))
+    _write_out(args.out, (header + "\n" + "%d,%d,%d,%d\n" * width) % rows, f"{width} rows")
     return EXIT_OK
 
 

@@ -2,17 +2,21 @@
 
 Single sums of a truncated set are counted by one bit-parallel primitive,
 ``pairs_at``, over plain masks.  A whole profile, at every width, is one
-exact square of the set's indicator packed into decimal digit fields; an
-independent pair-enumeration oracle is kept alongside it.  Whether two sets
-balance, and where they first do not, is one product of the same packed
-indicators.  All counts are exact integers and every query outside a set's
-materialized window is refused rather than answered partially.
+exact square of the set's indicator packed into decimal digit fields, read
+back one field per integer lane; an independent pair-enumeration oracle is
+kept alongside it.  Whether two sets balance, and where they first do not,
+is one product of the same packed indicators.  All counts are exact
+integers and every query outside a set's materialized window is refused
+rather than answered partially.
 """
 
 from __future__ import annotations
 
+import array
 import bisect
 import decimal
+import operator
+import sys
 from typing import Sequence
 
 from .intset import BoundedSet, OutOfWindowError
@@ -66,21 +70,34 @@ def strict_counts(ordered: Sequence[int], mask: int) -> tuple[int, ...]:
 
     Ordered pairs off the diagonal come in mirrored twos, so each count less the
     diagonal pair (n/2, n/2) halves exactly; an odd remainder means a broken kernel.
-    The diagonal bits are read from one binary numeral, so the split is linear in the width.
+    The diagonal is bit n/2 of the mask as a 0/1 byte at each even n, read from one
+    binary numeral, and the subtraction, halving and odd check are C loops.
     """
+    if not ordered:
+        return ()
     half = (len(ordered) + 1) // 2
-    diagonal = format(mask & ((1 << half) - 1), f"0{half}b")[::-1]  # diagonal[a] is bit a
-    values = []
-    for n, count in enumerate(ordered):
-        off = count - (n % 2 == 0 and diagonal[n // 2] == "1")
-        if off % 2:
-            raise RuntimeError(f"odd count {off} of off-diagonal ordered pairs at sum {n}")
-        values.append(off // 2)
-    return tuple(values)
+    bits = format(mask & ((1 << half) - 1), f"0{half}b")[::-1]  # bits[a] is bit a
+    diagonal = bytearray(2 * half)
+    diagonal[::2] = bits.encode().translate(_DIGIT_VALUES)
+    halves = tuple(map((1).__rrshift__, map(operator.sub, ordered, diagonal)))
+    # Each count less twice its half is its low bit, so the sums differ iff a count is odd.
+    if sum(ordered) - sum(diagonal) != 2 * sum(halves):
+        off = list(map(operator.sub, ordered, diagonal))
+        n = next(n for n, count in enumerate(off) if count % 2)
+        raise RuntimeError(f"odd count {off[n]} of off-diagonal ordered pairs at sum {n}")
+    return halves
 
 
 # Exact integer arithmetic at any size, whatever the calling thread's context.
 _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
+
+# The byte value of each decimal digit character.
+_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
+
+# A profile is read out through lanes, native unsigned ints of _LANE bytes, one count
+# per lane; a digit written at byte _LOW_BYTE of a lane adds its value to that lane.
+_LANE = array.array("I").itemsize
+_LOW_BYTE = array.array("I", [1]).tobytes().index(1)
 
 
 def _packed(mask: int, width: int, doubled: bool = False) -> tuple[decimal.Decimal, int]:
@@ -97,6 +114,27 @@ def _packed(mask: int, width: int, doubled: bool = False) -> tuple[decimal.Decim
     return _EXACT.create_decimal(("0" * (stride - 1)).join(digits)), d
 
 
+def _fields(numeral: str, width: int, d: int) -> list[int]:
+    """The lowest width d-digit fields of a decimal numeral, lowest first.
+
+    The fields are read in C loops.  Reversed, the low digits hold digit k
+    of field n at index n*d + k.  Column k, the digits [k::d], goes into the
+    low byte of each lane of a zeroed buffer; the columns, read as one
+    integer each and weighted by 10^k, sum to field n in lane n.  A field is
+    below 10^d, and d is at most 8 for any window up to MAX_BOUND, so it
+    fits its 32-bit lane and no lane carries into the next.
+    """
+    if 10**d > 1 << 8 * _LANE:  # only past a window of 10^9 - 1, far past MAX_BOUND
+        raise OverflowError(f"a {d}-digit field overflows a {8 * _LANE}-bit lane")
+    digits = numeral[-width * d:].zfill(width * d)[::-1].encode().translate(_DIGIT_VALUES)
+    lanes = bytearray(_LANE * width)
+    total = 0
+    for k in range(d):
+        lanes[_LOW_BYTE::_LANE] = digits[k::d]
+        total += int.from_bytes(lanes, sys.byteorder) * 10**k
+    return array.array("I", total.to_bytes(_LANE * width, sys.byteorder)).tolist()
+
+
 def _ordered_counts(s: BoundedSet, n_max: int) -> list[int]:
     """Ordered-pair counts for every sum 0..n_max, from one square.
 
@@ -107,8 +145,7 @@ def _ordered_counts(s: BoundedSet, n_max: int) -> list[int]:
     _require_window(s, n_max)
     width = n_max + 1  # elements > n_max occur in no sum <= n_max
     packed, d = _packed(s.mask, width)
-    fields = str(_EXACT.multiply(packed, packed))[-width * d:].zfill(width * d)
-    return [int(fields[i - d:i]) for i in range(width * d, 0, -d)]
+    return _fields(str(_EXACT.multiply(packed, packed)), width, d)
 
 
 def first_r2_difference(s: BoundedSet, t: BoundedSet, n_max: int) -> int | None:

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import tracemalloc
 
 import pytest
@@ -19,6 +20,7 @@ from repbal.cli import (
     main,
 )
 from repbal.intset import BoundedSet
+from repbal.repfn import r1_profile, r2_profile, strict_counts
 from repbal.solver import classify_grid
 from repbal.verify import SuiteReport
 
@@ -184,6 +186,20 @@ class TestJsonText:
         assert out == _indented(out)
 
 
+def pair_rows(pa, pb):
+    """The reference for repfn --family: one f-string per row."""
+    lines = ["n,R2_A,R2_B,equal"]
+    lines += [f"{n},{pa[n]},{pb[n]},{1 if pa[n] == pb[n] else 0}" for n in range(len(pa))]
+    return "\n".join(lines) + "\n"
+
+
+def single_rows(p1, p2):
+    """The reference for repfn --input: one f-string per row."""
+    lines = ["n,R1,R2,R3"]
+    lines += [f"{n},{p1[n]},{p2[n]},{p1[n] - p2[n]}" for n in range(len(p1))]
+    return "\n".join(lines) + "\n"
+
+
 class TestRepfn:
     def test_pair_csv(self, capsys):
         code, out, _ = run(capsys, "repfn", "--family", "s1t1:1", "--bound", "14")
@@ -216,6 +232,57 @@ class TestRepfn:
             "repbal repfn: sum index 600 outside the materialized window [0, 512);"
             " build the set with a larger bound\n"
         )
+
+    @pytest.mark.parametrize("token, bound, n_max", [
+        ("s1t1:1", 14, None),
+        ("s2t2:2", 300, 100),
+        ("s1t1+1:3", 1000, None),
+        ("xy", 513, 0),
+        ("uv", 64, 63),
+        ("ef:4", None, 20),
+    ])
+    def test_family_rows_match_one_fstring_per_row(self, capsys, token, bound, n_max):
+        sets = [s for _, s in cli._build_sets(token, bound)[:2]]
+        last = sets[0].bound - 1 if n_max is None else n_max
+        argv = ["repfn", "--family", token] + ([] if bound is None else ["--bound", str(bound)])
+        argv += [] if n_max is None else ["--n-max", str(n_max)]
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert out == pair_rows(*(r2_profile(s, last) for s in sets))
+
+    def test_unequal_family_rows_match_one_fstring_per_row(self, capsys, monkeypatch, tmp_path):
+        # a family's profiles balance, so B's profile is perturbed to print equal = 0 rows
+        profiles = []
+
+        def perturbed(s, n_max):
+            p = r2_profile(s, n_max)
+            if profiles:
+                p = tuple(count + (n in (0, 5)) for n, count in enumerate(p))
+            profiles.append(p)
+            return p
+
+        monkeypatch.setattr(cli, "r2_profile", perturbed)
+        out_file = tmp_path / "rows.csv"
+        code, out, err = run(capsys, "repfn", "--family", "s2t2:2", "--bound", "64", "--out", str(out_file))
+        assert code == EXIT_OK and out == ""
+        assert err == f"wrote 64 rows to {out_file}\n"
+        text = out_file.read_text()
+        assert text == pair_rows(*profiles)
+        assert [line[-1] for line in text.splitlines()[1:8]] == list("0111101")
+
+    @pytest.mark.parametrize("bound, density, n_max", [
+        (1, 1.0, None), (10, 0.5, None), (100, 0.3, 57), (4096, 0.02, None), (10000, 1.0, 9998),
+    ])
+    def test_single_set_rows_match_one_fstring_per_row(self, capsys, tmp_path, bound, density, n_max):
+        rng = random.Random(bound)
+        s = BoundedSet.from_elements([x for x in range(bound) if rng.random() < density], bound)
+        fixture = tmp_path / "set.txt"
+        fixture.write_text(s.to_text())
+        argv = ["repfn", "--input", str(fixture)] + ([] if n_max is None else ["--n-max", str(n_max)])
+        code, out, _ = run(capsys, *argv)
+        p1 = r1_profile(s, bound - 1 if n_max is None else n_max)
+        assert code == EXIT_OK
+        assert out == single_rows(p1, strict_counts(p1, s.mask))
 
     def test_requires_exactly_one_source(self, capsys):
         code, _, err = run(capsys, "repfn")

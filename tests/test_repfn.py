@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repbal import repfn
 from repbal.builders import build_evil_odious, build_family
-from repbal.intset import BoundedSet, OutOfWindowError
+from repbal.intset import MAX_BOUND, BoundedSet, OutOfWindowError
 from repbal.repfn import (
     first_r2_difference,
     pairs_at,
@@ -250,6 +250,64 @@ class TestSquarePath:
         assert list(p1) == ordered_from_oracle(s, n_max)
 
 
+def fields_by_int(numeral, width, d):
+    """The reference for repfn._fields: one int() per d-digit field, lowest field first."""
+    fields = numeral[-width * d:].zfill(width * d)
+    return [int(fields[i - d:i]) for i in range(width * d, 0, -d)]
+
+
+def ordered_counts_by_int(s, n_max):
+    """The same square as repfn._ordered_counts, read out one int() per field."""
+    width = n_max + 1
+    packed, d = repfn._packed(s.mask, width)
+    return fields_by_int(str(repfn._EXACT.multiply(packed, packed)), width, d)
+
+
+# Widths on both sides of every step in the field width d, up to d = 5.
+FIELD_STEP_WIDTHS = [1, 9, 10, 99, 100, 999, 1000, 9999, 10000]
+
+
+class TestLaneReadOut:
+    """The square's fields read through 32-bit lanes, against one int() per field."""
+
+    @settings(deadline=None)
+    @given(
+        st.sampled_from(FIELD_STEP_WIDTHS),
+        st.sampled_from([0.02, 0.3, 0.5, 0.9, 1.0]),  # 1.0 is the full set, the largest counts
+        st.integers(0, 3),
+        st.integers(0, 2**32),
+    )
+    @example(10000, 1.0, 0, 0)
+    @example(1, 1.0, 0, 0)
+    def test_profile_matches_one_int_per_field(self, width, density, extra, seed):
+        rng = random.Random(seed)
+        bound = width + extra  # members above n_max take no part
+        s = BoundedSet(bound, sum(1 << x for x in range(bound) if rng.random() < density))
+        assert repfn._ordered_counts(s, width - 1) == ordered_counts_by_int(s, width - 1)
+
+    @pytest.mark.parametrize("density", [0.5, 1.0])
+    def test_profile_at_2_16(self, density):
+        s = sparse_set(1 << 16, seed=16, density=density)
+        assert repfn._ordered_counts(s, (1 << 16) - 1) == ordered_counts_by_int(s, (1 << 16) - 1)
+
+    @given(st.integers(1, 8), st.integers(1, 40), st.text("0123456789", min_size=1, max_size=400))
+    @example(8, 3, "9" * 24)
+    @example(3, 5, "7")  # fewer digits than fields: the missing high fields are 0
+    def test_any_numeral_matches_one_int_per_field(self, d, width, numeral):
+        assert repfn._fields(numeral, width, d) == fields_by_int(numeral, width, d)
+
+    def test_the_widest_field_fits_a_lane(self):
+        # a window up to MAX_BOUND has fields of len(str(MAX_BOUND)) digits
+        d = len(str(MAX_BOUND))
+        widest = 10**d - 1
+        assert repfn._fields("9" * 3 * d, 3, d) == [widest] * 3
+        assert repfn._fields(str(widest) + "0" * d + str(widest), 3, d) == [widest, 0, widest]
+
+    def test_a_field_too_wide_for_a_lane_is_refused(self):
+        with pytest.raises(OverflowError):
+            repfn._fields("1" + "0" * 9, 1, 10)
+
+
 def first_profile_difference(s, t, n_max, profile=r2_profile):
     """The reference for first_r2_difference: compare two whole profiles sum by sum."""
     ps, pt = profile(s, n_max), profile(t, n_max)
@@ -368,3 +426,9 @@ class TestStrictCounts:
 
     def test_empty_profile(self):
         assert strict_counts([], 0b1011) == ()
+
+    def test_the_least_of_several_odd_sums_is_named(self):
+        # off the diagonal the counts are 0, 0, 3, 3, 6, 5: sums 2, 3 and 5 are odd, and
+        # sum 2 only once its diagonal pair (1, 1) is taken off
+        with pytest.raises(RuntimeError, match="^odd count 3 of off-diagonal ordered pairs at sum 2$"):
+            strict_counts([1, 0, 4, 3, 6, 5], 0b011)
