@@ -9,6 +9,7 @@ for a given argument vector and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import operator
@@ -39,10 +40,6 @@ EXIT_COUNTEREXAMPLE = 2
 
 CSV_HEADER = ",".join(ClassificationRecord._fields)
 
-# Stands in for an int list while the rest of a JSON payload is dumped.
-_LIST_SLOT = "\0int list\0"
-
-
 # Subcommand defaults; all randomness is seeded, never timed.
 DEFAULT_BOUND = 4096
 DEFAULT_M_MAX = 33
@@ -71,36 +68,21 @@ def _set_braces(s: BoundedSet) -> str:
     return "{" + ",".join(map(str, s)) + "}"
 
 
-def _json_text(payload: dict) -> str:
-    """Exactly ``json.dumps(payload, sort_keys=True, indent=2)`` for a payload whose lists
-    all hold ints.
+def _json_text(node, depth: int = 0) -> str:
+    """Exactly ``json.dumps(node, sort_keys=True, indent=2)``, on the precondition that
+    every list in ``node`` holds ints only (and every key is a string).
 
-    ``indent`` runs the pure-Python encoder, one step per element.  So each non-empty
-    list becomes a placeholder in the dumped skeleton, and is joined back in C loops at
-    the indent of its depth.
+    ``indent`` runs the pure-Python encoder, one step per element, so this writes the
+    dicts itself and joins each int list in one C loop.  ``depth`` is the recursion's own.
     """
-    lists: list[str] = []
-
-    def skeleton(node: dict, depth: int) -> dict:
-        out = {}
-        for key in sorted(node):  # the order the dump writes, so lists[i] fills slot i
-            value = node[key]
-            if isinstance(value, dict):
-                value = skeleton(value, depth + 1)
-            elif isinstance(value, list) and value:
-                pad = "\n" + "  " * (depth + 1)
-                lists.append("[" + pad + ("," + pad).join(map(str, value)) + "\n" + "  " * depth + "]")
-                value = _LIST_SLOT
-            out[key] = value
-        return out
-
-    parts = json.dumps(skeleton(payload, 1), sort_keys=True, indent=2).split(json.dumps(_LIST_SLOT))
-    if len(parts) != len(lists) + 1:  # a string in the payload spells the placeholder
-        return json.dumps(payload, sort_keys=True, indent=2)
-    text = [parts[0]]
-    for rendered, part in zip(lists, parts[1:]):
-        text += (rendered, part)
-    return "".join(text)
+    if not node or not isinstance(node, (dict, list)):
+        return json.dumps(node)
+    pad = "\n" + "  " * (depth + 1)
+    sep, end = "," + pad, "\n" + "  " * depth
+    if isinstance(node, dict):
+        items = [f"{json.dumps(key)}: {_json_text(node[key], depth + 1)}" for key in sorted(node)]
+        return f"{{{pad}{sep.join(items)}{end}}}"
+    return f"[{pad}{sep.join(map(str, node))}{end}]"  # one copy of the joined body, not one per +
 
 
 def _parse_family_token(token: str) -> tuple[str, int | None]:
@@ -153,6 +135,8 @@ def cmd_build(args: argparse.Namespace) -> int:
 def cmd_repfn(args: argparse.Namespace) -> int:
     if (args.family is None) == (args.input is None):
         raise ValueError("give exactly one of --family or --input")
+    if args.input is not None and args.bound is not None:
+        raise ValueError("a fixture fixes its own bound; drop --bound")
     if args.family is not None:
         sets = [s for _, s in _build_sets(args.family, args.bound)[:2]]
     else:
@@ -232,6 +216,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_COUNTEREXAMPLE
 
 
+@functools.cache  # argparse reads stdout, stderr and the help width as it prints, not here
 def build_parser() -> _Parser:
     parser = _Parser(prog="repbal", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

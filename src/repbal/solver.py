@@ -26,6 +26,7 @@ cell of that r whose r + m lies past it.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -55,10 +56,9 @@ GRID_R_MAX_FACTOR = 2
 # (tracemalloc, list slot included), so the cap is about 0.15 GB of records
 MAX_GRID_CELLS = 1 << 20
 
-# forced_extend's side digits, and the tables that keep one class's digits as b"1"
-_A, _B = ord("1"), ord("2")
-_A_ONLY = bytes.maketrans(b"2", b"0")
-_B_ONLY = bytes.maketrans(b"12", b"01")
+# From forced_extend's sides as bytes (\x01 in A, \xff in B, \x00 excluded) to one class's digits
+_A_ONLY = bytes.maketrans(b"\x00\x01\xff", b"010")
+_B_ONLY = bytes.maketrans(b"\x00\x01\xff", b"001")
 
 
 @dataclass(frozen=True)
@@ -108,8 +108,8 @@ def forced_extend(spec: ProgressionSpec, bound: int) -> ExtensionOutcome:
     m = min(spec.m, bound + 1)  # below the bound, any modulus past it excludes r alone
     anchor = spec.anchor
     lag = r or 1  # f - lag = min(f - 1, t - r), the newest member that the counts take in
-    side = bytearray(b"0") * bound  # position x's digit: _A, _B or b"0" (excluded)
-    side[anchor] = _A
+    side = array("b", bytes(bound))  # position x's side: +1 in A, -1 in B, 0 excluded
+    side[anchor] = 1
     balance = 0  # |A'| - |B|
     by_residue = [0] * m  # members of A' less members of B, up to the limit, by residue
     frontier = bound  # the decided window is [0, frontier); a contradiction at f cuts it to f
@@ -117,39 +117,34 @@ def forced_extend(spec: ProgressionSpec, bound: int) -> ExtensionOutcome:
     for f in range(anchor + 1, bound):
         x = f - lag
         if x > anchor:
-            digit = side[x]
-            if digit == _A:
-                by_residue[x % m] += 1
-            elif digit == _B:
-                by_residue[x % m] -= 1
+            by_residue[x % m] += side[x]
         target = anchor + f
         # twice the demanded value: -(R_A - R_B) plus the diagonal pair of A less that of B
         twice = by_residue[(target - r) % m] - balance
         if not target & 1:
-            digit = side[target >> 1]
-            twice += (digit == _A) - (digit == _B)
+            twice += side[target >> 1]
         demanded = twice >> 1
         if f >= r and (f - r) % m == 0:  # f is excluded
             if demanded:
                 frontier = f
                 break
         elif demanded == 1:
-            side[f] = _A
+            side[f] = 1
             balance += 1
         elif demanded == 0:
-            side[f] = _B
+            side[f] = -1
             balance -= 1
         else:
             frontier = f
             break
 
     died = frontier < bound
-    del side[frontier:]
+    sides = bytearray(side[:frontier])
     return ExtensionOutcome(
         status=STATUS_CONTRADICTION if died else STATUS_COMPLETED,
         spec=spec,
-        a=BoundedSet.from_digits(frontier, side.translate(_A_ONLY)),
-        b=BoundedSet.from_digits(frontier, side.translate(_B_ONLY)),
+        a=BoundedSet.from_digits(frontier, sides.translate(_A_ONLY)),
+        b=BoundedSet.from_digits(frontier, sides.translate(_B_ONLY)),
         contradiction_at=target if died else None,
         forced_value=demanded if died else None,
     )

@@ -142,16 +142,21 @@ def _stdout(*argv):
 
 
 _int_lists = st.lists(st.integers(-(10**12), 10**12), max_size=5)
-_leaves = st.one_of(st.none(), st.text(max_size=6), st.integers(), _int_lists)
-_nodes = st.one_of(_leaves, st.dictionaries(st.text(max_size=4), _leaves, max_size=4))
+_leaves = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=6), st.integers(), st.floats(), _int_lists
+)
+_nodes = st.recursive(  # dicts nest well past depth 3
+    _leaves, lambda children: st.dictionaries(st.text(max_size=4), children, max_size=4), max_leaves=24
+)
 
 
 class TestJsonText:
     @given(st.dictionaries(st.text(max_size=4), _nodes, max_size=5))
     @example({})
     @example({"a": [], "b": [0], "c": {"elements": [1, 2], "none": None}})
-    @example({"a": [1], "slot": cli._LIST_SLOT})  # a string that spells the placeholder
-    @example({"a": [1], "b": {"slot": '"' + cli._LIST_SLOT, "c": [2, 3]}})
+    @example({"a": {"b": {}, "c": [], "d": {"e": {"f": [], "g": {}}}}})  # empties below the top
+    @example({'"': 1, "\\": [2], "é": {"\u2603\n": "ü"}})  # keys and strings that need escapes
+    @example({"t": True, "f": False, "n": None, "d": {"t": True, "f": False, "n": None}})
     def test_equals_the_indented_dump(self, payload):
         assert cli._json_text(payload) == json.dumps(payload, sort_keys=True, indent=2)
 
@@ -222,6 +227,14 @@ class TestRepfn:
         code, out, err = run(capsys, "repfn", "--input", str(fixture))
         assert code == EXIT_USAGE and out == ""
         assert err == "repbal repfn: bound must be >= 0, got -20\n"
+
+    def test_fixture_refuses_bound(self, capsys, tmp_path):
+        # the fixture's own bound=8 line fixes the window, as ef:<u> fixes its own
+        fixture = tmp_path / "set.txt"
+        fixture.write_text("bound=8\n0,1,2,3\n")
+        code, out, err = run(capsys, "repfn", "--input", str(fixture), "--bound", "3")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "repbal repfn: a fixture fixes its own bound; drop --bound\n"
 
     def test_sum_past_the_fixture_bound_exits_one(self, capsys, tmp_path):
         fixture = tmp_path / "set.txt"
@@ -457,7 +470,8 @@ class TestVerify:
         assert out.splitlines()[0].startswith("PASS skip-one-partition")
 
     def test_every_profile_is_a_choice(self, monkeypatch, capsys):
-        # a profile added to verify.PROFILES reaches run_suite with no edit to the parser
+        # a profile added to verify.PROFILES reaches run_suite with no edit to the parser;
+        # the parser is built once per process, so it is rebuilt around the patched PROFILES
         monkeypatch.setattr(cli, "PROFILES", {**cli.PROFILES, "deep": None})
         seen = []
 
@@ -466,7 +480,11 @@ class TestVerify:
             return SuiteReport(profile, [])
 
         monkeypatch.setattr(cli, "run_suite", stub_suite)
-        code, out, _ = run(capsys, "verify", "--bound-profile", "deep")
+        cli.build_parser.cache_clear()
+        try:
+            code, out, _ = run(capsys, "verify", "--bound-profile", "deep")
+        finally:
+            cli.build_parser.cache_clear()
         assert (code, out, seen) == (EXIT_OK, "suite: PASS\n", ["deep"])
 
     def test_unknown_lemma_exits_one(self, capsys):
@@ -474,6 +492,37 @@ class TestVerify:
             main(["verify", "--lemma", "nope"])
         assert exc.value.code == EXIT_USAGE
         capsys.readouterr()
+
+
+class TestParserBuiltOnce:
+    """One parser serves every call in a process, and prints what a fresh one prints."""
+
+    @staticmethod
+    def _call(argv):
+        with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+        return code, out.getvalue(), err.getvalue()
+
+    def test_reused_parser_prints_what_a_fresh_one_prints(self):
+        calls = (
+            ("solve", "--r", "1"),  # a usage error, through _Parser.error
+            ("solve", "--r", "2", "--m", "3", "--bound", "14"),
+            ("verify", "--lemma", "skip-one-partition"),
+        )
+        cli.build_parser.cache_clear()
+        reused = [self._call(argv) for argv in calls]
+        assert cli.build_parser.cache_info().misses == 1
+        fresh = []
+        for argv in calls:
+            cli.build_parser.cache_clear()
+            fresh.append(self._call(argv))
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [EXIT_USAGE, EXIT_OK, EXIT_OK]
+        assert reused[0][2].startswith("usage: repbal solve")
+        assert reused[1][1] == "A={0,4,7,9,13}\nB={1,3,6,10,12}\n"
 
 
 class TestOutIntoAMissingDirectory:
