@@ -9,6 +9,8 @@ for a given argument vector and seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import csv
 import functools
 import itertools
 import json
@@ -38,8 +40,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_COUNTEREXAMPLE = 2
 
-CSV_HEADER = ",".join(ClassificationRecord._fields)
-
 # Subcommand defaults; all randomness is seeded, never timed.
 DEFAULT_BOUND = 4096
 DEFAULT_M_MAX = 33
@@ -54,14 +54,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _write_out(path: str | None, text: str, what: str) -> None:
-    """Write an --out file and note it on stderr, or print the text when there is no path."""
+@contextlib.contextmanager
+def _output(path: str | None, what: str):
+    """The stream a command writes to: stdout, or the --out file, noted on stderr once written."""
     if path is None:
-        print(text, end="")
+        yield sys.stdout
         return
-    out = Path(path)
-    out.write_text(text)
-    print(f"wrote {what} to {out}", file=sys.stderr)
+    with open(path, "w") as stream:
+        yield stream
+    print(f"wrote {what} to {Path(path)}", file=sys.stderr)
 
 
 def _set_braces(s: BoundedSet) -> str:
@@ -154,7 +155,8 @@ def cmd_repfn(args: argparse.Namespace) -> int:
     # One format over the flattened rows; %d prints a bool as 0 or 1.
     width = n_max + 1
     rows = tuple(itertools.chain.from_iterable(zip(range(width), *columns)))
-    _write_out(args.out, (header + "\n" + "%d,%d,%d,%d\n" * width) % rows, f"{width} rows")
+    with _output(args.out, f"{width} rows") as stream:
+        stream.write((header + "\n" + "%d,%d,%d,%d\n" * width) % rows)
     return EXIT_OK
 
 
@@ -183,18 +185,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def classification_to_csv(records: list[ClassificationRecord]) -> str:
-    lines = [CSV_HEADER]
-    for rec in records:
-        lines.append(",".join("" if value is None else str(value) for value in rec))
-    return "\n".join(lines) + "\n"
-
-
 def cmd_classify(args: argparse.Namespace) -> int:
     if args.m_max < 2 or args.bound < 4 or args.r_max_factor < 0:
         raise ValueError("need m-max >= 2, bound >= 4, r-max-factor >= 0")
     records = classify_grid(args.m_max, args.r_max_factor, check_bound(args.bound))
-    _write_out(args.out, classification_to_csv(records), f"{len(records)} records")
+    with _output(args.out, f"{len(records)} records") as stream:
+        writer = csv.writer(stream, lineterminator="\n")  # a None field is written empty
+        writer.writerow(ClassificationRecord._fields)
+        writer.writerows(records)
     return EXIT_OK
 
 
@@ -208,7 +206,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(line)
     if args.out is not None:
         text = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
-        _write_out(args.out, text, "report")
+        with _output(args.out, "report") as stream:
+            stream.write(text)
     if report.all_passed:
         print("suite: PASS")
         return EXIT_OK

@@ -20,14 +20,14 @@ position f reads only the decided positions below f and whether f itself is
 excluded, so the prefix up to f depends on P only through P n [0, f].  Cells
 (r, m) and (r, m') with m <= m' share P n [0, r + m) = {r} and decide every
 f < r + m alike, contradictions included.  A grid sweep therefore extends the
-top cell (r, m_max) of each r first, and reuses its contradiction in every
-cell of that r whose r + m lies past it.
+top cell (r, m_max) of each r first, and reuses its outcome in every cell of
+that r whose r + m lies past every position the top cell read.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .builders import build_family, family_cells, family_of
@@ -52,8 +52,8 @@ STATUS_CONTRADICTION = "contradiction"
 # The standard grid's r range, r <= 2m: what the CLI and the verify grid default to
 GRID_R_MAX_FACTOR = 2
 
-# The most cells classify_grid takes; records hold 112 B each on 129/8192 and 137 B on 513/32768
-# (tracemalloc, list slot included), so the cap is about 0.15 GB of records
+# The most cells classify_grid takes.  Records hold 112 B each on 129/8192 and 137 B on 513/32768
+# (tracemalloc, list slot included) and are classify's whole peak: the cap is about 0.15 GB
 MAX_GRID_CELLS = 1 << 20
 
 # From forced_extend's sides as bytes (\x01 in A, \xff in B, \x00 excluded) to one class's digits
@@ -184,10 +184,10 @@ def classify_grid(m_max: int, r_max_factor: int, bound: int) -> list[Classificat
 
     Contradictions are data, not failures; records come back sorted by (r, m).
 
-    Each r extends its top cell (r, m_max) over the whole bound.  By the prefix
-    lemma in the module docstring, a top cell that dies below r + m dies there
-    for the cell (r, m) too, with the same sum and demanded value, so that cell
-    reuses it.  Every other cell gets an extension of its own.
+    Each r extends its top cell (r, m_max) over the whole bound, reading [0, seen):
+    its window, and the position it died at if it died.  By the prefix lemma in
+    the module docstring, a cell (r, m) with seen <= r + m ends as the top does,
+    so it reuses the top's outcome; every other cell gets an extension of its own.
 
     A grid with a cell at r >= bound - 1 is refused before any record is
     built, with the error forced_extend raises for the first such cell in
@@ -207,13 +207,14 @@ def classify_grid(m_max: int, r_max_factor: int, bound: int) -> list[Classificat
     records = []
     for r in range(r_max_factor * m_max + 1):
         top = forced_extend(ProgressionSpec(r, m_max), bound)
-        top_died = top.status == STATUS_CONTRADICTION
+        seen = top.a.bound + (top.status == STATUS_CONTRADICTION)  # the top read [0, seen)
         for m in range(max(2, -(-r // (r_max_factor or 1))), m_max + 1):  # r <= r_max_factor*m
-            if m == m_max or top_died and top.a.bound < r + m:
+            if m == m_max or seen <= r + m:
                 out = top
             else:
                 out = forced_extend(ProgressionSpec(r, m), bound)
-            match = match_family(out) if out.status == STATUS_COMPLETED else None
+            completed = out.status == STATUS_COMPLETED
+            match = match_family(replace(out, spec=ProgressionSpec(r, m))) if completed else None
             family, l = match or (None, None)
             records.append(ClassificationRecord(
                 r, m, out.status, family, l, out.contradiction_at, out.forced_value

@@ -16,7 +16,6 @@ from repbal.cli import (
     EXIT_COUNTEREXAMPLE,
     EXIT_OK,
     EXIT_USAGE,
-    classification_to_csv,
     main,
 )
 from repbal.intset import BoundedSet
@@ -304,10 +303,15 @@ class TestRepfn:
         assert code == EXIT_USAGE
 
 
+CSV_HEADER = "r,m,status,family,l,contradiction_at,forced_value"
+
+
 class TestClassify:
-    def test_csv_header_is_pinned(self):
-        # derived from the record's fields, so a renamed field would change classify's stdout
-        assert cli.CSV_HEADER == "r,m,status,family,l,contradiction_at,forced_value"
+    def test_csv_header_is_pinned(self, capsys):
+        # written from the record's fields, so a renamed field would change classify's stdout
+        code, out, _ = run(capsys, "classify", "--m-max", "2", "--bound", "64")
+        assert code == EXIT_OK
+        assert out.splitlines()[0] == CSV_HEADER
 
     def test_record_values_are_in_header_order(self):
         rec = next(rec for rec in classify_grid(5, 2, 128) if (rec.r, rec.m) == (2, 3))
@@ -315,25 +319,52 @@ class TestClassify:
             rec.r, rec.m, rec.status, rec.family, rec.l, rec.contradiction_at, rec.forced_value
         ) == (2, 3, "completed", "s1t1", 1, None, None)
 
-    def test_default_grid_csv_bytes_are_pinned(self):
-        text = classification_to_csv(classify_grid(33, 2, 2048))
-        assert hashlib.sha256(text.encode()).hexdigest() == (
+    def test_default_grid_csv_bytes_are_pinned(self, capsys):
+        code, out, _ = run(capsys, "classify")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == (
             "9f4ab27b6b754ff107d5ad26407f1d3582ab17583b4e771dff07cbceb6aacd48"
         )
 
     def test_csv_round_trip(self, capsys, tmp_path):
+        # the --out file holds exactly the bytes classify prints without --out
         out_file = tmp_path / "grid.csv"
-        code, _, _ = run(
+        code, out, err = run(
             capsys, "classify", "--m-max", "5", "--bound", "128", "--out", str(out_file)
         )
+        assert (code, out, err) == (EXIT_OK, "", f"wrote 32 records to {out_file}\n")
+        code, out, _ = run(capsys, "classify", "--m-max", "5", "--bound", "128")
         assert code == EXIT_OK
-        assert out_file.read_text() == classification_to_csv(classify_grid(5, 2, 128))
+        assert out_file.read_bytes() == out.encode()
+
+    def test_out_file_is_written_row_by_row(self, capsys, tmp_path):
+        # the records are the whole peak: no list of CSV lines and no whole text beside them
+        out_file = tmp_path / "grid.csv"
+        tracemalloc.start()
+        try:
+            code, _, _ = run(
+                capsys, "classify", "--m-max", "129", "--bound", "8192", "--out", str(out_file)
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert peak < 3 << 20
+
+    def test_refused_grid_creates_no_out_file(self, capsys, tmp_path):
+        out_file = tmp_path / "grid.csv"
+        code, out, err = run(
+            capsys, "classify", "--m-max", "9", "--bound", "4", "--out", str(out_file)
+        )
+        assert code == EXIT_USAGE and out == ""
+        assert err == "repbal classify: bound 4 must reach past the first excluded value 3\n"
+        assert not out_file.exists()
 
     def test_completed_rows_match_prediction(self, capsys):
         code, out, _ = run(capsys, "classify", "--m-max", "9", "--bound", "1024")
         assert code == EXIT_OK
         lines = out.splitlines()
-        assert lines[0] == cli.CSV_HEADER
+        assert lines[0] == CSV_HEADER
         rows = [line.split(",") for line in lines[1:]]
         completed = {(int(r), int(m)) for r, m, status, *_ in rows if status == "completed"}
         assert completed == {

@@ -114,8 +114,11 @@ VECTORS = [
 ]
 
 
-def _sha(text):
-    return "-" if text is None else hashlib.sha256(text if isinstance(text, bytes) else text.encode()).hexdigest()
+def _sha(data):
+    """sha256 of a str or bytes, or "-" for None."""
+    if data is None:
+        return "-"
+    return hashlib.sha256(data if isinstance(data, bytes) else data.encode()).hexdigest()
 
 
 def _record(main, argv):

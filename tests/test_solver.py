@@ -322,6 +322,22 @@ class TestSharedCells:
         assert all(2 <= m <= 33 and r <= 2 * m and bound == 2048 for r, m, bound in calls)
         assert {(r, m) for r, m, _ in calls} <= {(rec.r, rec.m) for rec in records}
 
+    def test_completed_top_settles_every_cell_past_the_bound(self, monkeypatch):
+        # (0, m) for every m >= 1024 shares P n [0, 1024) = {0} with the top cell (0, 3000),
+        # and each is matched against its own spec: l grows with m
+        calls = []
+
+        def recording(spec, bound):
+            calls.append((spec.r, spec.m))
+            return forced_extend(spec, bound)
+
+        monkeypatch.setattr(solver, "forced_extend", recording)
+        records = {(rec.r, rec.m): rec for rec in classify_grid(3000, 0, 1024)}
+        assert calls == [(0, 3000)] + [(0, m) for m in range(2, 1024)]
+        assert [(records[0, m].family, records[0, m].l) for m in (1024, 1025, 2049, 3000)] == [
+            (None, None), ("s1t1+1", 10), ("s1t1+1", 11), (None, None)
+        ]
+
     @given(st.integers(2, 40).flatmap(
         lambda m: st.tuples(st.just(m), st.integers(m + 1, 3 * m), st.integers(0, 3 * m))
     ), st.data())

@@ -456,3 +456,42 @@ def test_package_namespace_is_the_modules_all():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public == set(exported)
+
+
+def _file_writes(node, enclosing=None):
+    """(enclosing def, call) of every ``open(...)``, ``.open(...)``, ``.write_text(...)``
+    and ``.write_bytes(...)`` call under node."""
+    if isinstance(node, FUNCTIONS):
+        enclosing = node.name
+    if isinstance(node, ast.Call):
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "open":
+            yield enclosing, "open"
+        elif isinstance(func, ast.Attribute) and func.attr in ("open", "write_text", "write_bytes"):
+            yield enclosing, func.attr
+    for child in ast.iter_child_nodes(node):
+        yield from _file_writes(child, enclosing)
+
+
+def test_one_output_sink():
+    # every --out file is opened by cli._output, which notes it on stderr once written
+    sites = [
+        (path.name, *site) for path in SOURCES for site in _file_writes(ast.parse(path.read_text()))
+    ]
+    assert sites == [("cli.py", "_output", "open")], f"files written at {sites}; write through cli._output"
+
+
+SECOND_SINK = """
+def cmd_dump(args, text):
+    Path(args.out).write_text(text)
+
+
+def cmd_save(args, data):
+    with open(args.out, "wb") as f:
+        f.write(data)
+"""
+
+
+def test_sink_rule_sees_a_write_text():
+    # the rule must flag a write that bypasses cli._output, or it guards nothing
+    assert list(_file_writes(ast.parse(SECOND_SINK))) == [("cmd_dump", "write_text"), ("cmd_save", "open")]
