@@ -19,9 +19,14 @@ sweeps whole (r, m) grids, recording contradictions as data.  The decision at
 position f reads only the decided positions below f and whether f itself is
 excluded, so the prefix up to f depends on P only through P n [0, f].  Cells
 (r, m) and (r, m') with m <= m' share P n [0, r + m) = {r} and decide every
-f < r + m alike, contradictions included.  A grid sweep therefore extends the
-top cell (r, m_max) of each r first, and reuses its outcome in every cell of
-that r whose r + m lies past every position the top cell read.
+f < r + m alike, contradictions included.  Cells (r, m) and (r', m') with
+1 <= r < r' share the anchor 0 and the empty P n [0, r), so they decide every
+f < r alike: the evil/odious split.  So an extension can resume from another's
+outcome at the first value where their progressions can differ.  A grid
+sweep extends the top cell (r, m_max) of each r first, resuming from the
+previous r's top at r - 1; it reuses that outcome in every cell of that r
+whose r + m lies past every position the top cell read, and resumes every
+other cell of that r from it at r + m.
 """
 
 from __future__ import annotations
@@ -59,6 +64,8 @@ MAX_GRID_CELLS = 1 << 20
 # From forced_extend's sides as bytes (\x01 in A, \xff in B, \x00 excluded) to one class's digits
 _A_ONLY = bytes.maketrans(b"\x00\x01\xff", b"010")
 _B_ONLY = bytes.maketrans(b"\x00\x01\xff", b"001")
+# From class A's digits to forced_extend's sides: below a resume point all else is B, except r
+_SIGNS = bytes.maketrans(b"01", b"\xff\x01")
 
 
 @dataclass(frozen=True)
@@ -87,7 +94,9 @@ class ExtensionOutcome:
         return self.spec.anchor
 
 
-def forced_extend(spec: ProgressionSpec, bound: int) -> ExtensionOutcome:
+def forced_extend(
+    spec: ProgressionSpec, bound: int, resume: ExtensionOutcome | None = None
+) -> ExtensionOutcome:
     """Extend the unique balanced partition over [0, bound), or report where it dies.
 
     Each step is O(1), from running per-residue member counts.  At step f the
@@ -101,6 +110,15 @@ def forced_extend(spec: ProgressionSpec, bound: int) -> ExtensionOutcome:
     x <= t - r and x = t - r (mod m), so only the members up to min(f - 1, t - r)
     counted by residue are needed; that limit rises by one per step.  Halving
     after taking off the diagonal pairs (t/2, t/2) leaves the strict counts.
+
+    ``resume``, an earlier outcome, lends its decided positions below the
+    first value where the two progressions can differ: min(r, r') when the
+    offsets differ, r + min(m, m') when they agree.  By the prefix lemma in the
+    module docstring those positions are this extension's too, so the steps
+    start there (capped at ``resume.a.bound`` and at ``bound``).  Below that
+    start only r is excluded, and every member the counts take in is below m,
+    so each residue holds at most one of them: one sum gives the balance and
+    one slice the per-residue counts.
     """
     if bound < spec.r + 2:
         raise ValueError(f"bound {bound} must reach past the first excluded value {spec.r}")
@@ -108,13 +126,27 @@ def forced_extend(spec: ProgressionSpec, bound: int) -> ExtensionOutcome:
     m = min(spec.m, bound + 1)  # below the bound, any modulus past it excludes r alone
     anchor = spec.anchor
     lag = r or 1  # f - lag = min(f - 1, t - r), the newest member that the counts take in
-    side = array("b", bytes(bound))  # position x's side: +1 in A, -1 in B, 0 excluded
-    side[anchor] = 1
-    balance = 0  # |A'| - |B|
+    start = anchor + 1  # the first position the loop decides
+    known = 1 << anchor  # class A's members below start
+    if resume is not None:
+        was = resume.spec
+        shared = min(r, was.r) if r != was.r else r + min(spec.m, was.m)
+        reuse = min(shared, resume.a.bound, bound)
+        if reuse > start:  # past the anchor, so both extensions have the same one
+            start, known = reuse, resume.a.mask
+    digits = bytearray(format(known & ((1 << start) - 1), f"0{start}b"), "ascii")
+    digits.reverse()
+    side = array("b", digits.translate(_SIGNS))  # position x's side: +1 in A, -1 in B, 0 excluded
+    if r < start:
+        side[r] = 0
+    balance = sum(side) - 1  # |A'| - |B|
     by_residue = [0] * m  # members of A' less members of B, up to the limit, by residue
+    taken = max(start - lag, anchor + 1)  # the counts hold the members in (anchor, taken)
+    by_residue[anchor + 1:taken] = side[anchor + 1:taken]
+    side.frombytes(bytes(bound - start))
     frontier = bound  # the decided window is [0, frontier); a contradiction at f cuts it to f
 
-    for f in range(anchor + 1, bound):
+    for f in range(start, bound):
         x = f - lag
         if x > anchor:
             by_residue[x % m] += side[x]
@@ -184,10 +216,12 @@ def classify_grid(m_max: int, r_max_factor: int, bound: int) -> list[Classificat
 
     Contradictions are data, not failures; records come back sorted by (r, m).
 
-    Each r extends its top cell (r, m_max) over the whole bound, reading [0, seen):
-    its window, and the position it died at if it died.  By the prefix lemma in
-    the module docstring, a cell (r, m) with seen <= r + m ends as the top does,
-    so it reuses the top's outcome; every other cell gets an extension of its own.
+    Each r extends its top cell (r, m_max) over the whole bound, resumed from the
+    previous r's top at r - 1, and reads [0, seen): its window, and the position
+    it died at if it died.  By the prefix lemma in the module docstring, a cell
+    (r, m) with seen <= r + m ends as the top does, so it reuses the top's
+    outcome; every other cell gets an extension of its own, resumed from the top
+    at r + m.
 
     A grid with a cell at r >= bound - 1 is refused before any record is
     built, with the error forced_extend raises for the first such cell in
@@ -205,14 +239,15 @@ def classify_grid(m_max: int, r_max_factor: int, bound: int) -> list[Classificat
     if cells > MAX_GRID_CELLS:
         raise ValueError(f"grid of {cells} cells exceeds {MAX_GRID_CELLS}")
     records = []
+    top = None
     for r in range(r_max_factor * m_max + 1):
-        top = forced_extend(ProgressionSpec(r, m_max), bound)
+        top = forced_extend(ProgressionSpec(r, m_max), bound, top)
         seen = top.a.bound + (top.status == STATUS_CONTRADICTION)  # the top read [0, seen)
         for m in range(max(2, -(-r // (r_max_factor or 1))), m_max + 1):  # r <= r_max_factor*m
             if m == m_max or seen <= r + m:
                 out = top
             else:
-                out = forced_extend(ProgressionSpec(r, m), bound)
+                out = forced_extend(ProgressionSpec(r, m), bound, top)
             completed = out.status == STATUS_COMPLETED
             match = match_family(replace(out, spec=ProgressionSpec(r, m))) if completed else None
             family, l = match or (None, None)

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repbal import solver
-from repbal.builders import FAMILIES, build_family, family_progression
+from repbal.builders import FAMILIES, build_evil_odious, build_family, family_progression
 from repbal.intset import BoundedSet, ProgressionSpec, partition_fault, progression_set
 from repbal.repfn import r2_profile
 from repbal.solver import (
@@ -202,6 +202,85 @@ class TestResidueCounts:
         assert out.a == a and out.b == b
 
 
+def _resume_point(spec, bound, resume):
+    """The first position forced_extend steps through: below it the positions come from
+    ``resume``, up to the first value where the two progressions can differ."""
+    start = spec.anchor + 1
+    if resume is None:
+        return start
+    was = resume.spec
+    shared = min(spec.r, was.r) if spec.r != was.r else spec.r + min(spec.m, was.m)
+    return max(start, min(shared, resume.a.bound, bound))
+
+
+@st.composite
+def _resumed_extensions(draw):
+    """(spec, earlier spec, bound): offsets often equal, moduli up to past the bound."""
+    bound = draw(st.integers(2, 400))
+    r = draw(st.integers(0, bound - 2))
+    r_was = draw(st.one_of(st.just(r), st.integers(0, bound - 2)))
+    m, m_was = draw(st.lists(st.integers(2, bound + 3), min_size=2, max_size=2))
+    return ProgressionSpec(r, m), ProgressionSpec(r_was, m_was), bound
+
+
+def _flipped(outcome, x):
+    """The outcome with position x moved to the other class."""
+    bit = 1 << x
+    return dataclasses.replace(
+        outcome,
+        a=BoundedSet(outcome.a.bound, outcome.a.mask ^ bit),
+        b=BoundedSet(outcome.b.bound, outcome.b.mask ^ bit),
+    )
+
+
+class TestResume:
+    """An extension resumed from an earlier outcome equals the one run from the anchor."""
+
+    @settings(deadline=None)
+    @example(cells=(ProgressionSpec(1, 3), ProgressionSpec(0, 3), 64))  # different anchors
+    @example(cells=(ProgressionSpec(0, 5), ProgressionSpec(2, 5), 64))
+    @example(cells=(ProgressionSpec(3, 9), ProgressionSpec(3, 4), 64))  # died at 3, before 7
+    @example(cells=(ProgressionSpec(9, 5), ProgressionSpec(3, 4), 64))  # died at the shared 3
+    @example(cells=(ProgressionSpec(2, 100), ProgressionSpec(2, 3), 64))  # m past the bound
+    @example(cells=(ProgressionSpec(5, 200), ProgressionSpec(5, 300), 64))  # resumes at the bound
+    @example(cells=(ProgressionSpec(0, 70), ProgressionSpec(0, 65), 64))  # resumes at the bound
+    @example(cells=(ProgressionSpec(40, 9), ProgressionSpec(39, 9), 400))  # a top cell's chain
+    @example(cells=(ProgressionSpec(2, 3), ProgressionSpec(2, 3), 64))  # the same cell
+    @given(_resumed_extensions())
+    def test_equals_the_extension_from_the_anchor(self, cells):
+        spec, was, bound = cells
+        assert forced_extend(spec, bound, forced_extend(was, bound)) == forced_extend(spec, bound)
+
+    @pytest.mark.parametrize("spec,was,bound,start", [
+        (ProgressionSpec(8, 9), ProgressionSpec(8, 33), 64, 17),
+        (ProgressionSpec(20, 33), ProgressionSpec(19, 33), 64, 19),
+        (ProgressionSpec(0, 5), ProgressionSpec(0, 9), 64, 5),
+        (ProgressionSpec(1, 90), ProgressionSpec(1, 95), 64, 64),
+    ])
+    def test_copies_exactly_the_positions_below_the_resume_point(self, spec, was, bound, start):
+        # a doctored earlier outcome shows which positions are copied: the last one below
+        # the resume point comes through as given, the one at it is decided afresh
+        earlier = forced_extend(was, bound)
+        assert _resume_point(spec, bound, earlier) == start
+        copied = forced_extend(spec, bound, _flipped(earlier, start - 1))
+        assert (start - 1 in copied.a) != (start - 1 in forced_extend(spec, bound).a)
+        if start < bound:
+            assert forced_extend(spec, bound, _flipped(earlier, start)) == forced_extend(
+                spec, bound
+            )
+
+    def test_top_cells_chain_through_the_evil_odious_prefix(self):
+        # nothing below M + 1 is excluded, so the forced prefix there is the evil/odious
+        # split (Kiss, Theorem 3): every r >= 1 shares it below r, and a top cell (r, m_max)
+        # can resume from (r - 1, m_max) at r - 1
+        M = 1 << 12
+        out = forced_extend(ProgressionSpec(M + 1, 2), M + 3)
+        evil, odious = build_evil_odious(M + 1)
+        window = (1 << (M + 1)) - 1
+        assert out.a.bound >= M + 1
+        assert (out.a.mask & window, out.b.mask & window) == (evil.mask, odious.mask)
+
+
 class TestMatchFamily:
     def test_r2_m3_matches_first_family(self):
         out = forced_extend(ProgressionSpec(2, 3), 256)
@@ -311,29 +390,39 @@ class TestSharedCells:
 
     def test_every_extension_is_a_grid_cell_over_the_whole_bound(self, monkeypatch):
         calls = []
+        stepped = []
 
-        def recording(spec, bound):
+        def recording(spec, bound, resume=None):
             calls.append((spec.r, spec.m, bound))
-            return forced_extend(spec, bound)
+            out = forced_extend(spec, bound, resume)
+            stepped.append(out.a.bound - _resume_point(spec, bound, resume))
+            return out
 
         monkeypatch.setattr(solver, "forced_extend", recording)
         records = classify_grid(33, 2, 2048)
         assert len(calls) == len(set(calls)) == 214
         assert all(2 <= m <= 33 and r <= 2 * m and bound == 2048 for r, m, bound in calls)
         assert {(r, m) for r, m, _ in calls} <= {(rec.r, rec.m) for rec in records}
+        # top cells resume below r, the others at r + m: from the anchor they would step 41,224
+        assert sum(stepped) == 35_135
 
     def test_completed_top_settles_every_cell_past_the_bound(self, monkeypatch):
         # (0, m) for every m >= 1024 shares P n [0, 1024) = {0} with the top cell (0, 3000),
         # and each is matched against its own spec: l grows with m
         calls = []
+        stepped = []
 
-        def recording(spec, bound):
+        def recording(spec, bound, resume=None):
             calls.append((spec.r, spec.m))
-            return forced_extend(spec, bound)
+            out = forced_extend(spec, bound, resume)
+            stepped.append(out.a.bound - _resume_point(spec, bound, resume))
+            return out
 
         monkeypatch.setattr(solver, "forced_extend", recording)
         records = {(rec.r, rec.m): rec for rec in classify_grid(3000, 0, 1024)}
         assert calls == [(0, 3000)] + [(0, m) for m in range(2, 1024)]
+        # each cell (0, m) resumes from the top at m: from the anchor they would step 535,588
+        assert sum(stepped) == 13_857
         assert [(records[0, m].family, records[0, m].l) for m in (1024, 1025, 2049, 3000)] == [
             (None, None), ("s1t1+1", 10), ("s1t1+1", 11), (None, None)
         ]
