@@ -172,7 +172,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "anchor": out.anchor,
             "a": out.a.elements(),
             "b": out.b.elements(),
-            "excluded": list(range(spec.r, out.a.bound, spec.m)),
+            "excluded": list(range(spec.r, len(out.sides), spec.m)),
             "contradiction_at": out.contradiction_at,
             "forced_value": out.forced_value,
         }

@@ -61,32 +61,44 @@ GRID_R_MAX_FACTOR = 2
 # (tracemalloc, list slot included) and are classify's whole peak: the cap is about 0.15 GB
 MAX_GRID_CELLS = 1 << 20
 
-# From forced_extend's sides as bytes (\x01 in A, \xff in B, \x00 excluded) to one class's digits
+# From an outcome's sides (\x01 in A, \xff in B, \x00 excluded) to one class's digits
 _A_ONLY = bytes.maketrans(b"\x00\x01\xff", b"010")
 _B_ONLY = bytes.maketrans(b"\x00\x01\xff", b"001")
-# From class A's digits to forced_extend's sides: below a resume point all else is B, except r
-_SIGNS = bytes.maketrans(b"01", b"\xff\x01")
 
 
 @dataclass(frozen=True)
 class ExtensionOutcome:
     """Result of forcing a partition from its pair-count constraints.
 
-    ``a`` and ``b`` share one window, [0, a.bound): the whole bound when the
-    extension completed, the decided prefix when it died.  The excluded
-    values in that window are ``progression_set(spec, a.bound)``.  On
+    ``sides`` holds one byte per decided position x: 1 when x is in A, 0xff
+    when it is in B, 0 when it is excluded.  Its length is the window: the
+    whole bound when the extension completed, the decided prefix when it
+    died.  The zero bytes are ``progression_set(spec, len(sides))``.  On
     contradiction the prefix stops at the first undecidable position;
     ``contradiction_at`` is the sum whose constraint failed and
     ``forced_value`` the out-of-range membership value it demanded (a legal
-    demand is 0 or 1 at a free position, 0 at an excluded one).
+    demand is 0 or 1 at a free position, 0 at an excluded one).  ``status``
+    (completed when no constraint failed), ``a`` and ``b`` are read from
+    these fields; ``a`` and ``b`` build their masks over [0, len(sides)) on
+    each read.
     """
 
-    status: str
     spec: ProgressionSpec
-    a: BoundedSet
-    b: BoundedSet
+    sides: bytes
     contradiction_at: int | None = None
     forced_value: int | None = None
+
+    @property
+    def status(self) -> str:
+        return STATUS_COMPLETED if self.contradiction_at is None else STATUS_CONTRADICTION
+
+    @property
+    def a(self) -> BoundedSet:
+        return BoundedSet.from_digits(len(self.sides), bytearray(self.sides).translate(_A_ONLY))
+
+    @property
+    def b(self) -> BoundedSet:
+        return BoundedSet.from_digits(len(self.sides), bytearray(self.sides).translate(_B_ONLY))
 
     @property
     def anchor(self) -> int:
@@ -115,7 +127,7 @@ def forced_extend(
     first value where the two progressions can differ: min(r, r') when the
     offsets differ, r + min(m, m') when they agree.  By the prefix lemma in the
     module docstring those positions are this extension's too, so the steps
-    start there (capped at ``resume.a.bound`` and at ``bound``).  Below that
+    start there (capped at ``len(resume.sides)`` and at ``bound``).  Below that
     start only r is excluded, and every member the counts take in is below m,
     so each residue holds at most one of them: one sum gives the balance and
     one slice the per-residue counts.
@@ -127,23 +139,19 @@ def forced_extend(
     anchor = spec.anchor
     lag = r or 1  # f - lag = min(f - 1, t - r), the newest member that the counts take in
     start = anchor + 1  # the first position the loop decides
-    known = 1 << anchor  # class A's members below start
+    side = array("b", bytes(bound))  # position x's side: +1 in A, -1 in B, 0 excluded
+    side[anchor] = 1
     if resume is not None:
         was = resume.spec
         shared = min(r, was.r) if r != was.r else r + min(spec.m, was.m)
-        reuse = min(shared, resume.a.bound, bound)
+        reuse = min(shared, len(resume.sides), bound)
         if reuse > start:  # past the anchor, so both extensions have the same one
-            start, known = reuse, resume.a.mask
-    digits = bytearray(format(known & ((1 << start) - 1), f"0{start}b"), "ascii")
-    digits.reverse()
-    side = array("b", digits.translate(_SIGNS))  # position x's side: +1 in A, -1 in B, 0 excluded
-    if r < start:
-        side[r] = 0
-    balance = sum(side) - 1  # |A'| - |B|
+            start = reuse
+            side[:start] = array("b", resume.sides[:start])
+    balance = sum(side[:start]) - 1  # |A'| - |B|
     by_residue = [0] * m  # members of A' less members of B, up to the limit, by residue
     taken = max(start - lag, anchor + 1)  # the counts hold the members in (anchor, taken)
     by_residue[anchor + 1:taken] = side[anchor + 1:taken]
-    side.frombytes(bytes(bound - start))
     frontier = bound  # the decided window is [0, frontier); a contradiction at f cuts it to f
 
     for f in range(start, bound):
@@ -171,12 +179,9 @@ def forced_extend(
             break
 
     died = frontier < bound
-    sides = bytearray(side[:frontier])
     return ExtensionOutcome(
-        status=STATUS_CONTRADICTION if died else STATUS_COMPLETED,
         spec=spec,
-        a=BoundedSet.from_digits(frontier, sides.translate(_A_ONLY)),
-        b=BoundedSet.from_digits(frontier, sides.translate(_B_ONLY)),
+        sides=side[:frontier].tobytes(),
         contradiction_at=target if died else None,
         forced_value=demanded if died else None,
     )
@@ -193,7 +198,7 @@ def match_family(outcome: ExtensionOutcome) -> tuple[str, int] | None:
         raise ValueError("family matching needs a completed extension")
     found = family_of(outcome.spec)
     if found is not None:
-        a, b, _ = build_family(*found, outcome.a.bound)
+        a, b, _ = build_family(*found, len(outcome.sides))
         if a == outcome.a and b == outcome.b:
             return found
     return None
@@ -217,11 +222,11 @@ def classify_grid(m_max: int, r_max_factor: int, bound: int) -> list[Classificat
     Contradictions are data, not failures; records come back sorted by (r, m).
 
     Each r extends its top cell (r, m_max) over the whole bound, resumed from the
-    previous r's top at r - 1, and reads [0, seen): its window, and the position
-    it died at if it died.  By the prefix lemma in the module docstring, a cell
-    (r, m) with seen <= r + m ends as the top does, so it reuses the top's
-    outcome; every other cell gets an extension of its own, resumed from the top
-    at r + m.
+    previous r's top at r - 1, and reads [0, seen): its window [0, len(sides)),
+    and the position it died at if it died.  By the prefix lemma in the module
+    docstring, a cell (r, m) with seen <= r + m ends as the top does, so it
+    reuses the top's outcome; every other cell gets an extension of its own,
+    resumed from the top at r + m.
 
     A grid with a cell at r >= bound - 1 is refused before any record is
     built, with the error forced_extend raises for the first such cell in
@@ -242,7 +247,7 @@ def classify_grid(m_max: int, r_max_factor: int, bound: int) -> list[Classificat
     top = None
     for r in range(r_max_factor * m_max + 1):
         top = forced_extend(ProgressionSpec(r, m_max), bound, top)
-        seen = top.a.bound + (top.status == STATUS_CONTRADICTION)  # the top read [0, seen)
+        seen = len(top.sides) + (top.status == STATUS_CONTRADICTION)  # the top read [0, seen)
         for m in range(max(2, -(-r // (r_max_factor or 1))), m_max + 1):  # r <= r_max_factor*m
             if m == m_max or seen <= r + m:
                 out = top

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repbal import solver
 from repbal.builders import FAMILIES, build_evil_odious, build_family, family_progression
-from repbal.intset import BoundedSet, ProgressionSpec, partition_fault, progression_set
+from repbal.intset import ProgressionSpec, partition_fault, progression_set
 from repbal.repfn import r2_profile
 from repbal.solver import (
     ClassificationRecord,
@@ -57,7 +57,11 @@ class TestForcedExtend:
             assert out.a.chi(out.anchor) == 1
 
     def test_anchor_is_read_from_the_spec(self):
-        assert "anchor" not in {field.name for field in dataclasses.fields(ExtensionOutcome)}
+        # the outcome keeps what the loop decided; the rest is read from it
+        names = [field.name for field in dataclasses.fields(ExtensionOutcome)]
+        assert names == ["spec", "sides", "contradiction_at", "forced_value"]
+        for name in ("status", "a", "b", "anchor"):
+            assert isinstance(getattr(ExtensionOutcome, name), property)
         for spec in (ProgressionSpec(0, 4), ProgressionSpec(3, 2)):
             assert forced_extend(spec, 64).anchor == spec.anchor
 
@@ -109,23 +113,15 @@ def _forced_extend_bitparallel(spec, bound):
     def pairs(mask, rev, target):
         return (mask & (rev >> (bound - target))).bit_count()
 
-    def contradiction(frontier, target, demanded):
-        window = (1 << frontier) - 1
-        return ExtensionOutcome(
-            status=STATUS_CONTRADICTION,
-            spec=spec,
-            a=BoundedSet(frontier, mask_a & window),
-            b=BoundedSet(frontier, mask_b & window),
-            contradiction_at=target,
-            forced_value=demanded,
-        )
+    def outcome(frontier, target=None, demanded=None):
+        return ExtensionOutcome(spec, _sides(frontier, mask_a, mask_b), target, demanded)
 
     for f in range(anchor + 1, bound):
         target = anchor + f
         demanded = pairs(mask_b, rev_b, target) // 2 - pairs(mask_a, rev_a, target) // 2
         if f >= r and (f - r) % m == 0:
             if demanded:
-                return contradiction(f, target, demanded)
+                return outcome(f, target, demanded)
         elif demanded == 1:
             mask_a |= 1 << f
             rev_a |= 1 << (bound - f)
@@ -133,14 +129,15 @@ def _forced_extend_bitparallel(spec, bound):
             mask_b |= 1 << f
             rev_b |= 1 << (bound - f)
         else:
-            return contradiction(f, target, demanded)
+            return outcome(f, target, demanded)
 
-    return ExtensionOutcome(
-        status=STATUS_COMPLETED,
-        spec=spec,
-        a=BoundedSet(bound, mask_a),
-        b=BoundedSet(bound, mask_b),
-    )
+    return outcome(bound)
+
+
+def _sides(frontier, mask_a, mask_b):
+    """One byte per position below the frontier, read off the masks bit by bit: 1 in A, 0xff in B,
+    0 in neither."""
+    return bytes(1 if mask_a >> x & 1 else 0xFF if mask_b >> x & 1 else 0 for x in range(frontier))
 
 
 class TestResidueCounts:
@@ -210,7 +207,7 @@ def _resume_point(spec, bound, resume):
         return start
     was = resume.spec
     shared = min(spec.r, was.r) if spec.r != was.r else spec.r + min(spec.m, was.m)
-    return max(start, min(shared, resume.a.bound, bound))
+    return max(start, min(shared, len(resume.sides), bound))
 
 
 @st.composite
@@ -224,13 +221,11 @@ def _resumed_extensions(draw):
 
 
 def _flipped(outcome, x):
-    """The outcome with position x moved to the other class."""
-    bit = 1 << x
-    return dataclasses.replace(
-        outcome,
-        a=BoundedSet(outcome.a.bound, outcome.a.mask ^ bit),
-        b=BoundedSet(outcome.b.bound, outcome.b.mask ^ bit),
-    )
+    """The outcome with position x moved to the other class: its byte flips between 0x01 and
+    0xff.  An excluded position's 0 becomes 0xfe, a byte no extension writes."""
+    sides = bytearray(outcome.sides)
+    sides[x] ^= 0xFE
+    return dataclasses.replace(outcome, sides=bytes(sides))
 
 
 class TestResume:
@@ -395,7 +390,7 @@ class TestSharedCells:
         def recording(spec, bound, resume=None):
             calls.append((spec.r, spec.m, bound))
             out = forced_extend(spec, bound, resume)
-            stepped.append(out.a.bound - _resume_point(spec, bound, resume))
+            stepped.append(len(out.sides) - _resume_point(spec, bound, resume))
             return out
 
         monkeypatch.setattr(solver, "forced_extend", recording)
@@ -415,7 +410,7 @@ class TestSharedCells:
         def recording(spec, bound, resume=None):
             calls.append((spec.r, spec.m))
             out = forced_extend(spec, bound, resume)
-            stepped.append(out.a.bound - _resume_point(spec, bound, resume))
+            stepped.append(len(out.sides) - _resume_point(spec, bound, resume))
             return out
 
         monkeypatch.setattr(solver, "forced_extend", recording)
