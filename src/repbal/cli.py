@@ -71,10 +71,10 @@ def _set_braces(s: BoundedSet) -> str:
 
 def _json_text(node, depth: int = 0) -> str:
     """Exactly ``json.dumps(node, sort_keys=True, indent=2)``, on the precondition that
-    every list in ``node`` holds ints only (and every key is a string).
+    a list whose first item is an int holds ints only (and every key is a string).
 
-    ``indent`` runs the pure-Python encoder, one step per element, so this writes the
-    dicts itself and joins each int list in one C loop.  ``depth`` is the recursion's own.
+    ``indent`` runs the pure-Python encoder, one step per element, so this recurses over
+    dicts and other lists and joins an int list in one C loop.  ``depth`` is the recursion's own.
     """
     if not node or not isinstance(node, (dict, list)):
         return json.dumps(node)
@@ -83,7 +83,8 @@ def _json_text(node, depth: int = 0) -> str:
     if isinstance(node, dict):
         items = [f"{json.dumps(key)}: {_json_text(node[key], depth + 1)}" for key in sorted(node)]
         return f"{{{pad}{sep.join(items)}{end}}}"
-    return f"[{pad}{sep.join(map(str, node))}{end}]"  # one copy of the joined body, not one per +
+    items = map(str, node) if type(node[0]) is int else (_json_text(x, depth + 1) for x in node)
+    return f"[{pad}{sep.join(items)}{end}]"  # one copy of the joined body, not one per +
 
 
 def _parse_family_token(token: str) -> tuple[str, int | None]:
@@ -205,9 +206,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             line += f" first failure: {json.dumps(res.first_failure, sort_keys=True)}"
         print(line)
     if args.out is not None:
-        text = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
         with _output(args.out, "report") as stream:
-            stream.write(text)
+            stream.write(_json_text(report.to_json_dict()) + "\n")
     if report.all_passed:
         print("suite: PASS")
         return EXIT_OK

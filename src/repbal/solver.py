@@ -131,6 +131,8 @@ def forced_extend(
     start only r is excluded, and every member the counts take in is below m,
     so each residue holds at most one of them: one sum gives the balance and
     one slice the per-residue counts.
+
+    The returned sides are the loop's own array, cut in place at the contradiction.
     """
     if bound < spec.r + 2:
         raise ValueError(f"bound {bound} must reach past the first excluded value {spec.r}")
@@ -152,7 +154,6 @@ def forced_extend(
     by_residue = [0] * m  # members of A' less members of B, up to the limit, by residue
     taken = max(start - lag, anchor + 1)  # the counts hold the members in (anchor, taken)
     by_residue[anchor + 1:taken] = side[anchor + 1:taken]
-    frontier = bound  # the decided window is [0, frontier); a contradiction at f cuts it to f
 
     for f in range(start, bound):
         x = f - lag
@@ -166,7 +167,7 @@ def forced_extend(
         demanded = twice >> 1
         if f >= r and (f - r) % m == 0:  # f is excluded
             if demanded:
-                frontier = f
+                del side[f:]
                 break
         elif demanded == 1:
             side[f] = 1
@@ -175,13 +176,13 @@ def forced_extend(
             side[f] = -1
             balance -= 1
         else:
-            frontier = f
+            del side[f:]
             break
 
-    died = frontier < bound
+    died = len(side) < bound
     return ExtensionOutcome(
         spec=spec,
-        sides=side[:frontier].tobytes(),
+        sides=side.tobytes(),
         contradiction_at=target if died else None,
         forced_value=demanded if died else None,
     )

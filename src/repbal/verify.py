@@ -330,12 +330,10 @@ def _solvable_specs(p: SuiteProfile) -> list[ProgressionSpec]:
 
 
 def _evil_odious_prefix(p: SuiteProfile, seed: int) -> Verdicts:
+    evil, odious = build_evil_odious(2 ** (p.prefix_l_max + 1) - 1)  # holds every smaller split
     for l in range(p.prefix_l_max + 1):
-        bound = max(2 ** (l + 1) - 1, 1)
-        evil, odious = build_evil_odious(bound)
-        left = evil.truncate(2**l - 1)
-        right = odious.truncate(2**l - 1)
-        yield _profile_verdict({"l": l}, left, right, bound - 1)
+        top = 2**l - 1  # the split of [0, top], checked at every sum of two of its values
+        yield _profile_verdict({"l": l}, evil.truncate(top), odious.truncate(top), 2 * top)
 
 
 def _family_balance(p: SuiteProfile, seed: int) -> Verdicts:

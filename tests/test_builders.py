@@ -24,6 +24,7 @@ from repbal.builders import (
     family_weights,
 )
 from repbal.intset import BoundedSet, ProgressionSpec, partition_fault, progression_set
+from repbal.repfn import r2_profile_naive
 
 # A family whose weights are the sequence s1(l) or s2(l).
 SEQUENCE_FAMILY = {"s1": S1T1, "s2": S2T2}
@@ -94,6 +95,19 @@ class TestEvilOdious:
     def test_prefix_density_is_exactly_half(self, l):
         evil, _ = build_evil_odious(1 << l)
         assert len(evil) == 1 << (l - 1)
+
+    def test_only_the_evil_odious_splits_balance(self):
+        # Kiss, Theorem 3, by enumeration: a split C, D of [0, m] with 0 in C has equal strict
+        # counts at every sum in [1, 2m - 1] (no sum past it has a strict pair) exactly when
+        # m = 2^l - 1 and C holds the evil numbers; checked by the pair-enumerating oracle
+        balanced = []
+        for m in range(1, 13):
+            interval = (1 << (m + 1)) - 1
+            for c in range(1, interval + 1, 2):  # the masks of subsets of [0, m] holding 0
+                left, right = BoundedSet(2 * m, c), BoundedSet(2 * m, interval ^ c)
+                if r2_profile_naive(left, 2 * m - 1) == r2_profile_naive(right, 2 * m - 1):
+                    balanced.append((m, c))
+        assert balanced == [(m, build_evil_odious(m + 1)[0].mask) for m in (1, 3, 7)]
 
 
 class TestWeightSequences:

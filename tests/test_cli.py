@@ -143,9 +143,15 @@ _int_lists = st.lists(st.integers(-(10**12), 10**12), max_size=5)
 _leaves = st.one_of(
     st.none(), st.booleans(), st.text(max_size=6), st.integers(), st.floats(), _int_lists
 )
-_nodes = st.recursive(  # dicts nest well past depth 3
-    _leaves, lambda children: st.dictionaries(st.text(max_size=4), children, max_size=4), max_leaves=24
-)
+
+
+def _containers(children):
+    """Dicts of the children, and lists of such dicts: the shape of the verify report's checks."""
+    objects = st.dictionaries(st.text(max_size=4), children, max_size=4)
+    return objects | st.lists(objects, max_size=3)
+
+
+_nodes = st.recursive(_leaves, _containers, max_leaves=24)  # containers nest well past depth 3
 
 
 class TestJsonText:
@@ -155,6 +161,13 @@ class TestJsonText:
     @example({"a": {"b": {}, "c": [], "d": {"e": {"f": [], "g": {}}}}})  # empties below the top
     @example({'"': 1, "\\": [2], "é": {"\u2603\n": "ü"}})  # keys and strings that need escapes
     @example({"t": True, "f": False, "n": None, "d": {"t": True, "f": False, "n": None}})
+    @example({"profile": "quick", "all_passed": False, "checks": [  # a failing report entry
+        {"lemma": "classification-grid", "instances": 96, "passed": 95, "first_failure": {
+            "inputs": {"r": 3, "m": 2}, "lhs": "contradiction", "rhs": "completed"}},
+        {"lemma": "kernel-oracle", "instances": 25, "passed": 25, "first_failure": None},
+    ]})
+    @example({"profile": "deep", "all_passed": True, "checks": []})  # a suite of no checks
+    @example({"flags": [True, False], "mixed": [None, 1, "a"]})  # lists that start with no int
     def test_equals_the_indented_dump(self, payload):
         assert cli._json_text(payload) == json.dumps(payload, sort_keys=True, indent=2)
 

@@ -210,6 +210,13 @@ def _resume_point(spec, bound, resume):
     return max(start, min(shared, len(resume.sides), bound))
 
 
+def _window_ends_where_it_died(out, bound):
+    """A completed outcome decides the whole bound; a dead one stops at the position it died at."""
+    if out.status == STATUS_COMPLETED:
+        return len(out.sides) == bound
+    return out.contradiction_at == out.anchor + len(out.sides)
+
+
 @st.composite
 def _resumed_extensions(draw):
     """(spec, earlier spec, bound): offsets often equal, moduli up to past the bound."""
@@ -391,6 +398,7 @@ class TestSharedCells:
             calls.append((spec.r, spec.m, bound))
             out = forced_extend(spec, bound, resume)
             stepped.append(len(out.sides) - _resume_point(spec, bound, resume))
+            assert _window_ends_where_it_died(out, bound)
             return out
 
         monkeypatch.setattr(solver, "forced_extend", recording)
@@ -411,6 +419,7 @@ class TestSharedCells:
             calls.append((spec.r, spec.m))
             out = forced_extend(spec, bound, resume)
             stepped.append(len(out.sides) - _resume_point(spec, bound, resume))
+            assert _window_ends_where_it_died(out, bound)
             return out
 
         monkeypatch.setattr(solver, "forced_extend", recording)

@@ -495,3 +495,32 @@ def cmd_save(args, data):
 def test_sink_rule_sees_a_write_text():
     # the rule must flag a write that bypasses cli._output, or it guards nothing
     assert list(_file_writes(ast.parse(SECOND_SINK))) == [("cmd_dump", "write_text"), ("cmd_save", "open")]
+
+
+def _indent_keywords(tree):
+    """Lines of calls that pass an ``indent=`` keyword: the pure-Python JSON encoder."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and any(kw.arg == "indent" for kw in node.keywords)
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_indented_json_only_through_json_text(path):
+    # cli._json_text writes every indented JSON document; json.dumps(..., indent=) is its test reference
+    lines = _indent_keywords(ast.parse(path.read_text()))
+    assert lines == [], f"{path.name} passes indent= at lines {lines}; write through cli._json_text"
+
+
+SECOND_JSON_WRITER = """
+def cmd_verify(args, report):
+    text = json.dumps(report, sort_keys=True, indent=2) + "\\n"
+    with _output(args.out, "report") as stream:
+        stream.write(text)
+"""
+
+
+def test_indent_rule_sees_an_indented_dump():
+    # the rule must flag the writer _json_text replaced, or it guards nothing
+    assert _indent_keywords(ast.parse(SECOND_JSON_WRITER)) == [3]

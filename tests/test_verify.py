@@ -318,6 +318,18 @@ class TestFourTermValidatesEachBatteryOnce:
             run_suite("quick", only="four-term-identity")
 
 
+class TestEvilOdiousPrefixBuildsOneSplit:
+    """evil-odious-prefix builds the largest window's split once and truncates it for each l."""
+
+    @pytest.mark.parametrize("profile,windows", [("quick", 9), ("full", 11)])
+    def test_one_build_per_run(self, monkeypatch, profile, windows):
+        built = []
+        build = verify.build_evil_odious
+        monkeypatch.setattr(verify, "build_evil_odious", lambda bound: built.append(bound) or build(bound))
+        (result,) = run_suite(profile, only="evil-odious-prefix").results
+        assert (built, result.instances, result.passed) == ([2**windows - 1], windows, windows)
+
+
 class TestKernelOracleRunsTheSquare:
     """kernel-oracle checks the one profile kernel that every width runs."""
 
