@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import itertools
 import json
 import operator
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .builders import (
@@ -30,9 +30,11 @@ from .repfn import r1_profile, r2_profile, strict_counts
 from .solver import (
     GRID_R_MAX_FACTOR,
     STATUS_COMPLETED,
-    ClassificationRecord,
+    STATUS_CONTRADICTION,
     classify_grid,
     forced_extend,
+    grid_cells,
+    match_family,
 )
 from .verify import CHECK_IDS, DEFAULT_SEED, PROFILES, run_suite
 
@@ -44,6 +46,8 @@ EXIT_COUNTEREXAMPLE = 2
 DEFAULT_BOUND = 4096
 DEFAULT_M_MAX = 33
 DEFAULT_GRID_BOUND = 2048
+
+GRID_HEADER = "r,m,status,family,l,contradiction_at,forced_value\n"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -189,24 +193,32 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_classify(args: argparse.Namespace) -> int:
     if args.m_max < 2 or args.bound < 4 or args.r_max_factor < 0:
         raise ValueError("need m-max >= 2, bound >= 4, r-max-factor >= 0")
-    records = classify_grid(args.m_max, args.r_max_factor, check_bound(args.bound))
-    with _output(args.out, f"{len(records)} records") as stream:
-        writer = csv.writer(stream, lineterminator="\n")  # a None field is written empty
-        writer.writerow(ClassificationRecord._fields)
-        writer.writerows(records)
+    runs = classify_grid(args.m_max, args.r_max_factor, check_bound(args.bound))
+    with _output(args.out, f"{grid_cells(args.m_max, args.r_max_factor)} records") as stream:
+        stream.write(GRID_HEADER)
+        for r, m_lo, m_hi, out in runs:
+            if out.status == STATUS_COMPLETED:  # each cell is matched against its own spec
+                for m in range(m_lo, m_hi + 1):
+                    family, l = match_family(replace(out, spec=ProgressionSpec(r, m))) or ("", "")
+                    stream.write(f"{r},{m},{STATUS_COMPLETED},{family},{l},,\n")
+            else:  # the rows differ in m alone
+                tail = f",{STATUS_CONTRADICTION},,,{out.contradiction_at},{out.forced_value}\n"
+                stream.write(f"{r}," + f"{tail}{r},".join(map(str, range(m_lo, m_hi + 1))) + tail)
     return EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     only = None if args.lemma == "all" else args.lemma
-    report = run_suite(args.bound_profile, seed=args.seed, only=only)
-    for res in report.results:
-        line = f"{'PASS' if res.ok else 'FAIL'} {res.check_id} ({res.passed}/{res.instances})"
-        if res.first_failure is not None:
-            line += f" first failure: {json.dumps(res.first_failure, sort_keys=True)}"
-        print(line)
-    if args.out is not None:
-        with _output(args.out, "report") as stream:
+    # the report file is opened first, so a bad --out path exits 1 before any check line
+    sink = contextlib.nullcontext() if args.out is None else _output(args.out, "report")
+    with sink as stream:
+        report = run_suite(args.bound_profile, seed=args.seed, only=only)
+        for res in report.results:
+            line = f"{'PASS' if res.ok else 'FAIL'} {res.check_id} ({res.passed}/{res.instances})"
+            if res.first_failure is not None:
+                line += f" first failure: {json.dumps(res.first_failure, sort_keys=True)}"
+            print(line)
+        if stream is not None:
             stream.write(_json_text(report.to_json_dict()) + "\n")
     if report.all_passed:
         print("suite: PASS")

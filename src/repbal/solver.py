@@ -24,16 +24,17 @@ f < r + m alike, contradictions included.  Cells (r, m) and (r', m') with
 f < r alike: the evil/odious split.  So an extension can resume from another's
 outcome at the first value where their progressions can differ.  A grid
 sweep extends the top cell (r, m_max) of each r first, resuming from the
-previous r's top at r - 1; it reuses that outcome in every cell of that r
-whose r + m lies past every position the top cell read, and resumes every
-other cell of that r from it at r + m.
+previous r's top at r - 1.  The cells of that r whose r + m lies past every
+position the top cell read end as it does, so they form one run of m that
+shares its outcome; every other cell of that r is a run of its own, resumed
+from the top at r + m.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, replace
-from typing import NamedTuple
+from dataclasses import dataclass
+from typing import Iterator
 
 from .builders import build_family, family_cells, family_of
 from .intset import BoundedSet, ProgressionSpec
@@ -43,10 +44,10 @@ __all__ = [
     "MAX_GRID_CELLS",
     "STATUS_COMPLETED",
     "STATUS_CONTRADICTION",
-    "ClassificationRecord",
     "ExtensionOutcome",
     "classify_grid",
     "forced_extend",
+    "grid_cells",
     "match_family",
     "predicted_solvable_cells",
 ]
@@ -57,8 +58,8 @@ STATUS_CONTRADICTION = "contradiction"
 # The standard grid's r range, r <= 2m: what the CLI and the verify grid default to
 GRID_R_MAX_FACTOR = 2
 
-# The most cells classify_grid takes.  Records hold 112 B each on 129/8192 and 137 B on 513/32768
-# (tracemalloc, list slot included) and are classify's whole peak: the cap is about 0.15 GB
+# The most cells classify_grid takes.  A grid holds one outcome per run, not a row per cell, so
+# this bounds time: each cell is at least one written row or one verdict
 MAX_GRID_CELLS = 1 << 20
 
 # From an outcome's sides (\x01 in A, \xff in B, \x00 excluded) to one class's digits
@@ -205,62 +206,61 @@ def match_family(outcome: ExtensionOutcome) -> tuple[str, int] | None:
     return None
 
 
-class ClassificationRecord(NamedTuple):
-    """One (r, m) grid cell and its CSV row: how the forced extension ended, and which family fits."""
-
-    r: int
-    m: int
-    status: str
-    family: str | None
-    l: int | None
-    contradiction_at: int | None
-    forced_value: int | None
+def grid_cells(m_max: int, r_max_factor: int) -> int:
+    """The number of cells of the grid m in [2, m_max], r in [0, r_max_factor*m]."""
+    if m_max < 2:
+        return 0
+    return r_max_factor * (m_max * (m_max + 1) // 2 - 1) + m_max - 1
 
 
-def classify_grid(m_max: int, r_max_factor: int, bound: int) -> list[ClassificationRecord]:
-    """One record per cell of the grid m in [2, m_max], r in [0, r_max_factor*m].
+def classify_grid(
+    m_max: int, r_max_factor: int, bound: int
+) -> Iterator[tuple[int, int, int, ExtensionOutcome]]:
+    """The grid m in [2, m_max], r in [0, r_max_factor*m] as runs (r, m_lo, m_hi, outcome).
 
-    Contradictions are data, not failures; records come back sorted by (r, m).
+    Every cell (r, m) with m_lo <= m <= m_hi ends as ``outcome`` does: it died at the
+    same sum with the same demanded value, or it completed and is matched against its
+    own spec ``ProgressionSpec(r, m)``.  Contradictions are data, not failures; the runs
+    are non-empty and tile the grid in (r, m) order.
 
     Each r extends its top cell (r, m_max) over the whole bound, resumed from the
     previous r's top at r - 1, and reads [0, seen): its window [0, len(sides)),
     and the position it died at if it died.  By the prefix lemma in the module
-    docstring, a cell (r, m) with seen <= r + m ends as the top does, so it
-    reuses the top's outcome; every other cell gets an extension of its own,
+    docstring, every cell (r, m) with seen <= r + m ends as the top does, so those
+    cells and the top form r's last run [max(m_lo, seen - r), m_max], where m_lo is
+    r's least m.  Every other cell is a run of one, with an extension of its own
     resumed from the top at r + m.
 
-    A grid with a cell at r >= bound - 1 is refused before any record is
-    built, with the error forced_extend raises for the first such cell in
-    m-major order, r = max(bound - 1, 0).  So is a grid of more than
-    MAX_GRID_CELLS cells, sum over m of (r_max_factor*m + 1).
+    The checks run before the runs are produced, so a refused grid runs no
+    extension.  A grid with a cell at r >= bound - 1 is refused with the error
+    forced_extend raises for the first such cell in m-major order,
+    r = max(bound - 1, 0); so is a grid of more than MAX_GRID_CELLS cells.
     """
     if m_max < 2:
-        return []
+        return iter(())
     first_unreachable = max(bound - 1, 0)
     if r_max_factor * m_max >= first_unreachable:
         raise ValueError(
             f"bound {bound} must reach past the first excluded value {first_unreachable}"
         )
-    cells = r_max_factor * (m_max * (m_max + 1) // 2 - 1) + m_max - 1
+    cells = grid_cells(m_max, r_max_factor)
     if cells > MAX_GRID_CELLS:
         raise ValueError(f"grid of {cells} cells exceeds {MAX_GRID_CELLS}")
-    records = []
+    return _grid_runs(m_max, r_max_factor, bound)
+
+
+def _grid_runs(
+    m_max: int, r_max_factor: int, bound: int
+) -> Iterator[tuple[int, int, int, ExtensionOutcome]]:
     top = None
     for r in range(r_max_factor * m_max + 1):
         top = forced_extend(ProgressionSpec(r, m_max), bound, top)
-        seen = len(top.sides) + (top.status == STATUS_CONTRADICTION)  # the top read [0, seen)
-        for m in range(max(2, -(-r // (r_max_factor or 1))), m_max + 1):  # r <= r_max_factor*m
-            if m == m_max or seen <= r + m:
-                out = top
-            else:
-                out = forced_extend(ProgressionSpec(r, m), bound, top)
-            completed = out.status == STATUS_COMPLETED
-            match = match_family(replace(out, spec=ProgressionSpec(r, m))) if completed else None
-            family, l = match or (None, None)
-            records.append(ClassificationRecord(
-                r, m, out.status, family, l, out.contradiction_at, out.forced_value
-            ))
-    return records
+        seen = len(top.sides) + (top.contradiction_at is not None)  # the top read [0, seen)
+        m_lo = max(2, -(-r // (r_max_factor or 1)))  # r <= r_max_factor*m
+        shared = min(max(m_lo, seen - r), m_max)  # where the run that reuses the top begins
+        for m in range(m_lo, shared):
+            yield r, m, m, forced_extend(ProgressionSpec(r, m), bound, top)
+        yield r, shared, m_max, top
 
 
 def predicted_solvable_cells(m_max: int) -> set[tuple[int, int]]:

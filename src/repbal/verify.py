@@ -12,7 +12,7 @@ point; the step identity shares the evil/odious battery's window.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Iterator
 
 from .builders import build_ef, build_evil_odious, build_family, build_xy, family_cells
@@ -30,6 +30,7 @@ from .solver import (
     STATUS_CONTRADICTION,
     classify_grid,
     forced_extend,
+    match_family,
     predicted_solvable_cells,
 )
 
@@ -407,15 +408,18 @@ def _solver_agreement(p: SuiteProfile, seed: int) -> Verdicts:
 
 def _classification_grid(p: SuiteProfile, seed: int) -> Verdicts:
     predicted = predicted_solvable_cells(p.grid_m_max)
-    for rec in classify_grid(p.grid_m_max, GRID_R_MAX_FACTOR, p.grid_bound):
-        if (rec.r, rec.m) in predicted:
-            ok = rec.status == STATUS_COMPLETED and rec.family is not None
-            expected = STATUS_COMPLETED
-        else:
-            ok = rec.status != STATUS_COMPLETED
-            expected = STATUS_CONTRADICTION
-        failure = {"inputs": {"r": rec.r, "m": rec.m}, "lhs": rec.status, "rhs": expected}
-        yield None if ok else failure
+    for r, m_lo, m_hi, out in classify_grid(p.grid_m_max, GRID_R_MAX_FACTOR, p.grid_bound):
+        completed = out.status == STATUS_COMPLETED
+        for m in range(m_lo, m_hi + 1):
+            if (r, m) in predicted:
+                spec = ProgressionSpec(r, m)
+                ok = completed and match_family(replace(out, spec=spec)) is not None
+                expected = STATUS_COMPLETED
+            else:
+                ok = not completed
+                expected = STATUS_CONTRADICTION
+            failure = {"inputs": {"r": r, "m": m}, "lhs": out.status, "rhs": expected}
+            yield None if ok else failure
 
 
 def _kernel_oracle(p: SuiteProfile, seed: int) -> Verdicts:

@@ -3,8 +3,10 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per criterion.
 """
 
+import dataclasses
 import random
 import time
+from typing import NamedTuple
 
 import pytest
 
@@ -22,6 +24,7 @@ from repbal.solver import (
     STATUS_COMPLETED,
     classify_grid,
     forced_extend,
+    match_family,
     predicted_solvable_cells,
 )
 from repbal.verify import (
@@ -40,9 +43,26 @@ GRID_M_MAX = 33
 AGREEMENT_BOUND = 4096
 
 
+class Cell(NamedTuple):
+    r: int
+    m: int
+    status: str
+    family: tuple[str, int] | None
+    contradiction_at: int | None
+    forced_value: int | None
+
+
 @pytest.fixture(scope="module")
 def grid_records():
-    return classify_grid(m_max=GRID_M_MAX, r_max_factor=2, bound=GRID_BOUND)
+    """The grid's runs expanded to one record per cell, each completed cell matched on its own spec."""
+    records = []
+    for r, m_lo, m_hi, out in classify_grid(m_max=GRID_M_MAX, r_max_factor=2, bound=GRID_BOUND):
+        for m in range(m_lo, m_hi + 1):
+            family = None
+            if out.status == STATUS_COMPLETED:
+                family = match_family(dataclasses.replace(out, spec=ProgressionSpec(r, m)))
+            records.append(Cell(r, m, out.status, family, out.contradiction_at, out.forced_value))
+    return records
 
 
 def test_criterion_1_family_identity_at_desk_scale():

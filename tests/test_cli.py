@@ -19,7 +19,6 @@ from repbal.cli import (
 )
 from repbal.intset import BoundedSet
 from repbal.repfn import r1_profile, r2_profile, strict_counts
-from repbal.solver import classify_grid
 from repbal.verify import SuiteReport
 
 
@@ -320,16 +319,26 @@ CSV_HEADER = "r,m,status,family,l,contradiction_at,forced_value"
 
 class TestClassify:
     def test_csv_header_is_pinned(self, capsys):
-        # written from the record's fields, so a renamed field would change classify's stdout
+        # a renamed or reordered column would change classify's stdout
         code, out, _ = run(capsys, "classify", "--m-max", "2", "--bound", "64")
         assert code == EXIT_OK
         assert out.splitlines()[0] == CSV_HEADER
 
-    def test_record_values_are_in_header_order(self):
-        rec = next(rec for rec in classify_grid(5, 2, 128) if (rec.r, rec.m) == (2, 3))
-        assert tuple(rec) == (
-            rec.r, rec.m, rec.status, rec.family, rec.l, rec.contradiction_at, rec.forced_value
-        ) == (2, 3, "completed", "s1t1", 1, None, None)
+    def test_record_values_are_in_header_order(self, capsys):
+        # a completed cell and a contradicted one, each read back by its header's column names
+        code, out, _ = run(capsys, "classify", "--m-max", "5", "--bound", "128")
+        lines = out.splitlines()
+        rows = {tuple(line.split(",")[:2]): dict(zip(CSV_HEADER.split(","), line.split(",")))
+                for line in lines[1:]}
+        assert code == EXIT_OK and len(rows) == len(lines) - 1 == 32
+        assert rows["2", "3"] == {
+            "r": "2", "m": "3", "status": "completed", "family": "s1t1", "l": "1",
+            "contradiction_at": "", "forced_value": "",
+        }
+        assert rows["1", "4"] == {
+            "r": "1", "m": "4", "status": "contradiction", "family": "", "l": "",
+            "contradiction_at": "5", "forced_value": "1",
+        }
 
     def test_csv_round_trip(self, capsys, tmp_path):
         # the --out file holds exactly the bytes classify prints without --out
@@ -343,7 +352,7 @@ class TestClassify:
         assert out_file.read_bytes() == out.encode()
 
     def test_out_file_is_written_row_by_row(self, capsys, tmp_path):
-        # the records are the whole peak: no list of CSV lines and no whole text beside them
+        # nothing per cell is held: no row list, no list of CSV lines and no whole text
         out_file = tmp_path / "grid.csv"
         tracemalloc.start()
         try:
@@ -355,6 +364,20 @@ class TestClassify:
             tracemalloc.stop()
         assert code == EXIT_OK
         assert peak < 3 << 20
+
+    def test_out_file_peak_is_a_few_runs(self, capsys, tmp_path):
+        # 90,597 cells in 1,862 runs: the peak holds an outcome and a run's rows, not a row per cell
+        out_file = tmp_path / "grid.csv"
+        tracemalloc.start()
+        try:
+            code, _, err = run(
+                capsys, "classify", "--m-max", "300", "--bound", "1024", "--out", str(out_file)
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, err) == (EXIT_OK, f"wrote 90597 records to {out_file}\n")
+        assert peak < 1 << 20
 
     def test_refused_grid_creates_no_out_file(self, capsys, tmp_path):
         out_file = tmp_path / "grid.csv"
@@ -384,8 +407,8 @@ class TestClassify:
         assert err == "repbal classify: bound 4 must reach past the first excluded value 3\n"
 
     def test_out_of_reach_grid_is_refused_before_any_record(self, capsys):
-        # records come out r-major, so without an up-front check every r below 3 would
-        # first build about three million records
+        # runs come out r-major, so without an up-front check every r below 3 would
+        # first write about three million rows
         tracemalloc.start()
         try:
             code, out, err = run(capsys, "classify", "--m-max", "3000000", "--bound", "4")
@@ -397,7 +420,7 @@ class TestClassify:
         assert peak < 8 << 20
 
     def test_over_cap_grid_is_refused_before_any_extension(self, monkeypatch, capsys):
-        # 1,212,197 cells fit under the bound, but their records would take about 0.3 GB
+        # 1,212,197 cells fit under the bound, but the cap bounds the rows one grid writes
         def refuse(*args, **kwargs):
             raise AssertionError("ran an extension")
 
@@ -570,9 +593,10 @@ class TestOutIntoAMissingDirectory:
         ("verify", "--lemma", "skip-one-partition"),
     ])
     def test_one_line_and_exit_one(self, capsys, tmp_path, argv):
+        # the --out file is opened before any output, so stdout stays empty
         missing = tmp_path / "no" / "such" / "x.out"
-        code, _, err = run(capsys, *argv, "--out", str(missing))
-        assert code == EXIT_USAGE
+        code, out, err = run(capsys, *argv, "--out", str(missing))
+        assert (code, out) == (EXIT_USAGE, "")
         assert err.startswith(f"repbal {argv[0]}: ") and err.count("\n") == 1
         assert str(missing) in err and "Traceback" not in err
 

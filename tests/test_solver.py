@@ -1,6 +1,7 @@
 """Forced extension: frozen outcomes, oracle agreement, matching, grids."""
 
 import dataclasses
+from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,12 +12,12 @@ from repbal.builders import FAMILIES, build_evil_odious, build_family, family_pr
 from repbal.intset import ProgressionSpec, partition_fault, progression_set
 from repbal.repfn import r2_profile
 from repbal.solver import (
-    ClassificationRecord,
     ExtensionOutcome,
     STATUS_COMPLETED,
     STATUS_CONTRADICTION,
     classify_grid,
     forced_extend,
+    grid_cells,
     match_family,
     predicted_solvable_cells,
 )
@@ -320,9 +321,34 @@ class TestMatchFamily:
             match_family(out)
 
 
+class Row(NamedTuple):
+    """One grid cell as classify writes it."""
+
+    r: int
+    m: int
+    status: str
+    family: str | None
+    l: int | None
+    contradiction_at: int | None
+    forced_value: int | None
+
+
+def _cell_rows(runs):
+    """The runs expanded to one row per cell, each completed cell matched against its own spec."""
+    rows = []
+    for r, m_lo, m_hi, out in runs:
+        for m in range(m_lo, m_hi + 1):
+            match = None
+            if out.status == STATUS_COMPLETED:
+                match = match_family(dataclasses.replace(out, spec=ProgressionSpec(r, m)))
+            family, l = match or (None, None)
+            rows.append(Row(r, m, out.status, family, l, out.contradiction_at, out.forced_value))
+    return rows
+
+
 class TestClassifyGrid:
     def test_small_grid_against_prediction(self):
-        records = classify_grid(m_max=5, r_max_factor=2, bound=256)
+        records = _cell_rows(classify_grid(m_max=5, r_max_factor=2, bound=256))
         assert len(records) == sum(2 * m + 1 for m in range(2, 6))
         completed = {(rec.r, rec.m) for rec in records if rec.status == STATUS_COMPLETED}
         assert completed == predicted_solvable_cells(5)
@@ -334,7 +360,7 @@ class TestClassifyGrid:
                 assert rec.forced_value is not None
 
     def test_records_sorted_by_r_then_m(self):
-        records = classify_grid(m_max=4, r_max_factor=1, bound=64)
+        records = _cell_rows(classify_grid(m_max=4, r_max_factor=1, bound=64))
         keys = [(rec.r, rec.m) for rec in records]
         assert keys == sorted(keys)
 
@@ -355,12 +381,10 @@ def _classify_grid_per_cell(m_max, r_max_factor, bound):
             out = forced_extend(ProgressionSpec(r, m), bound)
             if out.status == STATUS_COMPLETED:
                 family, l = match_family(out) or (None, None)
-                records.append(ClassificationRecord(r, m, out.status, family, l, None, None))
+                records.append(Row(r, m, out.status, family, l, None, None))
             else:
                 records.append(
-                    ClassificationRecord(
-                        r, m, out.status, None, None, out.contradiction_at, out.forced_value
-                    )
+                    Row(r, m, out.status, None, None, out.contradiction_at, out.forced_value)
                 )
     records.sort(key=lambda rec: (rec.r, rec.m))
     return records
@@ -371,6 +395,9 @@ def _outcome_or_error(fn, *args):
         return fn(*args)
     except ValueError as exc:
         return f"ValueError: {exc}"
+
+
+GRIDS = st.tuples(st.integers(2, 40), st.integers(0, 3), st.integers(2, 600))
 
 
 class TestSharedCells:
@@ -384,11 +411,30 @@ class TestSharedCells:
     @example(grid=(65, 2, 4096))
     @example(grid=(20, 2, 42))  # the largest r is bound - 2, the last one in reach
     @example(grid=(20, 2, 41))  # the largest r is bound - 1
-    @given(st.tuples(st.integers(2, 40), st.integers(0, 3), st.integers(2, 600)))
+    @given(GRIDS)
     def test_agrees_with_one_extension_per_cell(self, grid):
-        assert _outcome_or_error(classify_grid, *grid) == _outcome_or_error(
-            _classify_grid_per_cell, *grid
+        assert _outcome_or_error(lambda *g: _cell_rows(classify_grid(*g)), *grid) == (
+            _outcome_or_error(_classify_grid_per_cell, *grid)
         )
+
+    @settings(deadline=None)
+    @example(grid=(40, 0, 30))
+    @example(grid=(20, 2, 42))
+    @given(GRIDS)
+    def test_runs_tile_the_grid(self, grid):
+        m_max, r_max_factor, bound = grid
+        if r_max_factor * m_max >= bound - 1:  # out of reach: refused, as the differential checks
+            with pytest.raises(ValueError):
+                classify_grid(*grid)
+            return
+        runs = list(classify_grid(*grid))
+        assert all(m_lo <= m_hi for _, m_lo, m_hi, _ in runs)
+        cells = [(r, m) for r, m_lo, m_hi, _ in runs for m in range(m_lo, m_hi + 1)]
+        # in (r, m) order, each cell once and no gap: exactly the grid's cells
+        assert cells == sorted(
+            (r, m) for m in range(2, m_max + 1) for r in range(r_max_factor * m + 1)
+        )
+        assert len(cells) == grid_cells(m_max, r_max_factor)
 
     def test_every_extension_is_a_grid_cell_over_the_whole_bound(self, monkeypatch):
         calls = []
@@ -402,8 +448,9 @@ class TestSharedCells:
             return out
 
         monkeypatch.setattr(solver, "forced_extend", recording)
-        records = classify_grid(33, 2, 2048)
-        assert len(calls) == len(set(calls)) == 214
+        runs = list(classify_grid(33, 2, 2048))
+        records = _cell_rows(runs)
+        assert len(calls) == len(set(calls)) == len(runs) == 214
         assert all(2 <= m <= 33 and r <= 2 * m and bound == 2048 for r, m, bound in calls)
         assert {(r, m) for r, m, _ in calls} <= {(rec.r, rec.m) for rec in records}
         # top cells resume below r, the others at r + m: from the anchor they would step 41,224
@@ -423,7 +470,7 @@ class TestSharedCells:
             return out
 
         monkeypatch.setattr(solver, "forced_extend", recording)
-        records = {(rec.r, rec.m): rec for rec in classify_grid(3000, 0, 1024)}
+        records = {(rec.r, rec.m): rec for rec in _cell_rows(classify_grid(3000, 0, 1024))}
         assert calls == [(0, 3000)] + [(0, m) for m in range(2, 1024)]
         # each cell (0, m) resumes from the top at m: from the anchor they would step 535,588
         assert sum(stepped) == 13_857
@@ -471,9 +518,10 @@ class TestGridCap:
 
     @pytest.mark.parametrize("grid", [(5, 2, 256), (9, 0, 64), (6, 3, 64), (2, 1, 8)])
     def test_cap_is_the_cell_count(self, monkeypatch, grid):
-        cells = len(classify_grid(*grid))
+        cells = len(_cell_rows(classify_grid(*grid)))
+        assert cells == grid_cells(*grid[:2])
         monkeypatch.setattr(solver, "MAX_GRID_CELLS", cells)
-        assert len(classify_grid(*grid)) == cells
+        assert len(_cell_rows(classify_grid(*grid))) == cells
         monkeypatch.setattr(solver, "MAX_GRID_CELLS", cells - 1)
         with pytest.raises(ValueError, match=f"^grid of {cells} cells exceeds {cells - 1}$"):
             classify_grid(*grid)
