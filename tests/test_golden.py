@@ -93,6 +93,11 @@ VECTORS = [
     # classify: the default grid, a small one, an r = 0 grid past the bound, and --out
     ("classify",),
     ("classify", "--m-max", "9", "--bound", "1024"),
+    # grids whose diagonal cells (r, r + 1) are row 0's moved down: a diagonal top (m_max = 2^4 + 1)
+    # and diagonal one-cell runs
+    ("classify", "--m-max", "129", "--bound", "8192"),
+    ("classify", "--m-max", "17", "--r-max-factor", "1", "--bound", "256"),
+    ("classify", "--m-max", "17", "--r-max-factor", "3", "--bound", "256", "--out", "grid.csv"),
     ("classify", "--m-max", "40", "--r-max-factor", "0", "--bound", "12"),
     ("classify", "--m-max", "5", "--bound", "128", "--out", "grid.csv"),
     ("classify", "--m-max", "9", "--bound", "4"),
