@@ -41,6 +41,16 @@ def check_bound(bound: int) -> int:
     return bound
 
 
+def _fixture_int(what: str, field: str) -> int:
+    """One integer field of a fixture, or an error that names it and the fixture format."""
+    try:
+        return int(field)
+    except ValueError:
+        raise ValueError(
+            f"{what} {field!r} is not an integer: expected 'bound=<N>' then comma-separated integers"
+        ) from None
+
+
 class OutOfWindowError(ValueError):
     """A membership or truncation query touched [bound, infinity)."""
 
@@ -137,16 +147,21 @@ class BoundedSet:
 
     @classmethod
     def from_text(cls, text: str) -> BoundedSet:
-        """Parse the fixture format; a bound outside [0, MAX_BOUND] is refused before any element."""
+        """Parse the fixture format; a bound outside [0, MAX_BOUND] is refused before any element,
+        and a field that is no integer is named."""
         lines = text.splitlines()
         if len(lines) != 2 or not lines[0].startswith("bound="):
             raise ValueError("expected two lines: 'bound=<N>' then the elements")
-        bound = int(lines[0][len("bound="):])
+        bound = _fixture_int("bound", lines[0][len("bound="):])
         empty = cls(check_bound(bound))  # the constructor refuses a negative bound
         body = lines[1].strip()
         if not body:
             return empty
-        elems = list(map(int, body.split(",")))
+        fields = body.split(",")
+        try:
+            elems = list(map(int, fields))
+        except ValueError:  # parsed again field by field, to name the first bad one
+            elems = [_fixture_int("element", field) for field in fields]
         if any(map(operator.ge, elems, elems[1:])):
             raise ValueError("elements must be strictly increasing")
         return cls.from_elements(elems, bound)

@@ -22,12 +22,25 @@ excluded, so the prefix up to f depends on P only through P n [0, f].  Cells
 f < r + m alike, contradictions included.  Cells (r, m) and (r', m') with
 1 <= r < r' share the anchor 0 and the empty P n [0, r), so they decide every
 f < r alike: the evil/odious split.  So an extension can resume from another's
-outcome at the first value where their progressions can differ.  A grid
-sweep extends the top cell (r, m_max) of each r first, resuming from the
-previous r's top at r - 1.  The cells of that r whose r + m lies past every
-position the top cell read end as it does, so they form one run of m that
-shares its outcome; every other cell of that r is a run of its own, resumed
-from the top at r + m.
+outcome at the first value where their progressions can differ.  By the same
+lemma at the bound, an extension over [0, N + 1) cut to [0, N) is the one
+over [0, N): it died at the same sum if it died before N, and otherwise it
+completed with the first N positions.
+
+Pair counts move with a set: R_{C+1}(n) = R_C(n - 2).  The cell (m - 1, m)
+excludes {m - 1, 2m - 1, ...} and pins 0 to A; moved up by one, that is the
+cell (0, m), which excludes {0, m, 2m, ...} and pins 1 to A.  So the two
+decide alike step for step (the shift lemma): (m - 1, m) over [0, N) is
+(0, m) over [0, N + 1) moved down by one, each position one lower, each sum
+two lower and the same demanded value.
+
+A grid sweep extends the top cell (r, m_max) of each r first, resuming from
+the previous r's top at r - 1.  The cells of that r whose r + m lies past
+every position the top cell read end as it does, so they form one run of m
+that shares its outcome; every other cell of that r is a run of its own,
+resumed from the top at r + m.  Row 0 extends over the bound + 1, so each
+diagonal cell (r, r + 1) with r >= 1 that needs an outcome of its own is
+read off row 0's cell (0, r + 1) instead of stepped.
 """
 
 from __future__ import annotations
@@ -231,6 +244,14 @@ def classify_grid(
     r's least m.  Every other cell is a run of one, with an extension of its own
     resumed from the top at r + m.
 
+    Row 0's extensions, its top and its runs of one, run over bound + 1 and are
+    yielded cut to the bound.  When the grid holds the diagonal cells
+    (r_max_factor >= 1), each run of one (0, m) is kept until row m - 1.  A
+    diagonal cell (r, r + 1) with r >= 1 that needs an extension of its own, as a
+    run of one or as the top (r = m_max - 1), is row 0's outcome for (0, r + 1)
+    moved down by the shift lemma instead: row 0's top when r + 1 lies in row 0's
+    shared run.
+
     The checks run before the runs are produced, so a refused grid runs no
     extension.  A grid with a cell at r >= bound - 1 is refused with the error
     forced_extend raises for the first such cell in m-major order,
@@ -252,15 +273,52 @@ def classify_grid(
 def _grid_runs(
     m_max: int, r_max_factor: int, bound: int
 ) -> Iterator[tuple[int, int, int, ExtensionOutcome]]:
-    top = None
+    row0 = {}  # row 0's one-cell runs over bound + 1 by m, each kept until row m - 1 reads it
+    top = top0 = None
     for r in range(r_max_factor * m_max + 1):
-        top = forced_extend(ProgressionSpec(r, m_max), bound, top)
+        diagonal = row0.pop(r + 1, top0)  # (0, r + 1) over bound + 1: the cell (r, r + 1) moved up
+        if r == 0:
+            top0 = forced_extend(ProgressionSpec(0, m_max), bound + 1)
+            top = _cut(top0, bound)
+        elif r + 1 == m_max:
+            top = _moved_down(diagonal, r)
+        else:
+            top = forced_extend(ProgressionSpec(r, m_max), bound, top)
         seen = len(top.sides) + (top.contradiction_at is not None)  # the top read [0, seen)
         m_lo = max(2, -(-r // (r_max_factor or 1)))  # r <= r_max_factor*m
         shared = min(max(m_lo, seen - r), m_max)  # where the run that reuses the top begins
         for m in range(m_lo, shared):
-            yield r, m, m, forced_extend(ProgressionSpec(r, m), bound, top)
+            if r == 0:
+                out = forced_extend(ProgressionSpec(0, m), bound + 1, top0)
+                if r_max_factor:  # the grid holds the diagonal cell (m - 1, m)
+                    row0[m] = out
+                out = _cut(out, bound)
+            elif m == r + 1:
+                out = _moved_down(diagonal, r)
+            else:
+                out = forced_extend(ProgressionSpec(r, m), bound, top)
+            yield r, m, m, out
         yield r, shared, m_max, top
+
+
+def _cut(outcome: ExtensionOutcome, bound: int) -> ExtensionOutcome:
+    """An extension over bound + 1 as the same spec's over bound (the prefix lemma): one that
+    died before bound as it is, and any other completed, with its first bound positions."""
+    if len(outcome.sides) < bound:
+        return outcome
+    return ExtensionOutcome(outcome.spec, outcome.sides[:bound])
+
+
+def _moved_down(outcome: ExtensionOutcome, r: int) -> ExtensionOutcome:
+    """Row 0's cell (0, r + 1) over bound + 1 as the cell (r, r + 1) over bound (the shift
+    lemma): every position one lower, every sum two lower, the same demanded value."""
+    died = outcome.contradiction_at
+    return ExtensionOutcome(
+        ProgressionSpec(r, r + 1),
+        outcome.sides[1:],
+        None if died is None else died - 2,
+        outcome.forced_value,
+    )
 
 
 def predicted_solvable_cells(m_max: int) -> set[tuple[int, int]]:

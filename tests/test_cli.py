@@ -366,7 +366,8 @@ class TestClassify:
         assert peak < 3 << 20
 
     def test_out_file_peak_is_a_few_runs(self, capsys, tmp_path):
-        # 90,597 cells in 1,862 runs: the peak holds an outcome and a run's rows, not a row per cell
+        # 90,597 cells in 1,862 runs: the peak holds an outcome, a run's rows and row 0's kept
+        # runs of one, not a row per cell
         out_file = tmp_path / "grid.csv"
         tracemalloc.start()
         try:
@@ -377,6 +378,21 @@ class TestClassify:
         finally:
             tracemalloc.stop()
         assert (code, err) == (EXIT_OK, f"wrote 90597 records to {out_file}\n")
+        assert peak < 1 << 20
+
+    def test_out_file_peak_holds_row_0_until_its_diagonals(self, capsys, tmp_path):
+        # row 0's top completes, so each of its cells is a run of its own, kept over the
+        # bound + 1 until row m - 1 moves it down to the diagonal cell (m - 1, m)
+        out_file = tmp_path / "grid.csv"
+        tracemalloc.start()
+        try:
+            code, _, err = run(
+                capsys, "classify", "--m-max", "257", "--bound", "1024", "--out", str(out_file)
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, err) == (EXIT_OK, f"wrote 66560 records to {out_file}\n")
         assert peak < 1 << 20
 
     def test_refused_grid_creates_no_out_file(self, capsys, tmp_path):

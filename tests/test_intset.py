@@ -1,5 +1,7 @@
 """Bounded-set primitives: the digit constructors, membership, truncation, text format."""
 
+import re
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -239,6 +241,18 @@ class TestTextFormat:
     def test_element_beyond_bound_rejected(self):
         with pytest.raises(ValueError):
             BoundedSet.from_text("bound=4\n1,9\n")
+
+    @pytest.mark.parametrize("text,message", [
+        ("bound=16\n1,x\n", "element 'x' is not an integer"),
+        ("bound=16\n1,2,,3\n", "element '' is not an integer"),
+        ("bound=16\n1, 2,3.0\n", "element '3.0' is not an integer"),
+        ("bound=x\n1\n", "bound 'x' is not an integer"),
+    ])
+    def test_field_that_is_no_integer_is_named(self, text, message):
+        # the first bad field and the fixture format, not int()'s own text
+        fixture = ": expected 'bound=<N>' then comma-separated integers"
+        with pytest.raises(ValueError, match=f"^{re.escape(message + fixture)}$"):
+            BoundedSet.from_text(text)
 
     def test_negative_bound_rejected_before_the_elements(self):
         # the constructor's message, not a complaint about the first element

@@ -411,6 +411,10 @@ class TestSharedCells:
     @example(grid=(65, 2, 4096))
     @example(grid=(20, 2, 42))  # the largest r is bound - 2, the last one in reach
     @example(grid=(20, 2, 41))  # the largest r is bound - 1
+    @example(grid=(17, 1, 200))  # the top (16, 17) is row 0's top moved down
+    @example(grid=(17, 3, 200))
+    @example(grid=(12, 1, 21))  # row 0's top over the bound + 1 dies at the bound: cut, it completes
+    @example(grid=(13, 1, 21))  # so does row 0's one-cell run (0, 12), whose diagonal is (11, 12)
     @given(GRIDS)
     def test_agrees_with_one_extension_per_cell(self, grid):
         assert _outcome_or_error(lambda *g: _cell_rows(classify_grid(*g)), *grid) == (
@@ -450,11 +454,13 @@ class TestSharedCells:
         monkeypatch.setattr(solver, "forced_extend", recording)
         runs = list(classify_grid(33, 2, 2048))
         records = _cell_rows(runs)
-        assert len(calls) == len(set(calls)) == len(runs) == 214
-        assert all(2 <= m <= 33 and r <= 2 * m and bound == 2048 for r, m, bound in calls)
+        # the 6 diagonal cells (r, r + 1) with a run of their own are row 0's cells moved down
+        assert len(calls) == len(set(calls)) == len(runs) - 6 == 208
+        assert all(2 <= m <= 33 and r <= 2 * m for r, m, _ in calls)
+        assert all(bound == (2049 if r == 0 else 2048) for r, _, bound in calls)
         assert {(r, m) for r, m, _ in calls} <= {(rec.r, rec.m) for rec in records}
-        # top cells resume below r, the others at r + m: from the anchor they would step 41,224
-        assert sum(stepped) == 35_135
+        # top cells resume below r, the others at r + m: from the anchor they would step 28,948
+        assert sum(stepped) == 22_951
 
     def test_completed_top_settles_every_cell_past_the_bound(self, monkeypatch):
         # (0, m) for every m >= 1024 shares P n [0, 1024) = {0} with the top cell (0, 3000),
@@ -472,11 +478,60 @@ class TestSharedCells:
         monkeypatch.setattr(solver, "forced_extend", recording)
         records = {(rec.r, rec.m): rec for rec in _cell_rows(classify_grid(3000, 0, 1024))}
         assert calls == [(0, 3000)] + [(0, m) for m in range(2, 1024)]
-        # each cell (0, m) resumes from the top at m: from the anchor they would step 535,588
-        assert sum(stepped) == 13_857
+        # each cell (0, m) resumes from the top at m, and row 0 extends over the bound + 1, one
+        # more step for each of the 19 cells that reach it: from the anchor they would step 535,607
+        assert sum(stepped) == 13_876
         assert [(records[0, m].family, records[0, m].l) for m in (1024, 1025, 2049, 3000)] == [
             (None, None), ("s1t1+1", 10), ("s1t1+1", 11), (None, None)
         ]
+
+    def test_diagonal_cells_are_never_stepped(self, monkeypatch):
+        # every cell (r, r + 1) with r >= 1 is read off row 0, the top (128, 129) included
+        calls = []
+
+        def recording(spec, bound, resume=None):
+            calls.append((spec.r, spec.m))
+            return forced_extend(spec, bound, resume)
+
+        monkeypatch.setattr(solver, "forced_extend", recording)
+        runs = list(classify_grid(129, 2, 8192))
+        assert len(calls) == len(runs) - 8 == 822
+        assert not [(r, m) for r, m in calls if r >= 1 and m == r + 1]
+
+    @settings(deadline=None)
+    @example(cell=(2, 3))  # completes at every bound
+    @example(cell=(12, 21))  # (0, 12) over 22 dies at position 21: the cell (11, 12) completes
+    @given(st.integers(2, 200).flatmap(lambda m: st.tuples(st.just(m), st.integers(m + 1, 700))))
+    def test_diagonal_cell_is_row_0_moved_down(self, cell):
+        # R_{C+1}(n) = R_C(n - 2): {m - 1, 2m - 1, ...} with 0 pinned to A is {0, m, 2m, ...}
+        # with 1 pinned to A, one lower, so every position is one lower and every sum two lower
+        m, bound = cell
+        diagonal = forced_extend(ProgressionSpec(m - 1, m), bound)
+        row0 = forced_extend(ProgressionSpec(0, m), bound + 1)
+        died = row0.contradiction_at
+        assert (diagonal.sides, diagonal.contradiction_at, diagonal.forced_value) == (
+            row0.sides[1:], None if died is None else died - 2, row0.forced_value
+        )
+
+    @settings(deadline=None)
+    @example(cell=(0, 12, 21))  # over 22 it dies at position 21, so over 21 it completes
+    @example(cell=(1, 4, 5))  # over 6 it dies at position 5
+    @example(cell=(0, 4, 4))  # over 5 it dies at position 4
+    @example(cell=(2, 3, 64))  # completes over both
+    @example(cell=(3, 4, 64))  # dies at position 3, long before the bound
+    @given(st.integers(0, 200).flatmap(lambda r: st.tuples(
+        st.just(r), st.integers(2, 800), st.integers(r + 2, 700)
+    )))
+    def test_extension_one_longer_cut_to_the_bound(self, cell):
+        # the prefix lemma at the bound: dead before it, the extension over bound + 1 is the one
+        # over bound; alive at it, its first bound positions are the completed extension
+        r, m, bound = cell
+        spec = ProgressionSpec(r, m)
+        longer = forced_extend(spec, bound + 1)
+        if len(longer.sides) < bound:
+            assert forced_extend(spec, bound) == longer
+        else:
+            assert forced_extend(spec, bound) == ExtensionOutcome(spec, longer.sides[:bound])
 
     @given(st.integers(2, 40).flatmap(
         lambda m: st.tuples(st.just(m), st.integers(m + 1, 3 * m), st.integers(0, 3 * m))
