@@ -11,6 +11,7 @@ freely.
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Iterator
@@ -33,6 +34,10 @@ _DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
 # 2 MiB per mask, past every planned size.
 MAX_BOUND = 1 << 24
 
+# A refused fixture field is echoed whole up to this many characters, and cut past it
+_FIELD_SHOWN = 20
+_SIGNED_DIGITS = re.compile(r"[+-]?[0-9]+")
+
 
 def check_bound(bound: int) -> int:
     """Refuse a window past MAX_BOUND before anything of its size is allocated or looped over."""
@@ -42,13 +47,19 @@ def check_bound(bound: int) -> int:
 
 
 def _fixture_int(what: str, field: str) -> int:
-    """One integer field of a fixture, or an error that names it and the fixture format."""
+    """One integer field of a fixture, or an error that names it and the fixture format.
+
+    A field past _FIELD_SHOWN characters is shown by its head and length.  One of a sign and
+    digits alone is out of range: int() refuses it only past its digit limit, thousands long."""
     try:
         return int(field)
     except ValueError:
-        raise ValueError(
-            f"{what} {field!r} is not an integer: expected 'bound=<N>' then comma-separated integers"
-        ) from None
+        pass
+    shown = repr(field)
+    if len(field) > _FIELD_SHOWN:
+        shown = f"{field[:_FIELD_SHOWN]!r}… ({len(field)} characters)"
+    fault = "out of range" if _SIGNED_DIGITS.fullmatch(field) else "not an integer"
+    raise ValueError(f"{what} {shown} is {fault}: expected 'bound=<N>' then comma-separated integers")
 
 
 class OutOfWindowError(ValueError):

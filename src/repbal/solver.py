@@ -246,11 +246,10 @@ def classify_grid(
 
     Row 0's extensions, its top and its runs of one, run over bound + 1 and are
     yielded cut to the bound.  When the grid holds the diagonal cells
-    (r_max_factor >= 1), each run of one (0, m) is kept until row m - 1.  A
-    diagonal cell (r, r + 1) with r >= 1 that needs an extension of its own, as a
+    (r_max_factor >= 1), each of row 0's outcomes (0, m) is kept until row m - 1.
+    A diagonal cell (r, r + 1) with r >= 1 that needs an extension of its own, as a
     run of one or as the top (r = m_max - 1), is row 0's outcome for (0, r + 1)
-    moved down by the shift lemma instead: row 0's top when r + 1 lies in row 0's
-    shared run.
+    moved down by the shift lemma instead.
 
     The checks run before the runs are produced, so a refused grid runs no
     extension.  A grid with a cell at r >= bound - 1 is refused with the error
@@ -273,40 +272,38 @@ def classify_grid(
 def _grid_runs(
     m_max: int, r_max_factor: int, bound: int
 ) -> Iterator[tuple[int, int, int, ExtensionOutcome]]:
-    row0 = {}  # row 0's one-cell runs over bound + 1 by m, each kept until row m - 1 reads it
-    top = top0 = None
-    for r in range(r_max_factor * m_max + 1):
-        diagonal = row0.pop(r + 1, top0)  # (0, r + 1) over bound + 1: the cell (r, r + 1) moved up
+    row0 = {}  # row 0's outcomes over bound + 1 by m, each kept until row m - 1 has run
+
+    def cell(r: int, m: int, resume: ExtensionOutcome | None) -> ExtensionOutcome:
+        """The cell (r, m) over the bound; every extension of the grid runs here.
+
+        Row 0 extends over bound + 1 and is cut to the bound (the prefix lemma).  When the
+        grid holds the diagonal cells, the outcome is kept, and the cell (m - 1, m) is it
+        moved down by one (the shift lemma), never stepped.  Each (0, m) has an outcome of
+        its own to move: below m it excludes only 0, so it is the evil/odious split moved up
+        by one, which balances at every sum (the paper's quoted lemma), and it cannot die
+        before position m.  Such a grid reaches r = m_max, so bound > m_max + 1: row 0's top
+        reads past m_max - 1 and every (0, m) with m < m_max is a run of one.
+        """
         if r == 0:
-            top0 = forced_extend(ProgressionSpec(0, m_max), bound + 1)
-            top = _cut(top0, bound)
-        elif r + 1 == m_max:
-            top = _moved_down(diagonal, r)
-        else:
-            top = forced_extend(ProgressionSpec(r, m_max), bound, top)
+            out = forced_extend(ProgressionSpec(0, m), bound + 1, resume)
+            if r_max_factor:
+                row0[m] = out
+            return out if len(out.sides) < bound else ExtensionOutcome(out.spec, out.sides[:bound])
+        if m == r + 1:
+            return _moved_down(row0[m], r)
+        return forced_extend(ProgressionSpec(r, m), bound, resume)
+
+    top = None
+    for r in range(r_max_factor * m_max + 1):
+        top = cell(r, m_max, top)
         seen = len(top.sides) + (top.contradiction_at is not None)  # the top read [0, seen)
         m_lo = max(2, -(-r // (r_max_factor or 1)))  # r <= r_max_factor*m
         shared = min(max(m_lo, seen - r), m_max)  # where the run that reuses the top begins
         for m in range(m_lo, shared):
-            if r == 0:
-                out = forced_extend(ProgressionSpec(0, m), bound + 1, top0)
-                if r_max_factor:  # the grid holds the diagonal cell (m - 1, m)
-                    row0[m] = out
-                out = _cut(out, bound)
-            elif m == r + 1:
-                out = _moved_down(diagonal, r)
-            else:
-                out = forced_extend(ProgressionSpec(r, m), bound, top)
-            yield r, m, m, out
+            yield r, m, m, cell(r, m, top)
         yield r, shared, m_max, top
-
-
-def _cut(outcome: ExtensionOutcome, bound: int) -> ExtensionOutcome:
-    """An extension over bound + 1 as the same spec's over bound (the prefix lemma): one that
-    died before bound as it is, and any other completed, with its first bound positions."""
-    if len(outcome.sides) < bound:
-        return outcome
-    return ExtensionOutcome(outcome.spec, outcome.sides[:bound])
+        row0.pop(r + 1, None)
 
 
 def _moved_down(outcome: ExtensionOutcome, r: int) -> ExtensionOutcome:

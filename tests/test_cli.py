@@ -4,7 +4,9 @@ import contextlib
 import io
 import json
 import random
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -245,6 +247,15 @@ class TestRepfn:
         code, out, err = run(capsys, "repfn", "--input", str(fixture), "--bound", "3")
         assert (code, out) == (EXIT_USAGE, "")
         assert err == "repbal repfn: a fixture fixes its own bound; drop --bound\n"
+
+    def test_huge_fixture_element_is_one_short_line(self, capsys, tmp_path):
+        # int() refuses a 5,000-digit field; the message shows its head and length, not the field
+        fixture = tmp_path / "huge_element.txt"
+        fixture.write_text("bound=16\n1," + "9" * 5000 + "\n")
+        code, out, err = run(capsys, "repfn", "--input", str(fixture))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.count("\n") == 1 and len(err.encode()) < 200
+        assert err.startswith("repbal repfn: element '99999999999999999999'… (5000 characters) is out of range")
 
     def test_sum_past_the_fixture_bound_exits_one(self, capsys, tmp_path):
         fixture = tmp_path / "set.txt"
@@ -664,3 +675,79 @@ class TestUsage:
     def test_counterexample_exit_code_is_reserved(self):
         assert EXIT_COUNTEREXAMPLE == 2
         assert EXIT_USAGE == 1
+
+
+# Argument vectors for the four building subcommands: small, zero, negative and oversized
+# numbers, every family-token form and some malformed ones, and flags in any order or missing.
+# Paths are relative to a directory that holds the fixtures and, at first, nothing else
+NUMBERS = st.one_of(st.integers(-3, 64), st.sampled_from([(1 << 24) + 1, 10**30])).map(str)
+FAMILY_TOKENS = st.one_of(
+    st.builds("{}:{}".format, st.sampled_from(["s1t1", "s2t2", "s1t1+1", "ef"]), st.integers(-2, 6)),
+    st.sampled_from([
+        "xy", "uv", "ef:24", "ef:" + "9" * 30, "s2t2:" + "9" * 30, "s1t1", "s1t1:", "s1t1:x",
+        "s1t1:+1", "nope:3", "",
+    ]),
+)
+FIXTURES = [
+    "bound=16\n1,3,5\n", "bound=16\n5,3\n", "bound=16\n1,x\n", "bound=4\n1,9\n", "bound=-1\n\n",
+    f"bound={(1 << 24) + 1}\n1\n", "bound=16\n1," + "9" * 5000 + "\n", "no header\n",
+]
+FLAGS = {
+    "build": {"--bound": NUMBERS, "--format": st.sampled_from(["text", "json", "csv"])},
+    "solve": {
+        "--r": NUMBERS, "--m": NUMBERS, "--bound": NUMBERS, "--emit": st.sampled_from(["sets", "json"])
+    },
+    "classify": {"--m-max": NUMBERS, "--r-max-factor": NUMBERS, "--bound": NUMBERS, "--out": st.just("out.txt")},
+    "repfn": {
+        "--family": FAMILY_TOKENS,
+        # the last one is missing
+        "--input": st.integers(0, len(FIXTURES)).map("fixture{}.txt".format),
+        "--bound": NUMBERS,
+        "--n-max": NUMBERS,
+        "--out": st.just("out.txt"),
+    },
+}
+
+
+@st.composite
+def argument_vectors(draw):
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    argv = [command]
+    if command == "build" and draw(st.booleans()):
+        argv.append(draw(FAMILY_TOKENS))
+    flags = FLAGS[command]
+    for flag in draw(st.permutations(sorted(flags))):
+        if draw(st.integers(0, 3)):  # each flag in three vectors of four
+            argv += [flag, draw(flags[flag])]
+    if draw(st.integers(0, 9)) == 0:
+        argv.append("--bogus")
+    return argv
+
+
+class TestArgumentVectors:
+    """Every argument vector succeeds, or exits 1 with one line and no output at all."""
+
+    @settings(deadline=None)
+    @example(argv=["repfn", "--input", f"fixture{len(FIXTURES) - 2}.txt"])  # a 5,000-digit element
+    @example(argv=["classify", "--m-max", "64", "--bound", "64", "--out", "out.txt"])  # out of reach
+    @example(argv=["repfn", "--family", "ef:3", "--n-max", "-3", "--out", "out.txt"])
+    @given(argument_vectors())
+    def test_exit_one_is_one_line_and_nothing_written(self, argv):
+        with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+            for i, text in enumerate(FIXTURES):
+                Path(f"fixture{i}.txt").write_text(text)
+            with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
+                try:
+                    code, usage = main(argv), False
+                except SystemExit as exc:  # argparse's usage error, through _Parser.error
+                    code, usage = exc.code, True
+            written = Path("out.txt").exists()
+        assert code in (EXIT_OK, EXIT_USAGE)
+        if code == EXIT_OK:
+            return
+        lines = err.getvalue().splitlines()
+        if usage:
+            assert lines[-1].startswith("repbal") and ": error: " in lines[-1]
+        else:
+            assert len(lines) == 1 and lines[0].startswith(f"repbal {argv[0]}: ")
+        assert out.getvalue() == "" and not written

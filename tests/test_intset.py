@@ -247,6 +247,19 @@ class TestTextFormat:
         ("bound=16\n1,2,,3\n", "element '' is not an integer"),
         ("bound=16\n1, 2,3.0\n", "element '3.0' is not an integer"),
         ("bound=x\n1\n", "bound 'x' is not an integer"),
+        # past 20 characters a field is shown by its head and length, and digits are out of range
+        pytest.param("bound=16\n1," + "9" * 5000 + "\n",
+                     "element '99999999999999999999'… (5000 characters) is out of range", id="huge-element"),
+        pytest.param("bound=16\n1,-" + "9" * 4400 + "\n",
+                     "element '-9999999999999999999'… (4401 characters) is out of range", id="huge-negative"),
+        pytest.param("bound=" + "9" * 4400 + "\n1\n",
+                     "bound '99999999999999999999'… (4400 characters) is out of range", id="huge-bound"),
+        pytest.param("bound=16\n1," + "x" * 20 + "\n",
+                     "element 'xxxxxxxxxxxxxxxxxxxx' is not an integer", id="twenty-word"),
+        pytest.param("bound=16\n1," + "x" * 21 + "\n",
+                     "element 'xxxxxxxxxxxxxxxxxxxx'… (21 characters) is not an integer", id="long-word"),
+        pytest.param("bound=16\n1," + "9" * 4400 + "x\n",
+                     "element '99999999999999999999'… (4401 characters) is not an integer", id="huge-word"),
     ])
     def test_field_that_is_no_integer_is_named(self, text, message):
         # the first bad field and the fixture format, not int()'s own text

@@ -440,6 +440,19 @@ class TestSharedCells:
         )
         assert len(cells) == grid_cells(m_max, r_max_factor)
 
+    @settings(deadline=None)
+    @example(grid=(2, 1, 4))  # the least grid with diagonal cells: row 0 is its top alone
+    @example(grid=(17, 1, 200))
+    @given(GRIDS.filter(lambda grid: grid[1] >= 1))
+    def test_row_0_is_runs_of_one_below_its_top(self, grid):
+        # below m, (0, m) excludes only 0: the evil/odious split moved up by one, which cannot
+        # die there, so every diagonal cell (m - 1, m) finds its row-0 outcome kept
+        m_max, r_max_factor, bound = grid
+        if r_max_factor * m_max >= bound - 1:
+            return
+        row0 = [(r, m_lo, m_hi) for r, m_lo, m_hi, _ in classify_grid(*grid) if r == 0]
+        assert row0 == [(0, m, m) for m in range(2, m_max + 1)]
+
     def test_every_extension_is_a_grid_cell_over_the_whole_bound(self, monkeypatch):
         calls = []
         stepped = []

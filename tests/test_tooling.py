@@ -524,3 +524,43 @@ def cmd_verify(args, report):
 def test_indent_rule_sees_an_indented_dump():
     # the rule must flag the writer _json_text replaced, or it guards nothing
     assert _indent_keywords(ast.parse(SECOND_JSON_WRITER)) == [3]
+
+
+def _extensions(node, enclosing=()):
+    """(enclosing defs, outermost first, and line) of every ``forced_extend(...)`` call under node."""
+    if isinstance(node, FUNCTIONS):
+        enclosing += (node.name,)
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "forced_extend":
+        yield enclosing, node.lineno
+    for child in ast.iter_child_nodes(node):
+        yield from _extensions(child, enclosing)
+
+
+def test_every_grid_extension_runs_in_one_cell_rule():
+    # _grid_runs' cell alone decides how a grid cell gets its outcome: stepped, cut or moved down
+    tree = ast.parse((SOURCES[0].parent / "solver.py").read_text())
+    sites = [site for site in _extensions(tree) if site[0][:1] != ("forced_extend",)]
+    assert sites and {enclosing for enclosing, _ in sites} == {("_grid_runs", "cell")}, (
+        f"forced_extend called at {sites}; extend a grid cell through _grid_runs' cell"
+    )
+
+
+SECOND_CELL_RULE = """
+def _grid_runs(m_max, r_max_factor, bound):
+    def cell(r, m, resume):
+        return forced_extend(ProgressionSpec(r, m), bound, resume)
+
+    top = None
+    for r in range(r_max_factor * m_max + 1):
+        top = cell(r, m_max, top)
+        for m in range(2, m_max):
+            out = forced_extend(ProgressionSpec(r, m), bound + 1, top)
+            yield r, m, m, out
+"""
+
+
+def test_cell_rule_sees_an_extension_in_the_loop_body():
+    # the rule must flag a cell extended beside cell, or it guards nothing
+    assert list(_extensions(ast.parse(SECOND_CELL_RULE))) == [
+        (("_grid_runs", "cell"), 4), (("_grid_runs",), 10)
+    ]
