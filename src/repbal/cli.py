@@ -15,7 +15,6 @@ import itertools
 import json
 import operator
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .builders import (
@@ -197,10 +196,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
     with _output(args.out, f"{grid_cells(args.m_max, args.r_max_factor)} records") as stream:
         stream.write(GRID_HEADER)
         for r, m_lo, m_hi, out in runs:
-            if out.status == STATUS_COMPLETED:  # each cell is matched against its own spec
-                for m in range(m_lo, m_hi + 1):
-                    family, l = match_family(replace(out, spec=ProgressionSpec(r, m))) or ("", "")
-                    stream.write(f"{r},{m},{STATUS_COMPLETED},{family},{l},,\n")
+            if out.status == STATUS_COMPLETED:  # one cell, matched against its own spec
+                family, l = match_family(out) or ("", "")
+                stream.write(f"{r},{m_lo},{STATUS_COMPLETED},{family},{l},,\n")
             else:  # the rows differ in m alone
                 tail = f",{STATUS_CONTRADICTION},,,{out.contradiction_at},{out.forced_value}\n"
                 stream.write(f"{r}," + f"{tail}{r},".join(map(str, range(m_lo, m_hi + 1))) + tail)

@@ -36,17 +36,17 @@ two lower and the same demanded value.
 
 A grid sweep extends the top cell (r, m_max) of each r first, resuming from
 the previous r's top at r - 1.  The cells of that r whose r + m lies past
-every position the top cell read end as it does, so they form one run of m
-that shares its outcome; every other cell of that r is a run of its own,
-resumed from the top at r + m.  Row 0 extends over the bound + 1, so each
-diagonal cell (r, r + 1) with r >= 1 that needs an outcome of its own is
-read off row 0's cell (0, r + 1) instead of stepped.
+every position the top cell read end as it does: one run sharing a dead top's
+outcome, or runs of one, each a completed top's sides under its own spec.  Any
+other cell of that r is a run of its own, resumed from the top at r + m.  Row 0
+extends over the bound + 1, so each diagonal cell (r, r + 1), r >= 1, that needs
+an outcome of its own is read off row 0's cell (0, r + 1) instead of stepped.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 from .builders import build_family, family_cells, family_of
@@ -231,18 +231,18 @@ def classify_grid(
 ) -> Iterator[tuple[int, int, int, ExtensionOutcome]]:
     """The grid m in [2, m_max], r in [0, r_max_factor*m] as runs (r, m_lo, m_hi, outcome).
 
-    Every cell (r, m) with m_lo <= m <= m_hi ends as ``outcome`` does: it died at the
-    same sum with the same demanded value, or it completed and is matched against its
-    own spec ``ProgressionSpec(r, m)``.  Contradictions are data, not failures; the runs
-    are non-empty and tile the grid in (r, m) order.
+    A contradicted run shares its top's outcome: every cell in [m_lo, m_hi] died at the
+    same sum with the same demanded value.  A completed run is one cell, m_lo == m_hi,
+    and its outcome's spec is its own ``ProgressionSpec(r, m_lo)``.  Contradictions are
+    data, not failures; the runs are non-empty and tile the grid in (r, m) order.
 
     Each r extends its top cell (r, m_max) over the whole bound, resumed from the
     previous r's top at r - 1, and reads [0, seen): its window [0, len(sides)),
     and the position it died at if it died.  By the prefix lemma in the module
-    docstring, every cell (r, m) with seen <= r + m ends as the top does, so those
-    cells and the top form r's last run [max(m_lo, seen - r), m_max], where m_lo is
-    r's least m.  Every other cell is a run of one, with an extension of its own
-    resumed from the top at r + m.
+    docstring, every cell (r, m) with seen <= r + m ends as the top does: with a dead
+    top they form r's last run [max(m_lo, seen - r), m_max], m_lo being r's least m;
+    a completed top's sides are shared, unextended, by one run per cell.  Every other
+    cell is a run of one, with an extension of its own resumed from the top at r + m.
 
     Row 0's extensions, its top and its runs of one, run over bound + 1 and are
     yielded cut to the bound.  When the grid holds the diagonal cells
@@ -302,6 +302,10 @@ def _grid_runs(
         shared = min(max(m_lo, seen - r), m_max)  # where the run that reuses the top begins
         for m in range(m_lo, shared):
             yield r, m, m, cell(r, m, top)
+        if top.contradiction_at is None:  # a completed run is one cell with its own spec
+            for m in range(shared, m_max):
+                yield r, m, m, replace(top, spec=ProgressionSpec(r, m))
+            shared = m_max
         yield r, shared, m_max, top
         row0.pop(r + 1, None)
 

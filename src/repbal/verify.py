@@ -12,7 +12,7 @@ point; the step identity shares the evil/odious battery's window.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Iterator
 
 from .builders import build_ef, build_evil_odious, build_family, build_xy, family_cells
@@ -409,15 +409,10 @@ def _solver_agreement(p: SuiteProfile, seed: int) -> Verdicts:
 def _classification_grid(p: SuiteProfile, seed: int) -> Verdicts:
     predicted = predicted_solvable_cells(p.grid_m_max)
     for r, m_lo, m_hi, out in classify_grid(p.grid_m_max, GRID_R_MAX_FACTOR, p.grid_bound):
-        completed = out.status == STATUS_COMPLETED
+        completed = out.status == STATUS_COMPLETED  # then the run is one cell with its own spec
         for m in range(m_lo, m_hi + 1):
-            if (r, m) in predicted:
-                spec = ProgressionSpec(r, m)
-                ok = completed and match_family(replace(out, spec=spec)) is not None
-                expected = STATUS_COMPLETED
-            else:
-                ok = not completed
-                expected = STATUS_CONTRADICTION
+            expected = STATUS_COMPLETED if (r, m) in predicted else STATUS_CONTRADICTION
+            ok = out.status == expected and (not completed or match_family(out) is not None)
             failure = {"inputs": {"r": r, "m": m}, "lhs": out.status, "rhs": expected}
             yield None if ok else failure
 

@@ -3,7 +3,6 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per criterion.
 """
 
-import dataclasses
 import random
 import time
 from typing import NamedTuple
@@ -54,13 +53,11 @@ class Cell(NamedTuple):
 
 @pytest.fixture(scope="module")
 def grid_records():
-    """The grid's runs expanded to one record per cell, each completed cell matched on its own spec."""
+    """The grid's runs as one record per cell; a completed run is one cell, matched on its spec."""
     records = []
     for r, m_lo, m_hi, out in classify_grid(m_max=GRID_M_MAX, r_max_factor=2, bound=GRID_BOUND):
+        family = match_family(out) if out.status == STATUS_COMPLETED else None
         for m in range(m_lo, m_hi + 1):
-            family = None
-            if out.status == STATUS_COMPLETED:
-                family = match_family(dataclasses.replace(out, spec=ProgressionSpec(r, m)))
             records.append(Cell(r, m, out.status, family, out.contradiction_at, out.forced_value))
     return records
 

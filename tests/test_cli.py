@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repbal import cli, solver
+from repbal import cli, solver, verify
 from repbal.cli import (
     EXIT_COUNTEREXAMPLE,
     EXIT_OK,
@@ -554,6 +554,30 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--lemma", "skip-one-partition")
         assert code == EXIT_OK
         assert out.splitlines()[0].startswith("PASS skip-one-partition")
+
+    def test_counterexample_exits_two(self, monkeypatch, capsys, tmp_path):
+        # x and y each lose or gain 5, so their pair counts part at n = 5
+        build_xy = verify.build_xy
+
+        def flipped(bound):
+            return tuple(BoundedSet(s.bound, s.mask ^ 1 << 5) for s in build_xy(bound))
+
+        monkeypatch.setattr(verify, "build_xy", flipped)
+        report_file = tmp_path / "report.json"
+        code, out, _ = run(
+            capsys, "verify", "--lemma", "skip-one-partition", "--out", str(report_file)
+        )
+        assert code == EXIT_COUNTEREXAMPLE
+        assert out == (
+            'FAIL skip-one-partition (1/2) first failure: {"inputs": {"n": 5}, "lhs": 0, "rhs": 1}\n'
+            "suite: FAIL\n"
+        )
+        failure = {"inputs": {"n": 5}, "lhs": 0, "rhs": 1}
+        payload = json.loads(report_file.read_text())
+        assert payload["all_passed"] is False
+        assert payload["checks"] == [
+            {"lemma": "skip-one-partition", "instances": 2, "passed": 1, "first_failure": failure}
+        ]
 
     def test_every_profile_is_a_choice(self, monkeypatch, capsys):
         # a profile added to verify.PROFILES reaches run_suite with no edit to the parser;

@@ -334,14 +334,12 @@ class Row(NamedTuple):
 
 
 def _cell_rows(runs):
-    """The runs expanded to one row per cell, each completed cell matched against its own spec."""
+    """The runs expanded to one row per cell; a completed run is one cell, matched on its spec."""
     rows = []
     for r, m_lo, m_hi, out in runs:
+        match = match_family(out) if out.status == STATUS_COMPLETED else None
+        family, l = match or (None, None)
         for m in range(m_lo, m_hi + 1):
-            match = None
-            if out.status == STATUS_COMPLETED:
-                match = match_family(dataclasses.replace(out, spec=ProgressionSpec(r, m)))
-            family, l = match or (None, None)
             rows.append(Row(r, m, out.status, family, l, out.contradiction_at, out.forced_value))
     return rows
 
@@ -439,6 +437,19 @@ class TestSharedCells:
             (r, m) for m in range(2, m_max + 1) for r in range(r_max_factor * m + 1)
         )
         assert len(cells) == grid_cells(m_max, r_max_factor)
+
+    @settings(deadline=None)
+    @example(grid=(40, 0, 12))  # row 0's top completes past the bound: one shared run
+    @example(grid=(17, 1, 20))  # three rows complete with cells to share
+    @example(grid=(33, 2, 70))
+    @given(GRIDS)
+    def test_completed_run_is_one_cell_with_its_own_spec(self, grid):
+        m_max, r_max_factor, bound = grid
+        if r_max_factor * m_max >= bound - 1:
+            return
+        for r, m_lo, m_hi, out in classify_grid(*grid):
+            if out.status == STATUS_COMPLETED:
+                assert (m_lo, out.spec) == (m_hi, ProgressionSpec(r, m_lo))
 
     @settings(deadline=None)
     @example(grid=(2, 1, 4))  # the least grid with diagonal cells: row 0 is its top alone

@@ -564,3 +564,41 @@ def test_cell_rule_sees_an_extension_in_the_loop_body():
     assert list(_extensions(ast.parse(SECOND_CELL_RULE))) == [
         (("_grid_runs", "cell"), 4), (("_grid_runs",), 10)
     ]
+
+
+def _spec_replacements(tree):
+    """Lines of ``replace(..., spec=...)`` calls, plain or as ``dataclasses.replace``."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "replace"
+        and any(kw.arg == "spec" for kw in node.keywords)
+    )
+
+
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES + TESTS if p.name != "solver.py"], ids=lambda p: f"{p.parent.name}/{p.name}"
+)
+def test_outcome_spec_set_only_in_solver(path):
+    # a completed grid run is one cell whose outcome carries its own spec, so nothing rebuilds one
+    lines = _spec_replacements(ast.parse(path.read_text()))
+    assert lines == [], f"{path.name} replaces an outcome's spec at lines {lines}; take the run's own"
+
+
+PARENT_CLASSIFY = """
+def cmd_classify(args):
+    for r, m_lo, m_hi, out in runs:
+        if out.status == STATUS_COMPLETED:
+            for m in range(m_lo, m_hi + 1):
+                family, l = match_family(replace(out, spec=ProgressionSpec(r, m))) or ("", "")
+                match = match_family(dataclasses.replace(out, spec=ProgressionSpec(r, m)))
+"""
+
+
+def test_spec_rule_sees_a_rebuilt_spec():
+    # the rule must flag the per-cell rebuild that a run of one replaced, or it guards nothing
+    assert _spec_replacements(ast.parse(PARENT_CLASSIFY)) == [6, 7]

@@ -3,6 +3,7 @@ single-element mutations flip the verdict, injected faults give exact reports.""
 
 import dataclasses
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -382,7 +383,7 @@ class TestValidationMessages:
 
     def _rejects(self, message, **changes):
         bad = dataclasses.replace(base_battery(), **changes)
-        with pytest.raises(InstanceError, match=f"^{message}$"):
+        with pytest.raises(InstanceError, match=f"^{re.escape(message)}$"):
             validate_four_term(bad)
 
     def test_a_b_t_overlap_below_a_gap(self):
@@ -415,6 +416,25 @@ class TestValidationMessages:
             "the pairs must agree below L, they differ at 1",
             c=_flip(base.c, 1), d=_flip(base.d, 1),
         )
+
+    @pytest.mark.parametrize("message,changes", [
+        ("a, b and t must share one window", lambda base: {"t": BoundedSet(6, base.t.mask)}),
+        ("a/b/t window must cover sums up to 4", lambda base: {
+            name: BoundedSet(4, getattr(base, name).mask & 0b1111) for name in "abt"
+        }),
+        ("c/d window must cover [0, 4]", lambda base: {"c": BoundedSet(6, base.c.mask)}),
+        ("L=2 must be excluded", lambda base: {"t": BoundedSet(5, 0)}),
+        ("0 must lie in a and in c", lambda base: {"a": _flip(base.a, 0)}),
+        ("0 must lie outside b and d", lambda base: {"d": _flip(base.d, 0)}),
+    ], ids=["one-window", "a-b-t-reach-K", "c-d-cover", "L-excluded", "0-in-a-c", "0-outside-b-d"])
+    def test_hypothesis_guard(self, message, changes):
+        self._rejects(message, **changes(base_battery()))
+
+    def test_window_pair_second_excluded_value_below_its_range(self):
+        # u = 2, m = 5: the second excluded value 4 + 5 = 9 lies below 2^3 + 2 = 10
+        message = "second excluded value 9 outside [2^(u+1)+2, 3*2^u]"
+        with pytest.raises(InstanceError, match=f"^{re.escape(message)}$"):
+            next(window_pair_batteries(2, 5))
 
     @given(st.sets(st.integers(1, 13)), st.sets(st.integers(1, 13)))
     def test_masks_match_the_per_value_scan(self, flips_c, flips_d):
