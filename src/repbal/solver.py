@@ -1,46 +1,50 @@
 """Forced element-by-element extension of an equal-count partition.
 
-Given an excluded progression {r + m*k}, the constraint that both classes of
-the partition have identical strict-pair counts determines the partition one
+Given an excluded progression P = {r + m*k}, the constraint that both classes
+of the partition have identical strict-pair counts determines the partition one
 position at a time: the smallest non-excluded value (the anchor) is pinned to
 class A by convention, and the pair-count constraint at sum anchor + f
 involves position f only through the single pair (anchor, f), so it either
 pins the membership of f or is infeasible.  No backtracking can exist.
 
-Each step is O(1).  With A' = A less the anchor, every value strictly between
-the anchor and f is in A', in B or in the progression P, so the ordered counts
-at t = anchor + f obey R_A(t) - R_B(t) = #{x in A' : t - x not in P} -
-#{x in B : t - x not in P}: the cross terms cancel.  And t - x is in P exactly
-when x <= t - r and x = t - r (mod m), so running member counts by residue
-give the difference directly.
+The step is O(1).  At step f the target is t = anchor + f, and A' (A less the
+anchor) and the decided B lie in (anchor, f), as does t - x for every x there.
+Since (anchor, f) is A' + B + P, the cross terms #{x in A' : t - x in B} and
+#{x in B : t - x in A'} cancel, and the ordered counts obey
 
-This module also matches completed extensions against the built families and
-sweeps whole (r, m) grids, recording contradictions as data.  The decision at
-position f reads only the decided positions below f and whether f itself is
-excluded, so the prefix up to f depends on P only through P n [0, f].  Cells
-(r, m) and (r, m') with m <= m' share P n [0, r + m) = {r} and decide every
-f < r + m alike, contradictions included.  Cells (r, m) and (r', m') with
-1 <= r < r' share the anchor 0 and the empty P n [0, r), so they decide every
-f < r alike: the evil/odious split.  So an extension can resume from another's
-outcome at the first value where their progressions can differ.  By the same
-lemma at the bound, an extension over [0, N + 1) cut to [0, N) is the one
-over [0, N): it died at the same sum if it died before N, and otherwise it
-completed with the first N positions.
+    R_A(t) - R_B(t) = #{x in A' : t - x not in P} - #{x in B : t - x not in P}.
 
-Pair counts move with a set: R_{C+1}(n) = R_C(n - 2).  The cell (m - 1, m)
-excludes {m - 1, 2m - 1, ...} and pins 0 to A; moved up by one, that is the
-cell (0, m), which excludes {0, m, 2m, ...} and pins 1 to A.  So the two
-decide alike step for step (the shift lemma): (m - 1, m) over [0, N) is
-(0, m) over [0, N + 1) moved down by one, each position one lower, each sum
-two lower and the same demanded value.
+For such x, t - x is in P exactly when x <= t - r and x = t - r (mod m), so
+only the members up to min(f - 1, t - r), counted by residue, are needed; that
+limit rises by one per step.  Halving after taking off the diagonal pairs
+(t/2, t/2) leaves the strict counts.
 
-A grid sweep extends the top cell (r, m_max) of each r first, resuming from
-the previous r's top at r - 1.  The cells of that r whose r + m lies past
-every position the top cell read end as it does: one run sharing a dead top's
+The prefix lemma: the decision at position f reads only the decided positions
+below f and whether f itself is excluded, so the prefix up to f depends on P
+only through P n [0, f].  Cells (r, m) and (r, m') with m <= m' share
+P n [0, r + m) = {r} and decide every f < r + m alike, contradictions included.
+Cells (r, m) and (r', m') with 1 <= r < r' share the anchor 0 and the empty
+P n [0, r), so they decide every f < r alike: the evil/odious split.  So an
+extension can resume from another's outcome at the first value where their
+progressions can differ.  At the bound, an extension over [0, N + 1) cut to
+[0, N) is the one over [0, N): it died at the same sum if it died before N, and
+otherwise it completed with the first N positions.
+
+The shift lemma: pair counts move with a set, R_{C+1}(n) = R_C(n - 2).  The
+cell (m - 1, m) excludes {m - 1, 2m - 1, ...} and pins 0 to A; moved up by one,
+that is the cell (0, m), which excludes {0, m, 2m, ...} and pins 1 to A.  So
+(m - 1, m) over [0, N) is (0, m) over [0, N + 1) moved down by one: each
+position one lower, each sum two lower and the same demanded value.
+
+The sweep extends the top cell (r, m_max) of each r first, resuming from the
+previous r's top at r - 1.  The top reads [0, seen): its window, and the
+position it died at if it died.  Each cell (r, m) of that r with seen <= r + m
+ends as the top does (the prefix lemma): together one run sharing a dead top's
 outcome, or runs of one, each a completed top's sides under its own spec.  Any
 other cell of that r is a run of its own, resumed from the top at r + m.  Row 0
-extends over the bound + 1, so each diagonal cell (r, r + 1), r >= 1, that needs
-an outcome of its own is read off row 0's cell (0, r + 1) instead of stepped.
+extends over the bound + 1 and is cut to it, so each diagonal cell (r, r + 1),
+r >= 1, that needs an outcome of its own is row 0's cell (0, r + 1) moved down
+(the shift lemma) instead of stepped.
 """
 
 from __future__ import annotations
@@ -120,36 +124,25 @@ class ExtensionOutcome:
         return self.spec.anchor
 
 
+def _check_reach(r: int, bound: int) -> None:
+    """Refuse a window that does not reach past the first excluded value r."""
+    if bound < r + 2:
+        raise ValueError(f"bound {bound} must reach past the first excluded value {r}")
+
+
 def forced_extend(
     spec: ProgressionSpec, bound: int, resume: ExtensionOutcome | None = None
 ) -> ExtensionOutcome:
     """Extend the unique balanced partition over [0, bound), or report where it dies.
 
-    Each step is O(1), from running per-residue member counts.  At step f the
-    target is t = anchor + f, and A' (A less the anchor) and the decided B lie
-    in (anchor, f), as does t - x for every x there.  Their ordered counts are
-
-        R_A(t) - R_B(t) = #{x in A' : t - x not in P} - #{x in B : t - x not in P},
-
-    because (anchor, f) is A' + B + P, so the cross terms #{x in A' : t - x in B}
-    and #{x in B : t - x in A'} cancel.  For such x, t - x is in P exactly when
-    x <= t - r and x = t - r (mod m), so only the members up to min(f - 1, t - r)
-    counted by residue are needed; that limit rises by one per step.  Halving
-    after taking off the diagonal pairs (t/2, t/2) leaves the strict counts.
-
-    ``resume``, an earlier outcome, lends its decided positions below the
-    first value where the two progressions can differ: min(r, r') when the
-    offsets differ, r + min(m, m') when they agree.  By the prefix lemma in the
-    module docstring those positions are this extension's too, so the steps
-    start there (capped at ``len(resume.sides)`` and at ``bound``).  Below that
-    start only r is excluded, and every member the counts take in is below m,
-    so each residue holds at most one of them: one sum gives the balance and
-    one slice the per-residue counts.
-
-    The returned sides are the loop's own array, cut in place at the contradiction.
+    ``resume``, an earlier outcome, lends its decided positions below the first
+    value where the two progressions can differ (the prefix lemma): min(r, r')
+    when the offsets differ, r + min(m, m') when they agree, capped at
+    ``len(resume.sides)`` and at ``bound``.  Below that start only r is excluded,
+    and every member the counts take in is below m, so each residue holds at most
+    one of them: one sum gives the balance and one slice the per-residue counts.
     """
-    if bound < spec.r + 2:
-        raise ValueError(f"bound {bound} must reach past the first excluded value {spec.r}")
+    _check_reach(spec.r, bound)
     r = spec.r
     m = min(spec.m, bound + 1)  # below the bound, any modulus past it excludes r alone
     anchor = spec.anchor
@@ -236,33 +229,15 @@ def classify_grid(
     and its outcome's spec is its own ``ProgressionSpec(r, m_lo)``.  Contradictions are
     data, not failures; the runs are non-empty and tile the grid in (r, m) order.
 
-    Each r extends its top cell (r, m_max) over the whole bound, resumed from the
-    previous r's top at r - 1, and reads [0, seen): its window [0, len(sides)),
-    and the position it died at if it died.  By the prefix lemma in the module
-    docstring, every cell (r, m) with seen <= r + m ends as the top does: with a dead
-    top they form r's last run [max(m_lo, seen - r), m_max], m_lo being r's least m;
-    a completed top's sides are shared, unextended, by one run per cell.  Every other
-    cell is a run of one, with an extension of its own resumed from the top at r + m.
-
-    Row 0's extensions, its top and its runs of one, run over bound + 1 and are
-    yielded cut to the bound.  When the grid holds the diagonal cells
-    (r_max_factor >= 1), each of row 0's outcomes (0, m) is kept until row m - 1.
-    A diagonal cell (r, r + 1) with r >= 1 that needs an extension of its own, as a
-    run of one or as the top (r = m_max - 1), is row 0's outcome for (0, r + 1)
-    moved down by the shift lemma instead.
-
     The checks run before the runs are produced, so a refused grid runs no
     extension.  A grid with a cell at r >= bound - 1 is refused with the error
-    forced_extend raises for the first such cell in m-major order,
-    r = max(bound - 1, 0); so is a grid of more than MAX_GRID_CELLS cells.
+    forced_extend raises for the least r it cannot reach, max(bound - 1, 0); so is a
+    grid of more than MAX_GRID_CELLS cells.
     """
     if m_max < 2:
         return iter(())
-    first_unreachable = max(bound - 1, 0)
-    if r_max_factor * m_max >= first_unreachable:
-        raise ValueError(
-            f"bound {bound} must reach past the first excluded value {first_unreachable}"
-        )
+    # the grid's largest r, or the least r it cannot reach when that is smaller
+    _check_reach(min(r_max_factor * m_max, max(bound - 1, 0)), bound)
     cells = grid_cells(m_max, r_max_factor)
     if cells > MAX_GRID_CELLS:
         raise ValueError(f"grid of {cells} cells exceeds {MAX_GRID_CELLS}")
@@ -277,13 +252,12 @@ def _grid_runs(
     def cell(r: int, m: int, resume: ExtensionOutcome | None) -> ExtensionOutcome:
         """The cell (r, m) over the bound; every extension of the grid runs here.
 
-        Row 0 extends over bound + 1 and is cut to the bound (the prefix lemma).  When the
-        grid holds the diagonal cells, the outcome is kept, and the cell (m - 1, m) is it
-        moved down by one (the shift lemma), never stepped.  Each (0, m) has an outcome of
-        its own to move: below m it excludes only 0, so it is the evil/odious split moved up
-        by one, which balances at every sum (the paper's quoted lemma), and it cannot die
-        before position m.  Such a grid reaches r = m_max, so bound > m_max + 1: row 0's top
-        reads past m_max - 1 and every (0, m) with m < m_max is a run of one.
+        Row 0 runs over bound + 1, is kept when the grid holds diagonal cells, and is cut
+        to the bound; (r, r + 1) is row 0's (0, r + 1) moved down.  That one is always
+        kept: below m, (0, m) excludes only 0, so it is the evil/odious split moved up by
+        one, which balances at every sum (the paper's quoted lemma), and cannot die before
+        position m.  A grid with diagonals reaches r = m_max, so bound > m_max + 1: row
+        0's top reads past m_max - 1 and every (0, m) with m < m_max is a run of one.
         """
         if r == 0:
             out = forced_extend(ProgressionSpec(0, m), bound + 1, resume)
@@ -291,7 +265,9 @@ def _grid_runs(
                 row0[m] = out
             return out if len(out.sides) < bound else ExtensionOutcome(out.spec, out.sides[:bound])
         if m == r + 1:
-            return _moved_down(row0[m], r)
+            out = row0[m]
+            died = None if out.contradiction_at is None else out.contradiction_at - 2
+            return ExtensionOutcome(ProgressionSpec(r, m), out.sides[1:], died, out.forced_value)
         return forced_extend(ProgressionSpec(r, m), bound, resume)
 
     top = None
@@ -308,18 +284,6 @@ def _grid_runs(
             shared = m_max
         yield r, shared, m_max, top
         row0.pop(r + 1, None)
-
-
-def _moved_down(outcome: ExtensionOutcome, r: int) -> ExtensionOutcome:
-    """Row 0's cell (0, r + 1) over bound + 1 as the cell (r, r + 1) over bound (the shift
-    lemma): every position one lower, every sum two lower, the same demanded value."""
-    died = outcome.contradiction_at
-    return ExtensionOutcome(
-        ProgressionSpec(r, r + 1),
-        outcome.sides[1:],
-        None if died is None else died - 2,
-        outcome.forced_value,
-    )
 
 
 def predicted_solvable_cells(m_max: int) -> set[tuple[int, int]]:

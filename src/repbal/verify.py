@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Iterator
 
-from .builders import build_ef, build_evil_odious, build_family, build_xy, family_cells
+from .builders import build_ef, build_evil_odious, build_family, build_xy, family_cells, family_of
 from .intset import BoundedSet, ProgressionSpec, partition_fault, progression_set
 from .repfn import (
     first_r2_difference,
@@ -409,12 +409,13 @@ def _solver_agreement(p: SuiteProfile, seed: int) -> Verdicts:
 def _classification_grid(p: SuiteProfile, seed: int) -> Verdicts:
     predicted = predicted_solvable_cells(p.grid_m_max)
     for r, m_lo, m_hi, out in classify_grid(p.grid_m_max, GRID_R_MAX_FACTOR, p.grid_bound):
-        completed = out.status == STATUS_COMPLETED  # then the run is one cell with its own spec
         for m in range(m_lo, m_hi + 1):
             expected = STATUS_COMPLETED if (r, m) in predicted else STATUS_CONTRADICTION
-            ok = out.status == expected and (not completed or match_family(out) is not None)
+            # a completed run is one cell with its own spec, which should match its family
+            if out.status == expected == STATUS_COMPLETED and match_family(out) is None:
+                expected = "{}:{}".format(*family_of(out.spec))  # as build names the family
             failure = {"inputs": {"r": r, "m": m}, "lhs": out.status, "rhs": expected}
-            yield None if ok else failure
+            yield None if out.status == expected else failure
 
 
 def _kernel_oracle(p: SuiteProfile, seed: int) -> Verdicts:

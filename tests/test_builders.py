@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from repbal import builders
 from repbal.builders import (
     FAMILIES,
     S1T1,
@@ -373,6 +374,18 @@ class TestBuildEF:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             build_ef(-1)
+
+    def test_a_pair_that_misses_a_value_is_refused(self, monkeypatch):
+        # the cover check after the parity split: with 0 taken out of E, 0 is in neither set
+        split = builders._balanced_pair
+
+        def without_zero(weights, bound):
+            e, f = split(weights, bound)
+            return BoundedSet(bound, e.mask & ~1), f
+
+        monkeypatch.setattr(builders, "_balanced_pair", without_zero)
+        with pytest.raises(RuntimeError, match="^window pair for u=3 does not cover the window minus 8$"):
+            build_ef(3)
 
 
 class TestBuildXY:

@@ -267,6 +267,12 @@ class TestTextFormat:
         with pytest.raises(ValueError, match=f"^{re.escape(message + fixture)}$"):
             BoundedSet.from_text(text)
 
+    def test_repr_shows_the_first_twelve_members(self):
+        assert repr(BoundedSet(20, ((1 << 20) - 1) ^ 0b100)) == (
+            "BoundedSet(bound=20, {0,1,3,4,5,6,7,8,9,10,11,12,...})"
+        )
+        assert repr(BoundedSet(5, 0b101)) == "BoundedSet(bound=5, {0,2})"
+
     def test_negative_bound_rejected_before_the_elements(self):
         # the constructor's message, not a complaint about the first element
         with pytest.raises(ValueError, match=r"^bound must be >= 0, got -20$"):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repbal import solver
 from repbal.builders import FAMILIES, build_evil_odious, build_family, family_progression
+from repbal.cli import main
 from repbal.intset import ProgressionSpec, partition_fault, progression_set
 from repbal.repfn import r2_profile
 from repbal.solver import (
@@ -315,6 +316,19 @@ class TestMatchFamily:
         assert out.status == STATUS_COMPLETED
         assert match_family(out) is None
 
+    def test_completed_cell_its_family_does_not_reproduce_matches_none(self, monkeypatch, capsys):
+        # the family of (2, 3) is s1t1:1, but with one member of its A flipped the sets differ
+        build = solver.build_family
+
+        def flipped(*args):
+            a, b, t = build(*args)
+            return dataclasses.replace(a, mask=a.mask ^ 1), b, t
+
+        monkeypatch.setattr(solver, "build_family", flipped)
+        assert match_family(forced_extend(ProgressionSpec(2, 3), 256)) is None
+        assert main(["classify", "--m-max", "3", "--bound", "64"]) == 0
+        assert "2,3,completed,,,," in capsys.readouterr().out.splitlines()
+
     def test_contradiction_outcome_rejected(self):
         out = forced_extend(ProgressionSpec(1, 4), 64)
         with pytest.raises(ValueError):
@@ -604,6 +618,11 @@ class TestGridCap:
         monkeypatch.setattr(solver, "MAX_GRID_CELLS", cells - 1)
         with pytest.raises(ValueError, match=f"^grid of {cells} cells exceeds {cells - 1}$"):
             classify_grid(*grid)
+
+    def test_grid_without_a_modulus_is_empty(self):
+        # m >= 2, so m_max < 2 leaves no cell; the CLI refuses such a grid before this
+        assert grid_cells(1, 2) == grid_cells(0, 0) == 0
+        assert list(classify_grid(1, 2, 64)) == []
 
     def test_factor_zero_grid_is_capped_before_any_extension(self, monkeypatch):
         # r = 0 alone is always in reach, so only the cap bounds m_max

@@ -537,7 +537,8 @@ def _extensions(node, enclosing=()):
 
 
 def test_every_grid_extension_runs_in_one_cell_rule():
-    # _grid_runs' cell alone decides how a grid cell gets its outcome: stepped, cut or moved down
+    # _grid_runs' cell decides how a grid cell gets its outcome: stepped, cut or moved down; the one
+    # exception, a completed top's shared cells, takes the top's sides in the loop body, unextended
     tree = ast.parse((SOURCES[0].parent / "solver.py").read_text())
     sites = [site for site in _extensions(tree) if site[0][:1] != ("forced_extend",)]
     assert sites and {enclosing for enclosing, _ in sites} == {("_grid_runs", "cell")}, (
@@ -602,3 +603,72 @@ def cmd_classify(args):
 def test_spec_rule_sees_a_rebuilt_spec():
     # the rule must flag the per-cell rebuild that a run of one replaced, or it guards nothing
     assert _spec_replacements(ast.parse(PARENT_CLASSIFY)) == [6, 7]
+
+
+OUTCOME_MAKERS = {"ExtensionOutcome", "solver.ExtensionOutcome", "replace", "dataclasses.replace"}
+
+
+def _outcome_builds(node, enclosing=()):
+    """(enclosing defs, outermost first, and line) of every call that makes an outcome:
+    ``ExtensionOutcome(...)`` or a dataclass ``replace(...)``."""
+    if isinstance(node, FUNCTIONS):
+        enclosing += (node.name,)
+    if isinstance(node, ast.Call) and ast.unparse(node.func) in OUTCOME_MAKERS:
+        yield enclosing, node.lineno
+    for child in ast.iter_child_nodes(node):
+        yield from _outcome_builds(child, enclosing)
+
+
+def test_outcomes_are_made_by_the_extension_and_the_grid():
+    # forced_extend makes the outcome it steps, _grid_runs each one it cuts, moves or shares;
+    # an outcome made anywhere else would be a second rule for what a cell decides
+    sites = [
+        (path.name, enclosing[:1], line)
+        for path in SOURCES
+        for enclosing, line in _outcome_builds(ast.parse(path.read_text()))
+    ]
+    makers = {(name, enclosing) for name, enclosing, _ in sites}
+    assert makers == {("solver.py", ("forced_extend",)), ("solver.py", ("_grid_runs",))}, (
+        f"outcomes made at {sites}; make them in forced_extend or _grid_runs"
+    )
+
+
+PARENT_MOVED_DOWN = """
+def _grid_runs(m_max, r_max_factor, bound):
+    def cell(r, m, resume):
+        if m == r + 1:
+            return _moved_down(row0[m], r)
+        return forced_extend(ProgressionSpec(r, m), bound, resume)
+
+
+def _moved_down(outcome, r):
+    died = outcome.contradiction_at
+    return ExtensionOutcome(
+        ProgressionSpec(r, r + 1),
+        outcome.sides[1:],
+        None if died is None else died - 2,
+        outcome.forced_value,
+    )
+
+
+def _renamed(outcome, spec):
+    return dataclasses.replace(outcome, spec=spec), spec.name.replace("_", "-")
+"""
+
+
+def test_outcome_rule_sees_a_helper_beside_the_grid():
+    # the rule must flag the shift coded outside cell and a replace of an outcome, or it guards
+    # nothing; a string's replace is not one
+    assert list(_outcome_builds(ast.parse(PARENT_MOVED_DOWN))) == [
+        (("_moved_down",), 11), (("_renamed",), 20)
+    ]
+
+
+REACH_MESSAGE = "must reach past the first excluded value"
+
+
+def test_reach_refusal_written_once():
+    # forced_extend and classify_grid refuse an unreachable r through one check, solver._check_reach
+    counts = [(path.name, path.read_text().count(REACH_MESSAGE)) for path in SOURCES]
+    sites = [(name, count) for name, count in counts if count]
+    assert sites == [("solver.py", 1)], f"reach message written at {sites}; raise it through _check_reach"

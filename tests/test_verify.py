@@ -283,6 +283,12 @@ FAULTS = [
         {"instances": 96, "passed": 95, "first_failure": {
             "inputs": {"r": 3, "m": 2}, "lhs": "contradiction", "rhs": "completed"}},
     ),
+    (
+        ("match_family", lambda found, out: None),
+        "classification-grid",
+        {"instances": 96, "passed": 85, "first_failure": {
+            "inputs": {"r": 0, "m": 2}, "lhs": "completed", "rhs": "s1t1+1:0"}},
+    ),
 ]
 
 
