@@ -7,17 +7,20 @@ class A by convention, and the pair-count constraint at sum anchor + f
 involves position f only through the single pair (anchor, f), so it either
 pins the membership of f or is infeasible.  No backtracking can exist.
 
-The step is O(1).  At step f the target is t = anchor + f, and A' (A less the
-anchor) and the decided B lie in (anchor, f), as does t - x for every x there.
-Since (anchor, f) is A' + B + P, the cross terms #{x in A' : t - x in B} and
-#{x in B : t - x in A'} cancel, and the ordered counts obey
+The step is O(1).  The loop always has anchor 0 (the cell (0, m) runs as
+(m - 1, m), by the shift lemma below), so the constraint at step f is at the
+sum f, and A' (A less the anchor) and the decided B lie in (0, f), as does
+f - x for every x there.  Since (0, f) is A' + B + P, the cross terms
+#{x in A' : f - x in B} and #{x in B : f - x in A'} cancel, and the ordered
+counts obey
 
-    R_A(t) - R_B(t) = #{x in A' : t - x not in P} - #{x in B : t - x not in P}.
+    R_A(f) - R_B(f) = #{x in A' : f - x not in P} - #{x in B : f - x not in P}.
 
-For such x, t - x is in P exactly when x <= t - r and x = t - r (mod m), so
-only the members up to min(f - 1, t - r), counted by residue, are needed; that
-limit rises by one per step.  Halving after taking off the diagonal pairs
-(t/2, t/2) leaves the strict counts.
+For such x, f - x is in P exactly when x <= f - r and x = f - r (mod m).  So
+the step keeps one running sum per residue, members of A' less members of B
+up to f - r: it adds position f - r to its residue's sum, and that one sum,
+taken from |A'| - |B|, is the difference.  Halving after taking off the
+diagonal pairs (f/2, f/2) leaves the strict counts.
 
 The prefix lemma: the decision at position f reads only the decided positions
 below f and whether f itself is excluded, so the prefix up to f depends on P
@@ -35,6 +38,8 @@ cell (m - 1, m) excludes {m - 1, 2m - 1, ...} and pins 0 to A; moved up by one,
 that is the cell (0, m), which excludes {0, m, 2m, ...} and pins 1 to A.  So
 (m - 1, m) over [0, N) is (0, m) over [0, N + 1) moved down by one: each
 position one lower, each sum two lower and the same demanded value.
+forced_extend runs (0, m) over [0, N) that way: it steps (m - 1, m) over
+[0, N - 1), then puts the excluded 0 in front and adds 2 to the sum it died at.
 
 The sweep extends the top cell (r, m_max) of each r first, resuming from the
 previous r's top at r - 1.  The top reads [0, seen): its window, and the
@@ -140,42 +145,50 @@ def forced_extend(
     when the offsets differ, r + min(m, m') when they agree, capped at
     ``len(resume.sides)`` and at ``bound``.  Below that start only r is excluded,
     and every member the counts take in is below m, so each residue holds at most
-    one of them: one sum gives the balance and one slice the per-residue counts.
+    one of them: the side array is that prefix plus a zero tail, two byte counts
+    of the prefix give the balance, and the prefix as a list the per-residue sums.
     """
     _check_reach(spec.r, bound)
     r = spec.r
     m = min(spec.m, bound + 1)  # below the bound, any modulus past it excludes r alone
-    anchor = spec.anchor
-    lag = r or 1  # f - lag = min(f - 1, t - r), the newest member that the counts take in
-    start = anchor + 1  # the first position the loop decides
-    side = array("b", bytes(bound))  # position x's side: +1 in A, -1 in B, 0 excluded
-    side[anchor] = 1
+    shift = 0 if r else 1  # (0, m) steps as (m - 1, m) over one position less (the shift lemma)
+    window = bound - shift
+    start = 1  # the first position the loop decides; the anchor, 0, is below it
+    prefix = b"\x01"  # the decided positions below start
     if resume is not None:
         was = resume.spec
         shared = min(r, was.r) if r != was.r else r + min(spec.m, was.m)
-        reuse = min(shared, len(resume.sides), bound)
+        reuse = min(shared, len(resume.sides), bound) - shift
         if reuse > start:  # past the anchor, so both extensions have the same one
             start = reuse
-            side[:start] = array("b", resume.sides[:start])
-    balance = sum(side[:start]) - 1  # |A'| - |B|
-    by_residue = [0] * m  # members of A' less members of B, up to the limit, by residue
-    taken = max(start - lag, anchor + 1)  # the counts hold the members in (anchor, taken)
-    by_residue[anchor + 1:taken] = side[anchor + 1:taken]
+            prefix = resume.sides[shift:shift + start]
+    if shift:
+        r = m - 1
+    lag = min(r, window)  # a negative x = f - lag reads side[x + window], at or past f: a 0
+    side = array("b", prefix)  # +1 in A, -1 in B, 0 excluded or undecided
+    side.frombytes(bytes(window - start))
+    side[0] = 0  # the anchor, held out of the counts while stepping
+    balance = prefix.count(1) - prefix.count(0xFF) - 1  # |A'| - |B|
+    # members of A' less members of B in (0, f - lag), by residue; below start, position is residue
+    by_residue = side[:max(start - lag, 1)].tolist()
+    by_residue += [0] * (m - len(by_residue))
+    excluded = r if start <= r else r + m  # the next excluded position; start <= r + m
 
-    for f in range(start, bound):
+    for f in range(start, window):
         x = f - lag
-        if x > anchor:
-            by_residue[x % m] += side[x]
-        target = anchor + f
+        i = x % m
+        c = side[x] + by_residue[i]
+        by_residue[i] = c
         # twice the demanded value: -(R_A - R_B) plus the diagonal pair of A less that of B
-        twice = by_residue[(target - r) % m] - balance
-        if not target & 1:
-            twice += side[target >> 1]
+        twice = c - balance
+        if not f & 1:
+            twice += side[f >> 1]
         demanded = twice >> 1
-        if f >= r and (f - r) % m == 0:  # f is excluded
+        if f == excluded:
             if demanded:
                 del side[f:]
                 break
+            excluded += m
         elif demanded == 1:
             side[f] = 1
             balance += 1
@@ -186,11 +199,14 @@ def forced_extend(
             del side[f:]
             break
 
-    died = len(side) < bound
+    died = len(side) < window
+    side[0] = 1
+    if shift:
+        side.insert(0, 0)
     return ExtensionOutcome(
         spec=spec,
         sides=side.tobytes(),
-        contradiction_at=target if died else None,
+        contradiction_at=f + 2 * shift if died else None,
         forced_value=demanded if died else None,
     )
 

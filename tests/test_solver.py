@@ -164,6 +164,20 @@ class TestResidueCounts:
         spec = ProgressionSpec(r, m)
         assert forced_extend(spec, bound) == _forced_extend_bitparallel(spec, bound)
 
+    def test_every_small_cell_agrees_with_the_bit_parallel_loop(self):
+        # every cell below the bound 40, moduli past the bound included: r = 0 steps as
+        # (m - 1, m) one position lower, and from m >= bound - 2 on that r reaches the window's end
+        cells = [
+            (r, m, bound)
+            for bound in range(2, 40)
+            for r in range(bound - 1)
+            for m in range(2, bound + 4)
+        ]
+        assert len(cells) == 21_242
+        for r, m, bound in cells:
+            spec = ProgressionSpec(r, m)
+            assert forced_extend(spec, bound) == _forced_extend_bitparallel(spec, bound), (r, m, bound)
+
     @example(cell=(3, 4, 5))  # dies at its first excluded position
     @example(cell=(0, 2, 2))  # the smallest window
     @given(st.integers(0, 40).flatmap(
@@ -250,10 +264,23 @@ class TestResume:
     @example(cells=(ProgressionSpec(0, 70), ProgressionSpec(0, 65), 64))  # resumes at the bound
     @example(cells=(ProgressionSpec(40, 9), ProgressionSpec(39, 9), 400))  # a top cell's chain
     @example(cells=(ProgressionSpec(2, 3), ProgressionSpec(2, 3), 64))  # the same cell
+    @example(cells=(ProgressionSpec(0, 5), ProgressionSpec(0, 9), 64))  # r = 0: a shifted prefix
+    @example(cells=(ProgressionSpec(0, 7), ProgressionSpec(3, 7), 64))  # r = 0 reuses nothing
+    @example(cells=(ProgressionSpec(16, 4), ProgressionSpec(16, 9), 64))  # r > m: takes in m members
     @given(_resumed_extensions())
     def test_equals_the_extension_from_the_anchor(self, cells):
         spec, was, bound = cells
         assert forced_extend(spec, bound, forced_extend(was, bound)) == forced_extend(spec, bound)
+
+    @settings(deadline=None)
+    @example(cells=(ProgressionSpec(0, 70), ProgressionSpec(0, 80), 64))  # reuses the whole window
+    @example(cells=(ProgressionSpec(0, 9), ProgressionSpec(0, 40), 64))  # a row 0 cell
+    @example(cells=(ProgressionSpec(1, 40), ProgressionSpec(0, 40), 64))  # row 1's top
+    @given(_resumed_extensions())
+    def test_resumes_from_an_outcome_one_position_longer(self, cells):
+        # row 0 extends over the bound + 1, and the grid resumes from its outcomes
+        spec, was, bound = cells
+        assert forced_extend(spec, bound, forced_extend(was, bound + 1)) == forced_extend(spec, bound)
 
     @pytest.mark.parametrize("spec,was,bound,start", [
         (ProgressionSpec(8, 9), ProgressionSpec(8, 33), 64, 17),
@@ -535,6 +562,23 @@ class TestSharedCells:
         runs = list(classify_grid(129, 2, 8192))
         assert len(calls) == len(runs) - 8 == 822
         assert not [(r, m) for r, m in calls if r >= 1 and m == r + 1]
+
+    @pytest.mark.parametrize("grid,extensions", [
+        ((17, 1, 20), 59),
+        ((33, 2, 70), 198),
+        ((6000, 0, 2048), 2_047),  # the top (0, 6000) and one resumed run of one per m < 2048
+        ((40, 0, 12), 11),
+    ])
+    def test_extension_count(self, monkeypatch, grid, extensions):
+        calls = []
+
+        def counting(spec, bound, resume=None):
+            calls.append(spec)
+            return forced_extend(spec, bound, resume)
+
+        monkeypatch.setattr(solver, "forced_extend", counting)
+        list(classify_grid(*grid))
+        assert len(calls) == extensions
 
     @settings(deadline=None)
     @example(cell=(2, 3))  # completes at every bound
