@@ -1,231 +1,124 @@
-"""Source-level rules for the library package."""
+"""Source-level rules for the library package.
+
+A rule that says where a construct may appear is one row of ``RULES``, which names its two
+tests: a placement test per file in scope, and a test on the code the rule was written against.
+"""
 
 import ast
+import functools
 import importlib
 import types
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import pytest
 
 import repbal
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "repbal").glob("*.py"))
+SRC = Path(__file__).resolve().parent.parent / "src" / "repbal"
+SOURCES = sorted(SRC.glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFINITIONS = FUNCTIONS + (ast.ClassDef,)
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
-def test_no_assert_statements(path):
-    # python -O strips assert statements, so library checks must raise explicitly
-    tree = ast.parse(path.read_text(), filename=str(path))
-    lines = sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert))
-    assert lines == [], f"{path.name} uses assert at lines {lines}"
+@functools.cache
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
 
 
-def _and_popcounts(tree):
-    """Lines of ``(... & ...).bit_count()`` calls, shifted or not: a hand-rolled pair count."""
-    return [
-        node.lineno
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "bit_count"
-        and isinstance(node.func.value, ast.BinOp)
-        and isinstance(node.func.value.op, ast.BitAnd)
-    ]
+def _sites(node, match, enclosing=()):
+    """(enclosing def names, outermost first; node) for every node under node that match accepts."""
+    if isinstance(node, FUNCTIONS):
+        enclosing += (node.name,)
+    if match(node):
+        yield enclosing, node
+    for child in ast.iter_child_nodes(node):
+        yield from _sites(child, match, enclosing)
 
 
-def _reversing_slices(tree):
-    """Lines of ``[::-1]`` slices."""
-    return [
-        node.lineno
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Slice)
-        and node.lower is None
-        and node.upper is None
-        and isinstance(node.step, ast.UnaryOp)
-        and isinstance(node.step.op, ast.USub)
-        and isinstance(node.step.operand, ast.Constant)
-        and node.step.operand.value == 1
-    ]
+def _lines(tree, match):
+    """(enclosing defs, line) of every site of match in tree."""
+    return [(enclosing, node.lineno) for enclosing, node in _sites(tree, match)]
 
 
-@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "repfn.py"], ids=lambda p: p.name)
-def test_pair_counting_only_in_repfn(path):
-    # repfn.pairs_at is the one place a faster kernel plugs in
-    tree = ast.parse(path.read_text(), filename=str(path))
-    assert _and_popcounts(tree) == [], f"{path.name} counts pairs by hand; use repfn.pairs_at"
-    assert _reversing_slices(tree) == [], f"{path.name} reverses a sequence; use repfn.pairs_at"
+def _is_and_popcount(node):
+    """A ``(... & ...).bit_count()`` call, shifted or not: a hand-rolled pair count."""
+    return (
+        isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "bit_count"
+        and isinstance(getattr(node.func.value, "op", None), ast.BitAnd)
+    )
 
 
-def test_pair_counting_rule_sees_the_primitive():
-    # the rule must match the code it protects, or it guards nothing
-    tree = ast.parse((SOURCES[0].parent / "repfn.py").read_text())
-    assert _and_popcounts(tree) and _reversing_slices(tree)
-
-
-def test_pair_counting_rule_sees_an_unshifted_count():
-    # a pair count over a mask reversed elsewhere needs no shift at the popcount
-    assert _and_popcounts(ast.parse("def f(x, y):\n    return (x & y).bit_count()\n")) == [2]
+def _is_reversing_slice(node):
+    """A ``[::-1]`` slice."""
+    return (
+        isinstance(node, ast.Slice)
+        and node.lower is node.upper is None
+        and node.step is not None
+        and ast.unparse(node.step) == "-1"
+    )
 
 
 DECIMAL_MODULES = {"decimal", "_decimal", "_pydecimal"}
 
 
-def _decimal_imports(tree):
-    """Lines that import the decimal module, under any of its names."""
-    lines = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            lines += [node.lineno for alias in node.names if alias.name.split(".")[0] in DECIMAL_MODULES]
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] in DECIMAL_MODULES:
-            lines.append(node.lineno)
-    return lines
-
-
-@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "repfn.py"], ids=lambda p: p.name)
-def test_decimal_only_in_repfn(path):
-    # the packed decimal products, the profile square and the balance product, live in repfn alone
-    tree = ast.parse(path.read_text(), filename=str(path))
-    lines = _decimal_imports(tree)
-    assert lines == [], f"{path.name} imports decimal at lines {lines}; use repfn's profiles"
-
-
-def test_decimal_rule_sees_the_kernel():
-    tree = ast.parse((SOURCES[0].parent / "repfn.py").read_text())
-    assert _decimal_imports(tree)
-
-
-def _kronecker_sites(tree):
-    """Lines of ``create_decimal`` calls (packings) and of ``len(str(...))`` calls (field widths)."""
-    packings, field_widths = [], []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        if isinstance(node.func, ast.Attribute) and node.func.attr == "create_decimal":
-            packings.append(node.lineno)
-        elif (
-            isinstance(node.func, ast.Name)
-            and node.func.id == "len"
-            and len(node.args) == 1
-            and isinstance(node.args[0], ast.Call)
-            and isinstance(node.args[0].func, ast.Name)
-            and node.args[0].func.id == "str"
-        ):
-            field_widths.append(node.lineno)
-    return sorted(packings), sorted(field_widths)
-
-
-def test_kronecker_substitution_written_once():
-    # the profile square and the balance product pack indicators by one rule, in one place
-    packings, field_widths = _kronecker_sites(ast.parse((SOURCES[0].parent / "repfn.py").read_text()))
-    assert len(packings) == 1, f"repfn.py packs indicators at lines {packings}; use repfn._packed"
-    assert len(field_widths) == 1, f"repfn.py picks field widths at lines {field_widths}; use repfn._packed"
-
-
-TWO_PACKINGS = """
-def _ordered_counts(s, n_max):
-    d = len(str(n_max + 1))
-    packed = _EXACT.create_decimal(("0" * (d - 1)).join(format(s.mask, "b")))
-def first_r2_difference(s, t, n_max):
-    d = len(str(n_max + 1))
-    s1 = _EXACT.create_decimal(("0" * (d - 1)).join(format(s.mask, "b")))
-"""
-
-
-def test_kronecker_rule_sees_the_kernel():
-    # the rule must see each packing and each field width, or it counts nothing
-    assert _kronecker_sites(ast.parse(TWO_PACKINGS)) == ([4, 7], [3, 6])
+def _imports_decimal(node):
+    """An import of the decimal module, under any of its names."""
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] in DECIMAL_MODULES for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] in DECIMAL_MODULES
 
 
 FAMILY_NAMES = {"S1T1", "S2T2", "S1T1_SHIFTED"}
 
 
-def _family_name_uses(tree):
-    """Lines that name a family constant: a bare name, an attribute or an import."""
-    lines = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and node.id in FAMILY_NAMES:
-            lines.append(node.lineno)
-        elif isinstance(node, ast.Attribute) and node.attr in FAMILY_NAMES:
-            lines.append(node.lineno)
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            lines += [node.lineno for alias in node.names if alias.name in FAMILY_NAMES]
-    return sorted(lines)
+def _names_a_family(node):
+    """A family constant as a bare name, an attribute or an import."""
+    if isinstance(node, ast.Name):
+        return node.id in FAMILY_NAMES
+    if isinstance(node, ast.Attribute):
+        return node.attr in FAMILY_NAMES
+    return isinstance(node, (ast.Import, ast.ImportFrom)) and any(a.name in FAMILY_NAMES for a in node.names)
 
 
-@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "builders.py"], ids=lambda p: p.name)
-def test_family_names_only_in_builders(path):
-    # which progression a family leaves uncovered is answered in builders alone
-    tree = ast.parse(path.read_text(), filename=str(path))
-    lines = _family_name_uses(tree)
-    assert lines == [], f"{path.name} names a family at lines {lines}; use builders.family_cells or family_of"
+def _writes_a_file(node):
+    """An ``open(...)``, ``.open(...)``, ``.write_text(...)`` or ``.write_bytes(...)`` call."""
+    return isinstance(node, ast.Call) and (
+        ast.unparse(node.func) == "open" or getattr(node.func, "attr", None) in ("open", "write_text", "write_bytes")
+    )
 
 
-def test_family_rule_sees_builders():
-    tree = ast.parse((SOURCES[0].parent / "builders.py").read_text())
-    assert _family_name_uses(tree)
+def _calls(*callees):
+    """A call whose callee reads as one of callees."""
+    return lambda node: isinstance(node, ast.Call) and ast.unparse(node.func) in callees
 
 
-TRY_NODES = (ast.Try, ast.TryStar) if hasattr(ast, "TryStar") else (ast.Try,)
+def _parses_a_numeral(node):
+    """A base-2 ``int(..., 2)`` call."""
+    return _calls("int")(node) and len(node.args) == 2 and ast.unparse(node.args[1]) == "2"
 
 
-def _try_owners(tree):
-    """(innermost enclosing function, line) of every try statement; None outside any function."""
-    owners = []
-
-    def visit(node, owner):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            owner = node.name
-        if isinstance(node, TRY_NODES):
-            owners.append((owner, node.lineno))
-        for child in ast.iter_child_nodes(node):
-            visit(child, owner)
-
-    visit(tree, None)
-    return owners
-
-
-def test_one_error_boundary_in_cli():
-    # a domain error leaves the command line through cli.main's one handler, never a cmd_* of its own
-    tree = ast.parse((SOURCES[0].parent / "cli.py").read_text())
-    owners = [owner for owner, _ in _try_owners(tree)]
-    assert owners == ["main"], f"cli.py has try statements in {owners}; let cli.main handle errors"
-
-
-def test_error_boundary_rule_sees_every_try():
-    # the rule must see main's try, and one in a handler, or it guards nothing
-    tree = ast.parse((SOURCES[0].parent / "cli.py").read_text())
-    assert "main" in [owner for owner, _ in _try_owners(tree)]
-    handler = "def cmd_x(args):\n    try:\n        pass\n    except ValueError:\n        pass\n"
-    assert _try_owners(ast.parse(handler)) == [("cmd_x", 2)]
-
-
-def _numeral_parses(node, enclosing=None):
-    """(enclosing def, line) of every base-2 ``int(..., 2)`` call under node."""
-    if isinstance(node, FUNCTIONS):
-        enclosing = node.name
-    if (
+def _replaces_a_spec(node):
+    """A ``replace(..., spec=...)`` call, plain or as ``dataclasses.replace``."""
+    return (
         isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id == "int"
-        and len(node.args) == 2
-        and isinstance(node.args[1], ast.Constant)
-        and node.args[1].value == 2
-    ):
-        yield enclosing, node.lineno
-    for child in ast.iter_child_nodes(node):
-        yield from _numeral_parses(child, enclosing)
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "replace"
+        and any(kw.arg == "spec" for kw in node.keywords)
+    )
 
 
-def test_binary_numeral_parsed_once():
-    # BoundedSet.from_digits alone knows a numeral reads its highest position first;
-    # repfn.pairs_at's reversed numeral belongs to the pair-counting rule
-    sites = [
-        (path.name, name)
-        for path in SOURCES
-        if path.name != "repfn.py"
-        for name, _ in _numeral_parses(ast.parse(path.read_text()))
-    ]
-    assert sites == [("intset.py", "from_digits")], f"base-2 int() parses at {sites}; use from_digits"
+class Rule(NamedTuple):
+    test: str  # the placement test, per file in scope
+    reason: str
+    files: list
+    match: Callable
+    places: list  # (file name, exact def chain) once per site there, or (file name, None): any in the file
+    selftest: str  # the test on parent, the code the rule was written against
+    parent: str
+    parent_as: str  # the file parent is checked as
+    flags: list  # the (def chain, line) sites the rule must flag in parent
 
 
 HAND_PARSED_NUMERALS = """
@@ -240,13 +133,267 @@ def progression_set(spec, bound):
     return BoundedSet(bound, int(digits, 2) if digits else 0)
 """
 
+SECOND_SINK = """
+def cmd_dump(args, text):
+    Path(args.out).write_text(text)
 
-def test_numeral_rule_sees_a_hand_parsed_numeral():
-    # the rule must flag the parses that from_digits replaced, or it guards nothing
-    assert [name for name, _ in _numeral_parses(ast.parse(HAND_PARSED_NUMERALS))] == [
-        "_side_set",
-        "progression_set",
-    ]
+
+def cmd_save(args, data):
+    with open(args.out, "wb") as f:
+        f.write(data)
+"""
+
+SECOND_JSON_WRITER = """
+def cmd_verify(args, report):
+    text = json.dumps(report, sort_keys=True, indent=2) + "\\n"
+    with _output(args.out, "report") as stream:
+        stream.write(text)
+"""
+
+SECOND_CELL_RULE = """
+def _grid_runs(m_max, r_max_factor, bound):
+    def cell(r, m, resume):
+        return forced_extend(ProgressionSpec(r, m), bound, resume)
+
+    top = None
+    for r in range(r_max_factor * m_max + 1):
+        top = cell(r, m_max, top)
+        for m in range(2, m_max):
+            out = forced_extend(ProgressionSpec(r, m), bound + 1, top)
+            yield r, m, m, out
+"""
+
+PARENT_CLASSIFY = """
+def cmd_classify(args):
+    for r, m_lo, m_hi, out in runs:
+        if out.status == STATUS_COMPLETED:
+            for m in range(m_lo, m_hi + 1):
+                family, l = match_family(replace(out, spec=ProgressionSpec(r, m))) or ("", "")
+                match = match_family(dataclasses.replace(out, spec=ProgressionSpec(r, m)))
+"""
+
+PARENT_MOVED_DOWN = """
+def _grid_runs(m_max, r_max_factor, bound):
+    def cell(r, m, resume):
+        if m == r + 1:
+            return _moved_down(row0[m], r)
+        return forced_extend(ProgressionSpec(r, m), bound, resume)
+
+
+def _moved_down(outcome, r):
+    died = outcome.contradiction_at
+    return ExtensionOutcome(
+        ProgressionSpec(r, r + 1),
+        outcome.sides[1:],
+        None if died is None else died - 2,
+        outcome.forced_value,
+    )
+
+
+def _renamed(outcome, spec):
+    return dataclasses.replace(outcome, spec=spec), spec.name.replace("_", "-")
+"""
+
+SOLVER = "solver.py"
+
+RULES = [
+    Rule(
+        "test_no_assert_statements", "python -O strips assert statements, so library checks must raise explicitly",
+        files=SOURCES, match=lambda node: isinstance(node, ast.Assert), places=[],
+        selftest="test_assert_rule_sees_a_checked_argument",
+        parent="def check(x):\n    assert x > 0", parent_as="verify.py", flags=[(("check",), 2)],
+    ),
+    Rule(
+        "test_pair_counting_only_in_repfn", "repfn.pairs_at is the one place a faster kernel plugs in",
+        files=SOURCES, match=_is_and_popcount, places=[("repfn.py", None)],
+        # a pair count over a mask reversed elsewhere needs no shift at the popcount
+        selftest="test_pair_counting_rule_sees_an_unshifted_count",
+        parent="def f(x, y):\n    return (x & y).bit_count()\n", parent_as="verify.py", flags=[(("f",), 2)],
+    ),
+    Rule(
+        "test_reversing_slices_only_in_repfn", "repfn.pairs_at is the one place a faster kernel plugs in",
+        files=SOURCES, match=_is_reversing_slice, places=[("repfn.py", None)],
+        selftest="test_reversal_rule_sees_a_second_reversed_mask",
+        parent="def ordered_counts(mask, width):\n"
+        '    rev = int(format(mask, f"0{width}b")[::-1], 2)\n'
+        "    return [(mask & (rev >> (width - 1 - n))).bit_count() for n in range(width)]\n",
+        parent_as="verify.py", flags=[(("ordered_counts",), 2)],
+    ),
+    Rule(
+        "test_decimal_only_in_repfn",
+        "the packed decimal products, the profile square and the balance product, live in repfn alone",
+        files=SOURCES, match=_imports_decimal, places=[("repfn.py", None)],
+        selftest="test_decimal_rule_sees_an_import_beside_the_kernel",
+        parent="import decimal\nfrom _pydecimal import Context\n\n\n"
+        "def first_r2_difference(s, t, n_max):\n    exact = decimal.Context(prec=decimal.MAX_PREC)\n",
+        parent_as="verify.py", flags=[((), 1), ((), 2)],
+    ),
+    Rule(
+        "test_family_names_only_in_builders",
+        "which progression a family leaves uncovered is answered in builders alone",
+        files=SOURCES, match=_names_a_family, places=[("builders.py", None)],
+        selftest="test_family_rule_sees_a_family_named_in_verify",
+        parent="from .builders import FAMILIES, S1T1_SHIFTED\n\n\ndef _family_balance(p, seed):\n"
+        "    for family in FAMILIES:\n        anchor = 1 if family == S1T1_SHIFTED else 0\n",
+        parent_as="verify.py", flags=[((), 1), (("_family_balance",), 6)],
+    ),
+    Rule(
+        "test_one_error_boundary_in_cli",
+        "a domain error leaves the command line through cli.main's one handler, never a cmd_* of its own",
+        files=[SRC / "cli.py"], match=lambda node: isinstance(node, (ast.Try, getattr(ast, "TryStar", ast.Try))),
+        places=[("cli.py", ("main",))], selftest="test_error_boundary_rule_sees_every_try",
+        parent="def cmd_x(args):\n    try:\n        pass\n    except ValueError:\n        pass\n",
+        parent_as="cli.py", flags=[(("cmd_x",), 2)],
+    ),
+    Rule(
+        "test_binary_numeral_parsed_once",
+        "BoundedSet.from_digits alone knows a numeral reads its highest position first; "
+        "repfn.pairs_at's reversed numeral belongs to the pair-counting rule",
+        files=SOURCES, match=_parses_a_numeral,
+        places=[("intset.py", ("from_digits",)), ("repfn.py", ("pairs_at",))],
+        selftest="test_numeral_rule_sees_a_hand_parsed_numeral", parent=HAND_PARSED_NUMERALS,
+        parent_as="intset.py", flags=[(("_side_set",), 3), (("progression_set",), 10)],
+    ),
+    Rule(
+        "test_one_output_sink", "every --out file is opened by cli._output, which notes it on stderr once written",
+        files=SOURCES, match=_writes_a_file, places=[("cli.py", ("_output",))],
+        selftest="test_sink_rule_sees_a_write_text", parent=SECOND_SINK,
+        parent_as="cli.py", flags=[(("cmd_dump",), 3), (("cmd_save",), 7)],
+    ),
+    Rule(
+        "test_indented_json_only_through_json_text",
+        "cli._json_text writes every indented JSON document; json.dumps(..., indent=) is its test reference",
+        files=SOURCES, places=[], selftest="test_indent_rule_sees_an_indented_dump", parent=SECOND_JSON_WRITER,
+        match=lambda node: isinstance(node, ast.Call) and any(kw.arg == "indent" for kw in node.keywords),
+        parent_as="cli.py", flags=[(("cmd_verify",), 3)],
+    ),
+    Rule(
+        "test_every_grid_extension_runs_in_one_cell_rule",
+        "_grid_runs' cell decides how a grid cell gets its outcome: stepped, cut or moved down; the one "
+        "exception, a completed top's shared cells, takes the top's sides in the loop body, unextended",
+        files=[SRC / SOLVER], match=_calls("forced_extend"),
+        places=[(SOLVER, ("_grid_runs", "cell"))] * 2,
+        selftest="test_cell_rule_sees_an_extension_in_the_loop_body", parent=SECOND_CELL_RULE,
+        parent_as=SOLVER, flags=[(("_grid_runs",), 10)],
+    ),
+    Rule(
+        "test_outcome_spec_set_only_in_solver",
+        "a completed grid run is one cell whose outcome carries its own spec, so nothing rebuilds one",
+        files=SOURCES + TESTS, match=_replaces_a_spec, places=[(SOLVER, None)],
+        selftest="test_spec_rule_sees_a_rebuilt_spec", parent=PARENT_CLASSIFY,
+        parent_as="cli.py", flags=[(("cmd_classify",), 6), (("cmd_classify",), 7)],
+    ),
+    Rule(
+        "test_outcomes_are_made_by_the_extension_and_the_grid",
+        "forced_extend makes the outcome it steps, _grid_runs each one it cuts, moves or shares; "
+        "an outcome made anywhere else would be a second rule for what a cell decides",
+        files=SOURCES, match=_calls("ExtensionOutcome", "solver.ExtensionOutcome", "replace", "dataclasses.replace"),
+        places=[(SOLVER, ("forced_extend",)), (SOLVER, ("_grid_runs",))] + [(SOLVER, ("_grid_runs", "cell"))] * 2,
+        # the shift coded outside cell and a replace of an outcome; a string's replace is not one
+        selftest="test_outcome_rule_sees_a_helper_beside_the_grid", parent=PARENT_MOVED_DOWN,
+        parent_as=SOLVER, flags=[(("_moved_down",), 11), (("_renamed",), 20)],
+    ),
+]
+
+
+def _misplaced(rule, name, sites):
+    """The sites in file name that no place of rule admits, and rule's places there that hold none."""
+    if (name, None) in rule.places:
+        return [], [] if sites else [(name, None)]
+    left = [chain for file, chain in rule.places if file == name]
+    flagged = []
+    for chain, line in sites:
+        if chain in left:
+            left.remove(chain)
+        else:
+            flagged.append((chain, line))
+    return flagged, left
+
+
+def _placement_test(rule):
+    def test(path):
+        flagged, idle = _misplaced(rule, path.name, _lines(_tree(path), rule.match))
+        assert flagged == [], f"{path.name} at {flagged}: {rule.reason}"
+        assert idle == [], f"{path.name}: no site at {idle}, so {rule.test} guards nothing"
+
+    if len(rule.files) == 1:  # a rule over one file is one test
+        return lambda: test(rule.files[0])
+    one_dir = len({p.parent for p in rule.files}) == 1
+    ids = [p.name if one_dir else f"{p.parent.name}/{p.name}" for p in rule.files]
+    return pytest.mark.parametrize("path", rule.files, ids=ids)(test)
+
+
+def _parent_test(rule):
+    def test():  # the rule must flag the code it was written against, or it guards nothing
+        assert _misplaced(rule, rule.parent_as, _lines(ast.parse(rule.parent), rule.match))[0] == rule.flags
+
+    return test
+
+
+# each row's tests are module-level names, so the suite reports them as the rule's own
+for _rule in RULES:
+    globals()[_rule.test] = _placement_test(_rule)
+    globals()[_rule.selftest] = _parent_test(_rule)
+
+
+def test_every_rule_row_can_fail():
+    # a place outside the row's scope is never checked, and a parent that flags nothing shows nothing
+    for rule in RULES:
+        assert {name for name, _ in rule.places} | {rule.parent_as} <= {p.name for p in rule.files}, rule.test
+        assert rule.flags, rule.test
+    names = [name for rule in RULES for name in (rule.test, rule.selftest)]
+    assert len(names) == len(set(names)), "two rows name one test"
+
+
+def _is_packing(node):
+    return isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "create_decimal"
+
+
+def _is_field_width(node):
+    return _calls("len")(node) and len(node.args) == 1 and _calls("str")(node.args[0])
+
+
+def _kronecker_sites(tree):
+    """Lines of ``create_decimal`` calls (packings) and of ``len(str(...))`` calls (field widths)."""
+    return tuple(sorted(line for _, line in _lines(tree, match)) for match in (_is_packing, _is_field_width))
+
+
+def test_kronecker_substitution_written_once():
+    # the profile square and the balance product pack indicators by one rule, in one place; a count,
+    # not a placement, since a second packing inside repfn._packed is a second rule all the same
+    packings, field_widths = _kronecker_sites(_tree(SRC / "repfn.py"))
+    assert len(packings) == 1, f"repfn.py packs indicators at lines {packings}; use repfn._packed"
+    assert len(field_widths) == 1, f"repfn.py picks field widths at lines {field_widths}; use repfn._packed"
+
+
+TWO_PACKINGS = """
+def _ordered_counts(s, n_max):
+    d = len(str(n_max + 1))
+    packed = _EXACT.create_decimal(("0" * (d - 1)).join(format(s.mask, "b")))
+def first_r2_difference(s, t, n_max):
+    d = len(str(n_max + 1))
+    s1 = _EXACT.create_decimal(("0" * (d - 1)).join(format(s.mask, "b")))
+"""
+
+
+TWO_PACKINGS_IN_PACKED = """
+def _packed(mask, width, doubled=False):
+    d = len(str(width))
+    packed = _EXACT.create_decimal(("0" * (d - 1)).join(format(mask, "b")))
+    d = len(str(width))
+    return _EXACT.create_decimal(("0" * (d - 1)).join(format(mask, "b"))), d
+"""
+
+
+def test_kronecker_rule_sees_the_kernel():
+    # the rule must see each packing and each field width, or it counts nothing; a second pair
+    # inside repfn._packed sits at the one place a placement would allow, so only a count sees it
+    assert _kronecker_sites(ast.parse(TWO_PACKINGS)) == ([4, 7], [3, 6])
+    assert _kronecker_sites(ast.parse(TWO_PACKINGS_IN_PACKED)) == ([4, 6], [3, 5])
+
+
+def _is_named_call(node):
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
 
 
 def _pair_builder_faults(tree):
@@ -258,11 +405,7 @@ def _pair_builder_faults(tree):
             continue
         if node.name == "build_parity_sets":
             continue
-        calls = {
-            call.func.id
-            for call in ast.walk(node)
-            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
-        }
+        calls = {call.func.id for _, call in _sites(node, _is_named_call)}
         if "_balanced_pair" not in calls:
             faults.append((node.name, "no _balanced_pair"))
         faults += [(node.name, name) for name in sorted(calls) if name.startswith("build_")]
@@ -271,8 +414,7 @@ def _pair_builder_faults(tree):
 
 def test_every_pair_builder_is_one_parity_split():
     # each named pair is the parity split of one weight list, not assembled from other pairs
-    source = (SOURCES[0].parent / "builders.py").read_text()
-    faults = _pair_builder_faults(ast.parse(source))
+    faults = _pair_builder_faults(_tree(SRC / "builders.py"))
     assert faults == [], f"builders.py: {faults}; build each pair with _balanced_pair of its weights"
 
 
@@ -304,26 +446,13 @@ def test_parity_split_rule_sees_a_translate_builder():
         ("build_ef", "no _balanced_pair"),
         ("build_ef", "build_evil_odious"),
     ]
-    tree = ast.parse((SOURCES[0].parent / "builders.py").read_text())
+    tree = _tree(SRC / "builders.py")
     builders = [node.name for node in tree.body if isinstance(node, ast.FunctionDef)]
     assert {"build_ef", "build_evil_odious", "build_family", "build_xy"} <= set(builders)
 
 
-FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
-DEFINITIONS = FUNCTIONS + (ast.ClassDef,)
-
-
-def _loads(node, enclosing=()):
-    """(name, is an attribute, names of the enclosing defs) of every loaded ``Name`` or
-    ``Attribute`` under node."""
-    if isinstance(node, FUNCTIONS):
-        enclosing += (node.name,)
-    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-        yield node.id, False, enclosing
-    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-        yield node.attr, True, enclosing
-    for child in ast.iter_child_nodes(node):
-        yield from _loads(child, enclosing)
+def _is_load(node):
+    return isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
 
 
 def _public_names_without_caller(sources):
@@ -347,7 +476,9 @@ def _public_names_without_caller(sources):
                         for sub in node.body
                         if isinstance(sub, FUNCTIONS) and not sub.name.startswith("_")
                     ]
-            for name, is_attribute, enclosing in _loads(node):
+            for enclosing, load in _sites(node, _is_load):
+                is_attribute = isinstance(load, ast.Attribute)
+                name = load.attr if is_attribute else load.id
                 if name != owner:
                     referenced.add(name)
                 if is_attribute and name not in enclosing:
@@ -436,7 +567,7 @@ def test_all_rule_sees_a_stale_name():
     # a renamed def leaves its old name in __all__ and its new one unlisted; imports define nothing
     assert _all_mismatches(STALE_ALL) == (["cube", "BoundedSet"], ["spare"])
     assert _all_mismatches("def f():\n    pass\n") is None
-    assert _all_mismatches((SOURCES[0].parent / "verify.py").read_text()) is not None
+    assert _all_mismatches((SRC / "verify.py").read_text()) is not None
 
 
 EXPORTING_MODULES = ("builders", "intset", "repfn", "solver", "verify")
@@ -456,212 +587,6 @@ def test_package_namespace_is_the_modules_all():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public == set(exported)
-
-
-def _file_writes(node, enclosing=None):
-    """(enclosing def, call) of every ``open(...)``, ``.open(...)``, ``.write_text(...)``
-    and ``.write_bytes(...)`` call under node."""
-    if isinstance(node, FUNCTIONS):
-        enclosing = node.name
-    if isinstance(node, ast.Call):
-        func = node.func
-        if isinstance(func, ast.Name) and func.id == "open":
-            yield enclosing, "open"
-        elif isinstance(func, ast.Attribute) and func.attr in ("open", "write_text", "write_bytes"):
-            yield enclosing, func.attr
-    for child in ast.iter_child_nodes(node):
-        yield from _file_writes(child, enclosing)
-
-
-def test_one_output_sink():
-    # every --out file is opened by cli._output, which notes it on stderr once written
-    sites = [
-        (path.name, *site) for path in SOURCES for site in _file_writes(ast.parse(path.read_text()))
-    ]
-    assert sites == [("cli.py", "_output", "open")], f"files written at {sites}; write through cli._output"
-
-
-SECOND_SINK = """
-def cmd_dump(args, text):
-    Path(args.out).write_text(text)
-
-
-def cmd_save(args, data):
-    with open(args.out, "wb") as f:
-        f.write(data)
-"""
-
-
-def test_sink_rule_sees_a_write_text():
-    # the rule must flag a write that bypasses cli._output, or it guards nothing
-    assert list(_file_writes(ast.parse(SECOND_SINK))) == [("cmd_dump", "write_text"), ("cmd_save", "open")]
-
-
-def _indent_keywords(tree):
-    """Lines of calls that pass an ``indent=`` keyword: the pure-Python JSON encoder."""
-    return [
-        node.lineno
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and any(kw.arg == "indent" for kw in node.keywords)
-    ]
-
-
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
-def test_indented_json_only_through_json_text(path):
-    # cli._json_text writes every indented JSON document; json.dumps(..., indent=) is its test reference
-    lines = _indent_keywords(ast.parse(path.read_text()))
-    assert lines == [], f"{path.name} passes indent= at lines {lines}; write through cli._json_text"
-
-
-SECOND_JSON_WRITER = """
-def cmd_verify(args, report):
-    text = json.dumps(report, sort_keys=True, indent=2) + "\\n"
-    with _output(args.out, "report") as stream:
-        stream.write(text)
-"""
-
-
-def test_indent_rule_sees_an_indented_dump():
-    # the rule must flag the writer _json_text replaced, or it guards nothing
-    assert _indent_keywords(ast.parse(SECOND_JSON_WRITER)) == [3]
-
-
-def _extensions(node, enclosing=()):
-    """(enclosing defs, outermost first, and line) of every ``forced_extend(...)`` call under node."""
-    if isinstance(node, FUNCTIONS):
-        enclosing += (node.name,)
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "forced_extend":
-        yield enclosing, node.lineno
-    for child in ast.iter_child_nodes(node):
-        yield from _extensions(child, enclosing)
-
-
-def test_every_grid_extension_runs_in_one_cell_rule():
-    # _grid_runs' cell decides how a grid cell gets its outcome: stepped, cut or moved down; the one
-    # exception, a completed top's shared cells, takes the top's sides in the loop body, unextended
-    tree = ast.parse((SOURCES[0].parent / "solver.py").read_text())
-    sites = [site for site in _extensions(tree) if site[0][:1] != ("forced_extend",)]
-    assert sites and {enclosing for enclosing, _ in sites} == {("_grid_runs", "cell")}, (
-        f"forced_extend called at {sites}; extend a grid cell through _grid_runs' cell"
-    )
-
-
-SECOND_CELL_RULE = """
-def _grid_runs(m_max, r_max_factor, bound):
-    def cell(r, m, resume):
-        return forced_extend(ProgressionSpec(r, m), bound, resume)
-
-    top = None
-    for r in range(r_max_factor * m_max + 1):
-        top = cell(r, m_max, top)
-        for m in range(2, m_max):
-            out = forced_extend(ProgressionSpec(r, m), bound + 1, top)
-            yield r, m, m, out
-"""
-
-
-def test_cell_rule_sees_an_extension_in_the_loop_body():
-    # the rule must flag a cell extended beside cell, or it guards nothing
-    assert list(_extensions(ast.parse(SECOND_CELL_RULE))) == [
-        (("_grid_runs", "cell"), 4), (("_grid_runs",), 10)
-    ]
-
-
-def _spec_replacements(tree):
-    """Lines of ``replace(..., spec=...)`` calls, plain or as ``dataclasses.replace``."""
-    return sorted(
-        node.lineno
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "replace"
-        and any(kw.arg == "spec" for kw in node.keywords)
-    )
-
-
-TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
-
-
-@pytest.mark.parametrize(
-    "path", [p for p in SOURCES + TESTS if p.name != "solver.py"], ids=lambda p: f"{p.parent.name}/{p.name}"
-)
-def test_outcome_spec_set_only_in_solver(path):
-    # a completed grid run is one cell whose outcome carries its own spec, so nothing rebuilds one
-    lines = _spec_replacements(ast.parse(path.read_text()))
-    assert lines == [], f"{path.name} replaces an outcome's spec at lines {lines}; take the run's own"
-
-
-PARENT_CLASSIFY = """
-def cmd_classify(args):
-    for r, m_lo, m_hi, out in runs:
-        if out.status == STATUS_COMPLETED:
-            for m in range(m_lo, m_hi + 1):
-                family, l = match_family(replace(out, spec=ProgressionSpec(r, m))) or ("", "")
-                match = match_family(dataclasses.replace(out, spec=ProgressionSpec(r, m)))
-"""
-
-
-def test_spec_rule_sees_a_rebuilt_spec():
-    # the rule must flag the per-cell rebuild that a run of one replaced, or it guards nothing
-    assert _spec_replacements(ast.parse(PARENT_CLASSIFY)) == [6, 7]
-
-
-OUTCOME_MAKERS = {"ExtensionOutcome", "solver.ExtensionOutcome", "replace", "dataclasses.replace"}
-
-
-def _outcome_builds(node, enclosing=()):
-    """(enclosing defs, outermost first, and line) of every call that makes an outcome:
-    ``ExtensionOutcome(...)`` or a dataclass ``replace(...)``."""
-    if isinstance(node, FUNCTIONS):
-        enclosing += (node.name,)
-    if isinstance(node, ast.Call) and ast.unparse(node.func) in OUTCOME_MAKERS:
-        yield enclosing, node.lineno
-    for child in ast.iter_child_nodes(node):
-        yield from _outcome_builds(child, enclosing)
-
-
-def test_outcomes_are_made_by_the_extension_and_the_grid():
-    # forced_extend makes the outcome it steps, _grid_runs each one it cuts, moves or shares;
-    # an outcome made anywhere else would be a second rule for what a cell decides
-    sites = [
-        (path.name, enclosing[:1], line)
-        for path in SOURCES
-        for enclosing, line in _outcome_builds(ast.parse(path.read_text()))
-    ]
-    makers = {(name, enclosing) for name, enclosing, _ in sites}
-    assert makers == {("solver.py", ("forced_extend",)), ("solver.py", ("_grid_runs",))}, (
-        f"outcomes made at {sites}; make them in forced_extend or _grid_runs"
-    )
-
-
-PARENT_MOVED_DOWN = """
-def _grid_runs(m_max, r_max_factor, bound):
-    def cell(r, m, resume):
-        if m == r + 1:
-            return _moved_down(row0[m], r)
-        return forced_extend(ProgressionSpec(r, m), bound, resume)
-
-
-def _moved_down(outcome, r):
-    died = outcome.contradiction_at
-    return ExtensionOutcome(
-        ProgressionSpec(r, r + 1),
-        outcome.sides[1:],
-        None if died is None else died - 2,
-        outcome.forced_value,
-    )
-
-
-def _renamed(outcome, spec):
-    return dataclasses.replace(outcome, spec=spec), spec.name.replace("_", "-")
-"""
-
-
-def test_outcome_rule_sees_a_helper_beside_the_grid():
-    # the rule must flag the shift coded outside cell and a replace of an outcome, or it guards
-    # nothing; a string's replace is not one
-    assert list(_outcome_builds(ast.parse(PARENT_MOVED_DOWN))) == [
-        (("_moved_down",), 11), (("_renamed",), 20)
-    ]
 
 
 REACH_MESSAGE = "must reach past the first excluded value"
