@@ -5,7 +5,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per criterion
 
 import random
 import time
-from typing import NamedTuple
 
 import pytest
 
@@ -23,7 +22,6 @@ from repbal.solver import (
     STATUS_COMPLETED,
     classify_grid,
     forced_extend,
-    match_family,
     predicted_solvable_cells,
 )
 from repbal.verify import (
@@ -35,6 +33,7 @@ from repbal.verify import (
     validate_four_term,
     window_pair_batteries,
 )
+from support import cell_rows
 
 DESK_BOUND = 1 << 14
 GRID_BOUND = 2048
@@ -42,24 +41,9 @@ GRID_M_MAX = 33
 AGREEMENT_BOUND = 4096
 
 
-class Cell(NamedTuple):
-    r: int
-    m: int
-    status: str
-    family: tuple[str, int] | None
-    contradiction_at: int | None
-    forced_value: int | None
-
-
 @pytest.fixture(scope="module")
 def grid_records():
-    """The grid's runs as one record per cell; a completed run is one cell, matched on its spec."""
-    records = []
-    for r, m_lo, m_hi, out in classify_grid(m_max=GRID_M_MAX, r_max_factor=2, bound=GRID_BOUND):
-        family = match_family(out) if out.status == STATUS_COMPLETED else None
-        for m in range(m_lo, m_hi + 1):
-            records.append(Cell(r, m, out.status, family, out.contradiction_at, out.forced_value))
-    return records
+    return cell_rows(classify_grid(m_max=GRID_M_MAX, r_max_factor=2, bound=GRID_BOUND))
 
 
 def test_criterion_1_family_identity_at_desk_scale():

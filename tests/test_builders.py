@@ -53,17 +53,6 @@ def shifted_by_one(s):
     return BoundedSet(s.bound, (s.mask << 1) & ((1 << s.bound) - 1))
 
 
-def defined_family(family, l, bound):
-    """The pair and progression straight from the weight definitions, with l uncapped."""
-    prefix = [1 << i for i in range(l)]
-    if family == S2T2 and l > 0:
-        prefix[-1] += 1
-    a, b = build_parity_sets(doubling_weights(prefix, (1 << l) + 1, bound), bound)
-    if family == S1T1_SHIFTED:
-        a, b = shifted_by_one(a), shifted_by_one(b)
-    return a, b, progression_set(family_progression(family, l), bound)
-
-
 class TestEvilOdious:
     def test_first_eight(self):
         evil, odious = build_evil_odious(8)
@@ -226,6 +215,14 @@ def table_weights(pair, param, bound):
     else:  # ef
         prefix, start = powers + [(1 << param) + 1], (2 << param) + 1
     return doubling_weights(prefix, start, bound)
+
+
+def defined_family(family, l, bound):
+    """The pair and progression straight from the table's weights, with l uncapped."""
+    a, b = build_parity_sets(table_weights(family, l, bound), bound)
+    if family == S1T1_SHIFTED:
+        a, b = shifted_by_one(a), shifted_by_one(b)
+    return a, b, progression_set(family_progression(family, l), bound)
 
 
 PAIRS = ([("evil/odious", None), ("xy", None)]

@@ -1,11 +1,9 @@
 """Command-line behavior: output shapes, exit codes, determinism, round-trips."""
 
 import contextlib
-import io
 import json
 import random
 import tempfile
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -21,7 +19,8 @@ from repbal.cli import (
 )
 from repbal.intset import BoundedSet
 from repbal.repfn import r1_profile, r2_profile, strict_counts
-from repbal.verify import SuiteReport
+from repbal.verify import CHECK_IDS, SuiteReport
+from support import call_main, never, peak_of
 
 
 def run(capsys, *argv):
@@ -51,12 +50,7 @@ class TestSolve:
         assert payload["anchor"] == 0
 
     def test_huge_modulus_allocates_by_the_bound(self, capsys):
-        tracemalloc.start()
-        try:
-            code, out, _ = run(capsys, "solve", "--r", "2", "--m", "1000000000000", "--bound", "64")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        (code, out, _), peak = peak_of(run, capsys, "solve", "--r", "2", "--m", "1000000000000", "--bound", "64")
         assert code == EXIT_OK
         assert out == "contradiction: sum=8 forced=2\nA={0,4,6}\nB={1,3,5,7}\n"
         assert peak < 1 << 20
@@ -84,11 +78,6 @@ class TestSolve:
         assert code == EXIT_OK
         assert json.loads(out)["excluded"] == [2]
 
-    def test_domain_error_exits_one(self, capsys):
-        code, _, err = run(capsys, "solve", "--r", "9", "--m", "2", "--bound", "5")
-        assert code == EXIT_USAGE
-        assert "bound" in err
-
 
 class TestBuild:
     def test_family_text_blocks(self, capsys):
@@ -106,22 +95,11 @@ class TestBuild:
     def test_ef_fixes_its_own_bound(self, capsys):
         code, out, _ = run(capsys, "build", "ef:1")
         assert code == EXIT_OK and "E:\nbound=8\n0,4,6\n" in out
-        code, _, err = run(capsys, "build", "ef:1", "--bound", "32")
-        assert code == EXIT_USAGE and "bound" in err
-
-    def test_unknown_family_exits_one(self, capsys):
-        code, _, err = run(capsys, "build", "s9t9:1")
-        assert code == EXIT_USAGE and "unknown family" in err
 
     def test_huge_family_parameter_builds_the_capped_family(self, capsys):
         # 2^(10^13) would take over a terabyte; at bound 64 every l >= 8 builds the same sets
         _, expected, _ = run(capsys, "build", "s1t1:8", "--bound", "64")
-        tracemalloc.start()
-        try:
-            code, out, err = run(capsys, "build", "s1t1:10000000000000", "--bound", "64")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        (code, out, err), peak = peak_of(run, capsys, "build", "s1t1:10000000000000", "--bound", "64")
         assert (code, out, err) == (EXIT_OK, expected, "")
         assert peak < 1 << 20
         _, expected, _ = run(capsys, "repfn", "--family", "s2t2:8", "--bound", "64")
@@ -132,12 +110,6 @@ class TestBuild:
 def _indented(text):
     """The same JSON as dumped by ``json.dumps(..., sort_keys=True, indent=2)`` alone."""
     return json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
-
-
-def _stdout(*argv):
-    with contextlib.redirect_stdout(io.StringIO()) as out:
-        assert main(list(argv)) == EXIT_OK
-    return out.getvalue()
 
 
 _int_lists = st.lists(st.integers(-(10**12), 10**12), max_size=5)
@@ -181,8 +153,8 @@ class TestJsonText:
     @example(cell=(2, 3, 1 << 12))
     def test_solve_json_is_the_indented_dump(self, cell):
         r, m, bound = cell
-        out = _stdout("solve", "--r", str(r), "--m", str(m), "--bound", str(bound), "--emit", "json")
-        assert out == _indented(out)
+        code, out, _, _ = call_main(["solve", "--r", str(r), "--m", str(m), "--bound", str(bound), "--emit", "json"])
+        assert code == EXIT_OK and out == _indented(out)
 
     @settings(max_examples=25, deadline=None)
     @given(st.one_of(
@@ -199,8 +171,8 @@ class TestJsonText:
     def test_build_json_is_the_indented_dump(self, case):
         token, bound = case
         argv = ("build", token, "--format", "json") + (() if bound is None else ("--bound", str(bound)))
-        out = _stdout(*argv)
-        assert out == _indented(out)
+        code, out, _, _ = call_main(argv)
+        assert code == EXIT_OK and out == _indented(out)
 
 
 def pair_rows(pa, pb):
@@ -232,40 +204,6 @@ class TestRepfn:
         code, out, _ = run(capsys, "repfn", "--input", str(fixture), "--n-max", "3")
         assert code == EXIT_OK
         assert out.splitlines() == ["n,R1,R2,R3", "0,1,0,1", "1,2,1,1", "2,3,1,2", "3,4,2,2"]
-
-    def test_negative_fixture_bound_exits_one(self, capsys, tmp_path):
-        fixture = tmp_path / "negative.txt"
-        fixture.write_text("bound=-20\n3\n")
-        code, out, err = run(capsys, "repfn", "--input", str(fixture))
-        assert code == EXIT_USAGE and out == ""
-        assert err == "repbal repfn: bound must be >= 0, got -20\n"
-
-    def test_fixture_refuses_bound(self, capsys, tmp_path):
-        # the fixture's own bound=8 line fixes the window, as ef:<u> fixes its own
-        fixture = tmp_path / "set.txt"
-        fixture.write_text("bound=8\n0,1,2,3\n")
-        code, out, err = run(capsys, "repfn", "--input", str(fixture), "--bound", "3")
-        assert (code, out) == (EXIT_USAGE, "")
-        assert err == "repbal repfn: a fixture fixes its own bound; drop --bound\n"
-
-    def test_huge_fixture_element_is_one_short_line(self, capsys, tmp_path):
-        # int() refuses a 5,000-digit field; the message shows its head and length, not the field
-        fixture = tmp_path / "huge_element.txt"
-        fixture.write_text("bound=16\n1," + "9" * 5000 + "\n")
-        code, out, err = run(capsys, "repfn", "--input", str(fixture))
-        assert (code, out) == (EXIT_USAGE, "")
-        assert err.count("\n") == 1 and len(err.encode()) < 200
-        assert err.startswith("repbal repfn: element '99999999999999999999'… (5000 characters) is out of range")
-
-    def test_sum_past_the_fixture_bound_exits_one(self, capsys, tmp_path):
-        fixture = tmp_path / "set.txt"
-        fixture.write_text("bound=512\n0,3,5,6\n")
-        code, out, err = run(capsys, "repfn", "--input", str(fixture), "--n-max", "600")
-        assert code == EXIT_USAGE and out == ""
-        assert err == (
-            "repbal repfn: sum index 600 outside the materialized window [0, 512);"
-            " build the set with a larger bound\n"
-        )
 
     @pytest.mark.parametrize("token, bound, n_max", [
         ("s1t1:1", 14, None),
@@ -318,12 +256,6 @@ class TestRepfn:
         assert code == EXIT_OK
         assert out == single_rows(p1, strict_counts(p1, s.mask))
 
-    def test_requires_exactly_one_source(self, capsys):
-        code, _, err = run(capsys, "repfn")
-        assert code == EXIT_USAGE
-        code, _, err = run(capsys, "repfn", "--family", "xy", "--input", "x.txt")
-        assert code == EXIT_USAGE
-
 
 CSV_HEADER = "r,m,status,family,l,contradiction_at,forced_value"
 
@@ -362,59 +294,6 @@ class TestClassify:
         assert code == EXIT_OK
         assert out_file.read_bytes() == out.encode()
 
-    def test_out_file_is_written_row_by_row(self, capsys, tmp_path):
-        # nothing per cell is held: no row list, no list of CSV lines and no whole text
-        out_file = tmp_path / "grid.csv"
-        tracemalloc.start()
-        try:
-            code, _, _ = run(
-                capsys, "classify", "--m-max", "129", "--bound", "8192", "--out", str(out_file)
-            )
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert code == EXIT_OK
-        assert peak < 3 << 20
-
-    def test_out_file_peak_is_a_few_runs(self, capsys, tmp_path):
-        # 90,597 cells in 1,862 runs: the peak holds an outcome, a run's rows and row 0's kept
-        # runs of one, not a row per cell
-        out_file = tmp_path / "grid.csv"
-        tracemalloc.start()
-        try:
-            code, _, err = run(
-                capsys, "classify", "--m-max", "300", "--bound", "1024", "--out", str(out_file)
-            )
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert (code, err) == (EXIT_OK, f"wrote 90597 records to {out_file}\n")
-        assert peak < 1 << 20
-
-    def test_out_file_peak_holds_row_0_until_its_diagonals(self, capsys, tmp_path):
-        # row 0's top completes, so each of its cells is a run of its own, kept over the
-        # bound + 1 until row m - 1 moves it down to the diagonal cell (m - 1, m)
-        out_file = tmp_path / "grid.csv"
-        tracemalloc.start()
-        try:
-            code, _, err = run(
-                capsys, "classify", "--m-max", "257", "--bound", "1024", "--out", str(out_file)
-            )
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert (code, err) == (EXIT_OK, f"wrote 66560 records to {out_file}\n")
-        assert peak < 1 << 20
-
-    def test_refused_grid_creates_no_out_file(self, capsys, tmp_path):
-        out_file = tmp_path / "grid.csv"
-        code, out, err = run(
-            capsys, "classify", "--m-max", "9", "--bound", "4", "--out", str(out_file)
-        )
-        assert code == EXIT_USAGE and out == ""
-        assert err == "repbal classify: bound 4 must reach past the first excluded value 3\n"
-        assert not out_file.exists()
-
     def test_completed_rows_match_prediction(self, capsys):
         code, out, _ = run(capsys, "classify", "--m-max", "9", "--bound", "1024")
         assert code == EXIT_OK
@@ -427,37 +306,18 @@ class TestClassify:
             (4, 5), (0, 5), (2, 5), (8, 9), (0, 9), (4, 9),
         }
 
-    def test_grid_reaching_past_the_bound_exits_one(self, capsys):
-        # r runs up to 2m, and forced_extend needs bound >= r + 2: cell (3, 2) is the first to fail
-        code, out, err = run(capsys, "classify", "--m-max", "9", "--bound", "4")
-        assert code == EXIT_USAGE and out == ""
-        assert err == "repbal classify: bound 4 must reach past the first excluded value 3\n"
-
     def test_out_of_reach_grid_is_refused_before_any_record(self, capsys):
         # runs come out r-major, so without an up-front check every r below 3 would
         # first write about three million rows
-        tracemalloc.start()
-        try:
-            code, out, err = run(capsys, "classify", "--m-max", "3000000", "--bound", "4")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        (code, out, err), peak = peak_of(run, capsys, "classify", "--m-max", "3000000", "--bound", "4")
         assert code == EXIT_USAGE and out == ""
         assert err == "repbal classify: bound 4 must reach past the first excluded value 3\n"
         assert peak < 8 << 20
 
     def test_over_cap_grid_is_refused_before_any_extension(self, monkeypatch, capsys):
         # 1,212,197 cells fit under the bound, but the cap bounds the rows one grid writes
-        def refuse(*args, **kwargs):
-            raise AssertionError("ran an extension")
-
-        monkeypatch.setattr(solver, "forced_extend", refuse)
-        tracemalloc.start()
-        try:
-            code, out, err = run(capsys, "classify", "--m-max", "1100", "--bound", "4096")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        monkeypatch.setattr(solver, "forced_extend", never("ran an extension"))
+        (code, out, err), peak = peak_of(run, capsys, "classify", "--m-max", "1100", "--bound", "4096")
         assert code == EXIT_USAGE and out == ""
         assert err == f"repbal classify: grid of 1212197 cells exceeds {1 << 20}\n"
         assert peak < 8 << 20
@@ -468,10 +328,6 @@ class TestClassify:
         _, second, _ = run(capsys, *args)
         assert first == second
 
-    def test_bad_grid_shape_exits_one(self, capsys):
-        code, _, _ = run(capsys, "classify", "--m-max", "1")
-        assert code == EXIT_USAGE
-
 
 HUGE = 1 << 40  # a mask this wide would take 128 GiB
 
@@ -479,15 +335,7 @@ HUGE = 1 << 40  # a mask this wide would take 128 GiB
 class TestBoundGuard:
     """An absurd window exits 1 with one line before any set or profile is built."""
 
-    @pytest.fixture(autouse=True)
-    def unreachable(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("reached a builder or kernel")
-
-        for name in ("forced_extend", "classify_grid", "build_family", "build_ef",
-                     "build_evil_odious", "build_xy", "r1_profile", "r2_profile"):
-            monkeypatch.setattr(cli, name, refuse)
-
+    # one case per subcommand's --bound; the rest of this class's refusals are REFUSALS rows
     @pytest.mark.parametrize("argv", [
         ("solve", "--r", "2", "--m", "3", "--bound", str(HUGE)),
         ("classify", "--m-max", "9", "--bound", str(HUGE)),
@@ -495,39 +343,8 @@ class TestBoundGuard:
         ("build", "uv", "--bound", str(HUGE)),
         ("repfn", "--family", "xy", "--bound", str(HUGE)),
     ])
-    def test_bound_flag(self, capsys, argv):
-        code, out, err = run(capsys, *argv)
-        assert code == EXIT_USAGE and out == ""
-        assert err == f"repbal {argv[0]}: bound {HUGE} exceeds 16777216\n"
-
-    def test_window_pair_parameter(self, capsys):
-        # ef:<u> builds [0, 3 * 2^u + 2); from u = 25 on the bound is written, never computed
-        code, _, err = run(capsys, "repfn", "--family", "ef:23")
-        assert code == EXIT_USAGE and err == "repbal repfn: bound 25165826 exceeds 16777216\n"
-        code, _, err = run(capsys, "build", "ef:1000000000000")
-        assert code == EXIT_USAGE
-        assert err == "repbal build: bound 3*2^1000000000000+2 exceeds 16777216\n"
-
-    def test_fixture_bound_and_n_max(self, capsys, tmp_path):
-        huge = tmp_path / "huge.txt"
-        huge.write_text(f"bound={HUGE}\n0,3\n")
-        code, _, err = run(capsys, "repfn", "--input", str(huge))
-        assert code == EXIT_USAGE and err == f"repbal repfn: bound {HUGE} exceeds 16777216\n"
-        small = tmp_path / "small.txt"
-        small.write_text("bound=64\n0,3\n")
-        code, _, err = run(capsys, "repfn", "--input", str(small), "--n-max", str(HUGE))
-        assert code == EXIT_USAGE and err == f"repbal repfn: bound {HUGE} exceeds 16777216\n"
-
-    def test_fixture_bound_is_checked_before_any_mask(self, monkeypatch, capsys, tmp_path):
-        def refuse(*args, **kwargs):
-            raise AssertionError("built a mask")
-
-        monkeypatch.setattr(BoundedSet, "from_elements", classmethod(refuse))
-        wide = tmp_path / "wide.txt"
-        wide.write_text("bound=134217728\n0,134217727\n")
-        code, out, err = run(capsys, "repfn", "--input", str(wide))
-        assert code == EXIT_USAGE and out == ""
-        assert err == "repbal repfn: bound 134217728 exceeds 16777216\n"
+    def test_bound_flag(self, monkeypatch, tmp_path, argv):
+        _check_refusal(monkeypatch, tmp_path, argv, None, f"bound {HUGE} exceeds 16777216", NOTHING_BUILT)
 
     def test_largest_window_is_accepted(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "build_xy", lambda bound: (BoundedSet(bound), BoundedSet(bound)))
@@ -597,24 +414,9 @@ class TestVerify:
             cli.build_parser.cache_clear()
         assert (code, out, seen) == (EXIT_OK, "suite: PASS\n", ["deep"])
 
-    def test_unknown_lemma_exits_one(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--lemma", "nope"])
-        assert exc.value.code == EXIT_USAGE
-        capsys.readouterr()
-
 
 class TestParserBuiltOnce:
     """One parser serves every call in a process, and prints what a fresh one prints."""
-
-    @staticmethod
-    def _call(argv):
-        with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
-            try:
-                code = main(list(argv))
-            except SystemExit as exc:
-                code = exc.code
-        return code, out.getvalue(), err.getvalue()
 
     def test_reused_parser_prints_what_a_fresh_one_prints(self):
         calls = (
@@ -623,14 +425,14 @@ class TestParserBuiltOnce:
             ("verify", "--lemma", "skip-one-partition"),
         )
         cli.build_parser.cache_clear()
-        reused = [self._call(argv) for argv in calls]
+        reused = [call_main(argv) for argv in calls]
         assert cli.build_parser.cache_info().misses == 1
         fresh = []
         for argv in calls:
             cli.build_parser.cache_clear()
-            fresh.append(self._call(argv))
+            fresh.append(call_main(argv))
         assert reused == fresh
-        assert [code for code, _, _ in reused] == [EXIT_USAGE, EXIT_OK, EXIT_OK]
+        assert [code for code, *_ in reused] == [EXIT_USAGE, EXIT_OK, EXIT_OK]
         assert reused[0][2].startswith("usage: repbal solve")
         assert reused[1][1] == "A={0,4,7,9,13}\nB={1,3,6,10,12}\n"
 
@@ -684,26 +486,15 @@ class TestErrorBoundary:
 
 
 class TestUsage:
-    def test_unknown_subcommand_exits_one(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["bogus"])
-        assert exc.value.code == EXIT_USAGE
-        capsys.readouterr()
-
-    def test_missing_required_flag_exits_one(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["solve", "--m", "3"])
-        assert exc.value.code == EXIT_USAGE
-        capsys.readouterr()
-
     def test_counterexample_exit_code_is_reserved(self):
         assert EXIT_COUNTEREXAMPLE == 2
         assert EXIT_USAGE == 1
 
 
-# Argument vectors for the four building subcommands: small, zero, negative and oversized
-# numbers, every family-token form and some malformed ones, and flags in any order or missing.
-# Paths are relative to a directory that holds the fixtures and, at first, nothing else
+# Argument vectors for every subcommand: small, zero, negative and oversized numbers, every
+# family-token form and some malformed ones, every check id and one bad one, and flags in any
+# order or missing.  Paths are relative to a directory that holds the fixtures and, at first,
+# nothing else
 NUMBERS = st.one_of(st.integers(-3, 64), st.sampled_from([(1 << 24) + 1, 10**30])).map(str)
 FAMILY_TOKENS = st.one_of(
     st.builds("{}:{}".format, st.sampled_from(["s1t1", "s2t2", "s1t1+1", "ef"]), st.integers(-2, 6)),
@@ -728,6 +519,12 @@ FLAGS = {
         "--input": st.integers(0, len(FIXTURES)).map("fixture{}.txt".format),
         "--bound": NUMBERS,
         "--n-max": NUMBERS,
+        "--out": st.just("out.txt"),
+    },
+    "verify": {
+        "--lemma": st.sampled_from(("all", "nope") + CHECK_IDS),
+        "--bound-profile": st.sampled_from(["quick", "nope"]),  # never full, about a second a run
+        "--seed": NUMBERS,
         "--out": st.just("out.txt"),
     },
 }
@@ -760,18 +557,128 @@ class TestArgumentVectors:
         with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
             for i, text in enumerate(FIXTURES):
                 Path(f"fixture{i}.txt").write_text(text)
-            with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
-                try:
-                    code, usage = main(argv), False
-                except SystemExit as exc:  # argparse's usage error, through _Parser.error
-                    code, usage = exc.code, True
+            code, out, err, usage = call_main(argv)
             written = Path("out.txt").exists()
         assert code in (EXIT_OK, EXIT_USAGE)
         if code == EXIT_OK:
             return
-        lines = err.getvalue().splitlines()
+        lines = err.splitlines()
         if usage:
             assert lines[-1].startswith("repbal") and ": error: " in lines[-1]
         else:
             assert len(lines) == 1 and lines[0].startswith(f"repbal {argv[0]}: ")
-        assert out.getvalue() == "" and not written
+        assert out == "" and not written
+
+
+# Refusals, argparse's among them, and memory gates are table rows.  Each row names the test
+# that checks it, as Class::name, so a new refusal or gate is one row.  A test checks its rows in
+# turn, each in an empty directory of its own and with its stubs undone after it.
+
+# The builders and kernels under cli that a refusal must come before
+NOTHING_BUILT = ("forced_extend", "classify_grid", "build_family", "build_ef", "build_evil_odious", "build_xy",
+                 "r1_profile", "r2_profile")
+
+# (test, argv, the text of set.txt or None, the exact message or None for argparse's own, names
+# under cli that must not run)
+REFUSALS = [
+    # forced_extend refuses the offset itself
+    ("TestSolve::test_domain_error_exits_one", ("solve", "--r", "9", "--m", "2", "--bound", "5"), None,
+     "bound 5 must reach past the first excluded value 9", ()),
+    ("TestBuild::test_unknown_family_exits_one", ("build", "s9t9:1"), None,
+     "unknown family 's9t9:1'; expected s1t1:<l>, s2t2:<l>, s1t1+1:<l>, ef:<u>, xy or uv", NOTHING_BUILT),
+    ("TestBuild::test_ef_refuses_a_bound", ("build", "ef:1", "--bound", "32"), None,
+     "ef:<u> fixes its own bound; drop --bound", NOTHING_BUILT),
+    ("TestRepfn::test_negative_fixture_bound_exits_one", ("repfn", "--input", "set.txt"), "bound=-20\n3\n",
+     "bound must be >= 0, got -20", NOTHING_BUILT),
+    # the fixture's own bound=8 line fixes the window, as ef:<u> fixes its own
+    ("TestRepfn::test_fixture_refuses_bound", ("repfn", "--input", "set.txt", "--bound", "3"), "bound=8\n0,1,2,3\n",
+     "a fixture fixes its own bound; drop --bound", NOTHING_BUILT),
+    # int() refuses a 5,000-digit field; the message shows its head and length, not the field
+    ("TestRepfn::test_huge_fixture_element_is_one_short_line", ("repfn", "--input", "set.txt"),
+     "bound=16\n1," + "9" * 5000 + "\n", "element '99999999999999999999'… (5000 characters) is out of"
+     " range: expected 'bound=<N>' then comma-separated integers", NOTHING_BUILT),
+    # r1_profile refuses the sum itself
+    ("TestRepfn::test_sum_past_the_fixture_bound_exits_one", ("repfn", "--input", "set.txt", "--n-max", "600"),
+     "bound=512\n0,3,5,6\n", "sum index 600 outside the materialized window [0, 512); build the set with a"
+     " larger bound", ()),
+    ("TestRepfn::test_requires_exactly_one_source", ("repfn",), None,
+     "give exactly one of --family or --input", NOTHING_BUILT),
+    ("TestRepfn::test_requires_exactly_one_source", ("repfn", "--family", "xy", "--input", "x.txt"), None,
+     "give exactly one of --family or --input", NOTHING_BUILT),
+    # classify_grid refuses the grid itself, before --out is opened
+    ("TestClassify::test_refused_grid_creates_no_out_file", ("classify", "--m-max", "9", "--bound", "4", "--out",
+     "grid.csv"), None, "bound 4 must reach past the first excluded value 3", ()),
+    # r runs up to 2m, and forced_extend needs bound >= r + 2: cell (3, 2) is the first to fail
+    ("TestClassify::test_grid_reaching_past_the_bound_exits_one", ("classify", "--m-max", "9", "--bound", "4"),
+     None, "bound 4 must reach past the first excluded value 3", ()),
+    ("TestClassify::test_bad_grid_shape_exits_one", ("classify", "--m-max", "1"), None,
+     "need m-max >= 2, bound >= 4, r-max-factor >= 0", NOTHING_BUILT),
+    # ef:<u> builds [0, 3 * 2^u + 2); from u = 25 on the bound is written, never computed
+    ("TestBoundGuard::test_window_pair_parameter", ("repfn", "--family", "ef:23"), None,
+     "bound 25165826 exceeds 16777216", NOTHING_BUILT),
+    ("TestBoundGuard::test_window_pair_parameter", ("build", "ef:1000000000000"), None,
+     "bound 3*2^1000000000000+2 exceeds 16777216", NOTHING_BUILT),
+    ("TestBoundGuard::test_fixture_bound_and_n_max", ("repfn", "--input", "set.txt"), f"bound={HUGE}\n0,3\n",
+     f"bound {HUGE} exceeds 16777216", NOTHING_BUILT),
+    ("TestBoundGuard::test_fixture_bound_and_n_max", ("repfn", "--input", "set.txt", "--n-max", str(HUGE)),
+     "bound=64\n0,3\n", f"bound {HUGE} exceeds 16777216", NOTHING_BUILT),
+    ("TestBoundGuard::test_fixture_bound_is_checked_before_any_mask", ("repfn", "--input", "set.txt"),
+     "bound=134217728\n0,134217727\n", "bound 134217728 exceeds 16777216",
+     NOTHING_BUILT + ("BoundedSet.from_elements",)),
+    ("TestUsage::test_unknown_subcommand_exits_one", ("bogus",), None, None, NOTHING_BUILT),
+    ("TestUsage::test_missing_required_flag_exits_one", ("solve", "--m", "3"), None, None, NOTHING_BUILT),
+    ("TestVerify::test_unknown_lemma_exits_one", ("verify", "--lemma", "nope"), None, None, ("run_suite",)),
+]
+
+
+def _check_refusal(monkeypatch, directory, argv, fixture, message, unreached):
+    if fixture is not None:
+        (directory / "set.txt").write_text(fixture)
+    monkeypatch.chdir(directory)
+    for name in unreached:
+        monkeypatch.setattr(f"repbal.cli.{name}", never(f"{' '.join(argv)} reached {name}"))
+    code, out, err, usage = call_main(argv)
+    if message is None:  # exit 1, not argparse's 2; argparse words the line differently across versions
+        assert (code, out, usage) == (EXIT_USAGE, "", True)
+        assert err.splitlines()[-1].startswith("repbal") and ": error: " in err.splitlines()[-1]
+    else:
+        assert (code, out, err, usage) == (EXIT_USAGE, "", f"repbal {argv[0]}: {message}\n", False)
+    assert sorted(p.name for p in directory.iterdir()) == ([] if fixture is None else ["set.txt"])
+
+
+# (test, m_max, bound, records written, traced peak limit) of classify --out
+MEMORY_GATES = [
+    # nothing per cell is held: no row list, no list of CSV lines and no whole text
+    ("TestClassify::test_out_file_is_written_row_by_row", 129, 8192, 16_896, 3 << 20),
+    # 90,597 cells in 1,862 runs: the peak holds an outcome, a run's rows and row 0's kept
+    # runs of one, not a row per cell
+    ("TestClassify::test_out_file_peak_is_a_few_runs", 300, 1024, 90_597, 1 << 20),
+    # row 0's top completes, so each of its cells is a run of its own, kept over the
+    # bound + 1 until row m - 1 moves it down to the diagonal cell (m - 1, m)
+    ("TestClassify::test_out_file_peak_holds_row_0_until_its_diagonals", 257, 1024, 66_560, 1 << 20),
+]
+
+
+def _check_peak(monkeypatch, directory, m_max, bound, records, limit):
+    out_file = directory / "grid.csv"
+    argv = ["classify", "--m-max", str(m_max), "--bound", str(bound), "--out", str(out_file)]
+    result, peak = peak_of(call_main, argv)
+    assert result == (EXIT_OK, "", f"wrote {records} records to {out_file}\n", False)
+    assert peak < limit
+
+
+def _rows_test(rows, check):
+    def test(self, monkeypatch, tmp_path):
+        for i, row in enumerate(rows):
+            (tmp_path / str(i)).mkdir()
+            with monkeypatch.context() as patch:
+                check(patch, tmp_path / str(i), *row)
+
+    return test
+
+
+for _table, _check in [(REFUSALS, _check_refusal), (MEMORY_GATES, _check_peak)]:
+    for _name in dict.fromkeys(row[0] for row in _table):
+        _cls, _test = _name.split("::")
+        assert not hasattr(globals()[_cls], _test), f"{_name} is written out; a row may not replace it"
+        setattr(globals()[_cls], _test, _rows_test([row[1:] for row in _table if row[0] == _name], _check))

@@ -26,6 +26,7 @@ from pathlib import Path
 import pytest
 
 from repbal import cli
+from support import call_main
 
 MANIFEST = Path(__file__).resolve().parent / "golden.tsv"
 SUBCOMMANDS = ("build", "solve", "repfn", "classify", "verify")
@@ -128,22 +129,15 @@ def _sha(data):
 
 def _record(main, argv):
     """One manifest row: the vector, its exit code and the hashes of what it wrote."""
-    stdout, stderr = io.StringIO(), io.StringIO()
-    usage_error = False
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        try:
-            code = main(list(argv))
-        except SystemExit as exc:
-            code, usage_error = exc.code, True
-    err = stderr.getvalue()
-    if usage_error:
+    code, out, err, usage = call_main(argv, main)
+    if usage:
         err = err.splitlines()[-1]
     out_path = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
     out_file = None
     if out_path is not None and out_path.exists():
         out_file = out_path.read_bytes()
         out_path.unlink()
-    return [json.dumps(list(argv)), str(code), _sha(stdout.getvalue()), _sha(err), _sha(out_file)]
+    return [json.dumps(list(argv)), str(code), _sha(out), _sha(err), _sha(out_file)]
 
 
 def replay(main, directory):

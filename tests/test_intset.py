@@ -16,16 +16,7 @@ from repbal.intset import (
     partition_fault,
     progression_set,
 )
-
-
-def small_sets(max_bound=64):
-    return st.integers(1, max_bound).flatmap(
-        lambda bound: st.builds(
-            BoundedSet,
-            bound=st.just(bound),
-            mask=st.integers(0, (1 << bound) - 1),
-        )
-    )
+from support import small_sets
 
 
 class TestChi:
@@ -73,7 +64,7 @@ class TestTruncate:
         with pytest.raises(OutOfWindowError):
             BoundedSet(8).truncate(8)
 
-    @given(small_sets(), st.data())
+    @given(small_sets(64), st.data())
     def test_subset_and_max(self, s, data):
         x = data.draw(st.integers(0, s.bound - 1))
         cut = s.truncate(x)
@@ -226,7 +217,7 @@ class TestTextFormat:
         s = BoundedSet(5)
         assert BoundedSet.from_text(s.to_text()) == s
 
-    @given(small_sets())
+    @given(small_sets(64))
     def test_round_trip_exact(self, s):
         assert BoundedSet.from_text(s.to_text()) == s
 

@@ -1,7 +1,6 @@
 """Forced extension: frozen outcomes, oracle agreement, matching, grids."""
 
 import dataclasses
-from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,6 +21,7 @@ from repbal.solver import (
     match_family,
     predicted_solvable_cells,
 )
+from support import Row, cell_rows, never
 
 
 class TestForcedExtend:
@@ -362,32 +362,9 @@ class TestMatchFamily:
             match_family(out)
 
 
-class Row(NamedTuple):
-    """One grid cell as classify writes it."""
-
-    r: int
-    m: int
-    status: str
-    family: str | None
-    l: int | None
-    contradiction_at: int | None
-    forced_value: int | None
-
-
-def _cell_rows(runs):
-    """The runs expanded to one row per cell; a completed run is one cell, matched on its spec."""
-    rows = []
-    for r, m_lo, m_hi, out in runs:
-        match = match_family(out) if out.status == STATUS_COMPLETED else None
-        family, l = match or (None, None)
-        for m in range(m_lo, m_hi + 1):
-            rows.append(Row(r, m, out.status, family, l, out.contradiction_at, out.forced_value))
-    return rows
-
-
 class TestClassifyGrid:
     def test_small_grid_against_prediction(self):
-        records = _cell_rows(classify_grid(m_max=5, r_max_factor=2, bound=256))
+        records = cell_rows(classify_grid(m_max=5, r_max_factor=2, bound=256))
         assert len(records) == sum(2 * m + 1 for m in range(2, 6))
         completed = {(rec.r, rec.m) for rec in records if rec.status == STATUS_COMPLETED}
         assert completed == predicted_solvable_cells(5)
@@ -399,7 +376,7 @@ class TestClassifyGrid:
                 assert rec.forced_value is not None
 
     def test_records_sorted_by_r_then_m(self):
-        records = _cell_rows(classify_grid(m_max=4, r_max_factor=1, bound=64))
+        records = cell_rows(classify_grid(m_max=4, r_max_factor=1, bound=64))
         keys = [(rec.r, rec.m) for rec in records]
         assert keys == sorted(keys)
 
@@ -436,6 +413,21 @@ def _outcome_or_error(fn, *args):
         return f"ValueError: {exc}"
 
 
+def _recorded(monkeypatch):
+    """(r, m, bound, positions stepped) of each forced_extend call the grid makes from here on,
+    each outcome's window checked to end where the extension died or at the bound."""
+    calls = []
+
+    def recording(spec, bound, resume=None):
+        out = forced_extend(spec, bound, resume)
+        assert _window_ends_where_it_died(out, bound)
+        calls.append((spec.r, spec.m, bound, len(out.sides) - _resume_point(spec, bound, resume)))
+        return out
+
+    monkeypatch.setattr(solver, "forced_extend", recording)
+    return calls
+
+
 GRIDS = st.tuples(st.integers(2, 40), st.integers(0, 3), st.integers(2, 600))
 
 
@@ -456,7 +448,7 @@ class TestSharedCells:
     @example(grid=(13, 1, 21))  # so does row 0's one-cell run (0, 12), whose diagonal is (11, 12)
     @given(GRIDS)
     def test_agrees_with_one_extension_per_cell(self, grid):
-        assert _outcome_or_error(lambda *g: _cell_rows(classify_grid(*g)), *grid) == (
+        assert _outcome_or_error(lambda *g: cell_rows(classify_grid(*g)), *grid) == (
             _outcome_or_error(_classify_grid_per_cell, *grid)
         )
 
@@ -506,62 +498,37 @@ class TestSharedCells:
         assert row0 == [(0, m, m) for m in range(2, m_max + 1)]
 
     def test_every_extension_is_a_grid_cell_over_the_whole_bound(self, monkeypatch):
-        calls = []
-        stepped = []
-
-        def recording(spec, bound, resume=None):
-            calls.append((spec.r, spec.m, bound))
-            out = forced_extend(spec, bound, resume)
-            stepped.append(len(out.sides) - _resume_point(spec, bound, resume))
-            assert _window_ends_where_it_died(out, bound)
-            return out
-
-        monkeypatch.setattr(solver, "forced_extend", recording)
+        calls = _recorded(monkeypatch)
         runs = list(classify_grid(33, 2, 2048))
-        records = _cell_rows(runs)
+        records = cell_rows(runs)
+        cells = [(r, m, bound) for r, m, bound, _ in calls]
         # the 6 diagonal cells (r, r + 1) with a run of their own are row 0's cells moved down
-        assert len(calls) == len(set(calls)) == len(runs) - 6 == 208
-        assert all(2 <= m <= 33 and r <= 2 * m for r, m, _ in calls)
-        assert all(bound == (2049 if r == 0 else 2048) for r, _, bound in calls)
-        assert {(r, m) for r, m, _ in calls} <= {(rec.r, rec.m) for rec in records}
+        assert len(cells) == len(set(cells)) == len(runs) - 6 == 208
+        assert all(2 <= m <= 33 and r <= 2 * m for r, m, _ in cells)
+        assert all(bound == (2049 if r == 0 else 2048) for r, _, bound in cells)
+        assert {(r, m) for r, m, _ in cells} <= {(rec.r, rec.m) for rec in records}
         # top cells resume below r, the others at r + m: from the anchor they would step 28,948
-        assert sum(stepped) == 22_951
+        assert sum(stepped for *_, stepped in calls) == 22_951
 
     def test_completed_top_settles_every_cell_past_the_bound(self, monkeypatch):
         # (0, m) for every m >= 1024 shares P n [0, 1024) = {0} with the top cell (0, 3000),
         # and each is matched against its own spec: l grows with m
-        calls = []
-        stepped = []
-
-        def recording(spec, bound, resume=None):
-            calls.append((spec.r, spec.m))
-            out = forced_extend(spec, bound, resume)
-            stepped.append(len(out.sides) - _resume_point(spec, bound, resume))
-            assert _window_ends_where_it_died(out, bound)
-            return out
-
-        monkeypatch.setattr(solver, "forced_extend", recording)
-        records = {(rec.r, rec.m): rec for rec in _cell_rows(classify_grid(3000, 0, 1024))}
-        assert calls == [(0, 3000)] + [(0, m) for m in range(2, 1024)]
+        calls = _recorded(monkeypatch)
+        records = {(rec.r, rec.m): rec for rec in cell_rows(classify_grid(3000, 0, 1024))}
+        assert [(r, m) for r, m, _, _ in calls] == [(0, 3000)] + [(0, m) for m in range(2, 1024)]
         # each cell (0, m) resumes from the top at m, and row 0 extends over the bound + 1, one
         # more step for each of the 19 cells that reach it: from the anchor they would step 535,607
-        assert sum(stepped) == 13_876
+        assert sum(stepped for *_, stepped in calls) == 13_876
         assert [(records[0, m].family, records[0, m].l) for m in (1024, 1025, 2049, 3000)] == [
             (None, None), ("s1t1+1", 10), ("s1t1+1", 11), (None, None)
         ]
 
     def test_diagonal_cells_are_never_stepped(self, monkeypatch):
         # every cell (r, r + 1) with r >= 1 is read off row 0, the top (128, 129) included
-        calls = []
-
-        def recording(spec, bound, resume=None):
-            calls.append((spec.r, spec.m))
-            return forced_extend(spec, bound, resume)
-
-        monkeypatch.setattr(solver, "forced_extend", recording)
+        calls = _recorded(monkeypatch)
         runs = list(classify_grid(129, 2, 8192))
         assert len(calls) == len(runs) - 8 == 822
-        assert not [(r, m) for r, m in calls if r >= 1 and m == r + 1]
+        assert not [(r, m) for r, m, _, _ in calls if r >= 1 and m == r + 1]
 
     @pytest.mark.parametrize("grid,extensions", [
         ((17, 1, 20), 59),
@@ -570,13 +537,7 @@ class TestSharedCells:
         ((40, 0, 12), 11),
     ])
     def test_extension_count(self, monkeypatch, grid, extensions):
-        calls = []
-
-        def counting(spec, bound, resume=None):
-            calls.append(spec)
-            return forced_extend(spec, bound, resume)
-
-        monkeypatch.setattr(solver, "forced_extend", counting)
+        calls = _recorded(monkeypatch)
         list(classify_grid(*grid))
         assert len(calls) == extensions
 
@@ -641,10 +602,7 @@ class TestSharedCells:
     def test_out_of_reach_grid_is_refused_before_any_extension(
         self, monkeypatch, grid, first_unreachable
     ):
-        def refuse(*args, **kwargs):
-            raise AssertionError("ran an extension")
-
-        monkeypatch.setattr(solver, "forced_extend", refuse)
+        monkeypatch.setattr(solver, "forced_extend", never("ran an extension"))
         message = f"bound {grid[2]} must reach past the first excluded value {first_unreachable}"
         with pytest.raises(ValueError, match=f"^{message}$"):
             classify_grid(*grid)
@@ -655,10 +613,10 @@ class TestGridCap:
 
     @pytest.mark.parametrize("grid", [(5, 2, 256), (9, 0, 64), (6, 3, 64), (2, 1, 8)])
     def test_cap_is_the_cell_count(self, monkeypatch, grid):
-        cells = len(_cell_rows(classify_grid(*grid)))
+        cells = len(cell_rows(classify_grid(*grid)))
         assert cells == grid_cells(*grid[:2])
         monkeypatch.setattr(solver, "MAX_GRID_CELLS", cells)
-        assert len(_cell_rows(classify_grid(*grid))) == cells
+        assert len(cell_rows(classify_grid(*grid))) == cells
         monkeypatch.setattr(solver, "MAX_GRID_CELLS", cells - 1)
         with pytest.raises(ValueError, match=f"^grid of {cells} cells exceeds {cells - 1}$"):
             classify_grid(*grid)
@@ -670,9 +628,6 @@ class TestGridCap:
 
     def test_factor_zero_grid_is_capped_before_any_extension(self, monkeypatch):
         # r = 0 alone is always in reach, so only the cap bounds m_max
-        def refuse(*args, **kwargs):
-            raise AssertionError("ran an extension")
-
-        monkeypatch.setattr(solver, "forced_extend", refuse)
+        monkeypatch.setattr(solver, "forced_extend", never("ran an extension"))
         with pytest.raises(ValueError, match=f"^grid of {10**12 - 1} cells exceeds {1 << 20}$"):
             classify_grid(10**12, 0, 1 << 24)

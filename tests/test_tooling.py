@@ -194,6 +194,52 @@ def _renamed(outcome, spec):
     return dataclasses.replace(outcome, spec=spec), spec.name.replace("_", "-")
 """
 
+PARENT_PEAKS = """
+class TestSolve:
+    def test_huge_modulus_allocates_by_the_bound(self, capsys):
+        tracemalloc.start()
+        try:
+            code, out, _ = run(capsys, "solve", "--r", "2", "--m", "1000000000000", "--bound", "64")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+
+
+class TestClassify:
+    def test_out_file_peak_is_a_few_runs(self, capsys, tmp_path):
+        out_file = tmp_path / "grid.csv"
+        tracemalloc.start()
+        try:
+            code, _, err = run(
+                capsys, "classify", "--m-max", "300", "--bound", "1024", "--out", str(out_file)
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+"""
+
+PARENT_CAPTURES = """
+class TestParserBuiltOnce:
+    @staticmethod
+    def _call(argv):
+        with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+        return code, out.getvalue(), err.getvalue()
+
+
+class TestArgumentVectors:
+    def test_exit_one_is_one_line_and_nothing_written(self, argv):
+        with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+            with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
+                try:
+                    code, usage = main(argv), False
+                except SystemExit as exc:
+                    code, usage = exc.code, True
+"""
+
 SOLVER = "solver.py"
 
 RULES = [
@@ -292,6 +338,18 @@ RULES = [
         # the shift coded outside cell and a replace of an outcome; a string's replace is not one
         selftest="test_outcome_rule_sees_a_helper_beside_the_grid", parent=PARENT_MOVED_DOWN,
         parent_as=SOLVER, flags=[(("_moved_down",), 11), (("_renamed",), 20)],
+    ),
+    Rule(
+        "test_peak_traced_only_in_peak_of", "support.peak_of is the one tracemalloc block the tests write",
+        files=TESTS, match=_calls("tracemalloc.start"), places=[("support.py", ("peak_of",))],
+        selftest="test_peak_rule_sees_a_hand_written_block", parent=PARENT_PEAKS, parent_as="test_cli.py",
+        flags=[(("test_huge_modulus_allocates_by_the_bound",), 4), (("test_out_file_peak_is_a_few_runs",), 15)],
+    ),
+    Rule(
+        "test_stderr_captured_only_in_call_main", "support.call_main is the one in-process capture of cli.main",
+        files=TESTS, match=_calls("contextlib.redirect_stderr"), places=[("support.py", ("call_main",))],
+        selftest="test_capture_rule_sees_a_hand_written_capture", parent=PARENT_CAPTURES, parent_as="test_cli.py",
+        flags=[(("_call",), 5), (("test_exit_one_is_one_line_and_nothing_written",), 16)],
     ),
 ]
 

@@ -26,6 +26,7 @@ from repbal.verify import (
     validate_four_term,
     window_pair_batteries,
 )
+from support import never
 
 
 def base_battery():
@@ -341,10 +342,7 @@ class TestKernelOracleRunsTheSquare:
     """kernel-oracle checks the one profile kernel that every width runs."""
 
     def test_passes_without_pairs_at(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("a profile looped pairs_at")
-
-        monkeypatch.setattr(repfn, "pairs_at", refuse)
+        monkeypatch.setattr(repfn, "pairs_at", never("a profile looped pairs_at"))
         assert run_suite("quick", only="kernel-oracle").to_json_dict()["checks"] == [
             {"lemma": "kernel-oracle", "instances": 25, "passed": 25, "first_failure": None}
         ]
