@@ -1,201 +1,138 @@
-"""Acceptance suite: every exit criterion at its stated scale, exact arithmetic.
+"""Acceptance suite: every exit criterion at desk scale, exact arithmetic.
+
+Desk scale is the ``full`` profile, ``verify.PROFILES["full"]``.  One run of
+``repbal verify --bound-profile full --seed 987654321 --out report.json`` checks it, and a
+criterion that the suite checks asserts its checks' report entries:
+
+    1  family-balance, family-complement, skip-one-partition
+    2  solver-family-agreement
+    3  classification-grid
+    5  evil-odious-prefix
+    6  window-pair
+    7  four-term-identity, step-identity
+    8  kernel-oracle
+
+Criterion 4 (the offset-1 and offset-2^u rows of the full profile's grid) and criterion 8's
+10x speed margin over the oracle are not suite checks, so they keep their own code.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per criterion.
 """
 
+import json
 import random
 import time
 
 import pytest
 
-from repbal.builders import (
-    FAMILIES,
-    S1T1_SHIFTED,
-    build_ef,
-    build_evil_odious,
-    build_family,
-    family_progression,
-)
-from repbal.intset import BoundedSet, ProgressionSpec, partition_fault, progression_set
+from repbal.intset import BoundedSet
 from repbal.repfn import r2_profile, r2_profile_naive
-from repbal.solver import (
-    STATUS_COMPLETED,
-    classify_grid,
-    forced_extend,
-    predicted_solvable_cells,
-)
-from repbal.verify import (
-    FourTermBattery,
-    evil_odious_battery,
-    four_term_residual,
-    step_identity_failure,
-    step_identity_residual,
-    validate_four_term,
-    window_pair_batteries,
-)
-from support import cell_rows
+from repbal.solver import GRID_R_MAX_FACTOR, STATUS_COMPLETED, STATUS_CONTRADICTION, classify_grid
+from repbal.verify import CHECK_IDS, PROFILES
+from support import call_main, cell_rows
 
-DESK_BOUND = 1 << 14
-GRID_BOUND = 2048
-GRID_M_MAX = 33
-AGREEMENT_BOUND = 4096
+FULL = PROFILES["full"]
+SEED = 987654321  # kernel-oracle's sets, and after them criterion 8's timed set
+
+# each check's instances at the full profile; every one must pass
+INSTANCES = {
+    "evil-odious-prefix": 11,
+    "family-balance": 21,
+    "family-complement": 21,
+    "window-pair": 9,
+    "skip-one-partition": 2,
+    "four-term-identity": 1427,
+    "step-identity": 11,
+    "solver-family-agreement": 18,
+    "classification-grid": 1152,
+    "kernel-oracle": 100,
+}
 
 
 @pytest.fixture(scope="module")
-def grid_records():
-    return cell_rows(classify_grid(m_max=GRID_M_MAX, r_max_factor=2, bound=GRID_BOUND))
+def report(tmp_path_factory):
+    """The full-profile report's entries by check id, from one CLI run's --out file.
+
+    Stdout and the exit code must agree with the report: ten PASS lines, ``suite: PASS`` and
+    exit 0 exactly when every check passed.  Whether each one passed is its criterion's to
+    assert, so a failing check fails its own criterion, with its first failure, and no other.
+    """
+    path = tmp_path_factory.mktemp("suite") / "report.json"
+    code, out, _, _ = call_main(["verify", "--bound-profile", "full", "--seed", str(SEED), "--out", str(path)])
+    checks = json.loads(path.read_text())["checks"]
+    assert [check["lemma"] for check in checks] == list(CHECK_IDS) == list(INSTANCES)
+    ok = [check["passed"] == check["instances"] and check["first_failure"] is None for check in checks]
+    lines = out.splitlines()
+    assert [line.split()[:2] for line in lines[:-1]] == [["PASS" if o else "FAIL", c] for o, c in zip(ok, CHECK_IDS)]
+    assert (code, lines[-1]) == ((0, "suite: PASS") if all(ok) else (2, "suite: FAIL"))
+    return {check["lemma"]: check for check in checks}
 
 
-def test_criterion_1_family_identity_at_desk_scale():
-    for family in FAMILIES:
-        for l in range(0, 7):
-            a, b, t = build_family(family, l, DESK_BOUND)
-            anchor = 1 if family == S1T1_SHIFTED else 0
-            n_max = DESK_BOUND - anchor - 1
-            pa = r2_profile(a, n_max)
-            pb = r2_profile(b, n_max)
-            assert pa[1:] == pb[1:], (family, l)
-            assert partition_fault(DESK_BOUND, a.mask, b.mask, t.mask) is None, (family, l)
-    print("PASS criterion 1: family pairs balance exactly and complement the "
-          "predicted progression at bound 2^14 (families x l in [0,6])")
+def assert_passed(report, *check_ids):
+    for check_id in check_ids:
+        n = INSTANCES[check_id]
+        assert report[check_id] == {"lemma": check_id, "instances": n, "passed": n, "first_failure": None}
 
 
-def test_criterion_2_solver_reproduces_every_family():
-    cells = 0
-    for family in FAMILIES:
-        l = 0
-        while family_progression(family, l).m <= GRID_M_MAX:
-            spec = family_progression(family, l)
-            out = forced_extend(spec, AGREEMENT_BOUND)
-            a, b, _ = build_family(family, l, AGREEMENT_BOUND)
-            assert out.status == STATUS_COMPLETED, (family, l)
-            assert out.a == a and out.b == b, (family, l)
-            cells += 1
-            l += 1
-    assert cells == 18  # 3 families x l in [0, 5]
-    print("PASS criterion 2: forced extension equals every family builder "
-          "elementwise up to bound 4096 (m <= 33)")
+def test_criterion_1_family_identity_at_desk_scale(report):
+    assert_passed(report, "family-balance", "family-complement", "skip-one-partition")
+    print(f"PASS criterion 1: family pairs and the skip-one pair balance exactly and complement "
+          f"their excluded sets at bound {FULL.family_bound} (families x l in [0,{FULL.family_l_max}])")
 
 
-def test_criterion_3_classification_grid(grid_records):
-    predicted = predicted_solvable_cells(GRID_M_MAX)
-    completed = {(rec.r, rec.m) for rec in grid_records if rec.status == STATUS_COMPLETED}
-    survivors = completed - predicted
-    assert not survivors, f"cells outside the predicted set completed: {sorted(survivors)}"
-    assert completed == predicted
-    for rec in grid_records:
-        if rec.status == STATUS_COMPLETED:
-            assert rec.family is not None, (rec.r, rec.m)
-        else:
-            assert rec.contradiction_at is not None and rec.forced_value is not None
-    print("PASS criterion 3: completed grid cells (m <= 33, r <= 2m, bound 2048) "
-          "are exactly the predicted family cells; all others contradict")
+def test_criterion_2_solver_reproduces_every_family(report):
+    assert_passed(report, "solver-family-agreement")
+    print(f"PASS criterion 2: forced extension equals every family builder "
+          f"elementwise up to bound {FULL.agreement_bound} (m <= {FULL.grid_m_max})")
 
 
-def test_criterion_4_special_cases(grid_records):
-    by_cell = {(rec.r, rec.m): rec.status for rec in grid_records}
-    for m in range(2, GRID_M_MAX + 1):
-        expected = STATUS_COMPLETED if m in (2, 3) else "contradiction"
-        assert by_cell[(1, m)] == expected, (1, m)
-    u = 0
-    while (1 << u) <= 2 * GRID_M_MAX:
-        r = 1 << u
-        for m in range(2, GRID_M_MAX + 1):
-            if r > 2 * m:
-                continue
-            should = m in (r + 1, 2 * r + 1)
-            assert (by_cell[(r, m)] == STATUS_COMPLETED) == should, (r, m)
-        u += 1
+def test_criterion_3_classification_grid(report):
+    assert_passed(report, "classification-grid")
+    print(f"PASS criterion 3: completed grid cells (m <= {FULL.grid_m_max}, r <= {GRID_R_MAX_FACTOR}m, "
+          f"bound {FULL.grid_bound}) are exactly the predicted family cells; all others contradict")
+
+
+def test_criterion_4_special_cases():
+    runs = classify_grid(FULL.grid_m_max, GRID_R_MAX_FACTOR, FULL.grid_bound)
+    by_cell = {(row.r, row.m): row.status for row in cell_rows(runs)}
+    r = 1  # offset 1 is offset 2^0: it completes only for m in {2, 3}
+    while r <= GRID_R_MAX_FACTOR * FULL.grid_m_max:
+        for m in range(2, FULL.grid_m_max + 1):
+            if r <= GRID_R_MAX_FACTOR * m:
+                expected = STATUS_COMPLETED if m in (r + 1, 2 * r + 1) else STATUS_CONTRADICTION
+                assert by_cell[(r, m)] == expected, (r, m)
+        r *= 2
     print("PASS criterion 4: offset 1 completes only for m in {2,3}; offset 2^u "
           "completes only for m in {2^u+1, 2^(u+1)+1}")
 
 
-def test_criterion_5_evil_odious_prefixes():
-    for l in range(0, 11):
-        bound = max(2 ** (l + 1) - 1, 1)
-        evil, odious = build_evil_odious(bound)
-        left = evil.truncate(2**l - 1)
-        right = odious.truncate(2**l - 1)
-        pe = r2_profile(left, bound - 1)
-        po = r2_profile(right, bound - 1)
-        assert pe[1:] == po[1:], l
-    print("PASS criterion 5: evil/odious prefix pairs balance exactly for "
-          "l in [0,10], n <= 2^(l+1)-2")
+def test_criterion_5_evil_odious_prefixes(report):
+    assert_passed(report, "evil-odious-prefix")
+    print(f"PASS criterion 5: evil/odious prefix pairs balance exactly for "
+          f"l in [0,{FULL.prefix_l_max}], n <= 2^(l+1)-2")
 
 
-def test_criterion_6_window_pairs():
-    for u in range(0, 9):
-        e, f = build_ef(u)
-        n_max = e.bound - 1  # = 2^(u+1) + 1 + 2^u
-        pe = r2_profile(e, n_max)
-        pf = r2_profile(f, n_max)
-        assert pe[1:] == pf[1:], u
-    print("PASS criterion 6: punctured-window pairs balance exactly for "
-          "u in [0,8] over their whole windows")
+def test_criterion_6_window_pairs(report):
+    assert_passed(report, "window-pair")
+    print(f"PASS criterion 6: punctured-window pairs balance exactly for "
+          f"u in [0,{FULL.ef_u_max}] over their whole windows")
 
 
-def test_criterion_7_identity_checkers_and_mutation_sensitivity():
-    # four-term identity: full battery, both instance shapes, epsilon branch included
-    epsilon_points = 0
-    count = 0
-    for r, m in sorted(p for p in predicted_solvable_cells(GRID_M_MAX) if p[0] >= 1):
-        battery = evil_odious_battery(ProgressionSpec(r, m))
-        validate_four_term(battery)
-        for n, N in battery.points():
-            assert four_term_residual(battery, n, N) == 0, (r, m, n, N)
-            epsilon_points += N == 2 * battery.L
-            count += 1
-    for u, m in [(2, 8), (3, 12), (3, 14), (3, 15), (4, 20), (4, 23)]:
-        for battery in window_pair_batteries(u, m):
-            validate_four_term(battery)
-            for n, N in battery.points():
-                assert four_term_residual(battery, n, N) == 0, (u, m, n, N)
-                count += 1
-    assert epsilon_points > 0 and count > 1000
-
-    # step identity: every realized family cell, epsilon branch at n = 2r-1 included
-    for r, m in sorted(p for p in predicted_solvable_cells(GRID_M_MAX) if p[0] >= 1):
-        assert step_identity_failure(ProgressionSpec(r, m)) is None, (r, m)
-
-    # sensitivity: at least one single-element mutation flips each identity
-    out = forced_extend(ProgressionSpec(2, 3), 5)
-    t = progression_set(ProgressionSpec(2, 3), 5)
-    evil, odious = build_evil_odious(5)
-    valid = FourTermBattery(out.a, out.b, evil, odious, t, 2, 4)
-    assert four_term_residual(valid, 4, 4) == 0
-    mutated = FourTermBattery(
-        valid.a, valid.b, valid.c,
-        BoundedSet(odious.bound, odious.mask ^ (1 << 4)),
-        valid.t, 2, 4,
-    )
-    assert four_term_residual(mutated, 4, 4) != 0
-
-    assert step_identity_residual(out.a, t, evil, 2, 2) == 0
-    flipped = BoundedSet(5, evil.mask ^ (1 << 3))
-    assert step_identity_residual(out.a, t, flipped, 2, 2) != 0
-    print("PASS criterion 7: identity checkers hold on every generated instance "
-          "(epsilon branches included) and flip under single-element mutation")
+def test_criterion_7_identity_checkers_and_mutation_sensitivity(report):
+    # mutation sensitivity: test_verify.py's TestFourTerm and TestStepIdentity pin each flipped residual
+    assert_passed(report, "four-term-identity", "step-identity")
+    print(f"PASS criterion 7: the four-term identity holds at all {INSTANCES['four-term-identity']} "
+          f"battery points and the step identity on all {INSTANCES['step-identity']} solvable cells "
+          f"with r >= 1, epsilon branches (N = 2L, n = 2r-1) included")
 
 
-def test_criterion_8_kernel_oracle_equivalence_and_speed():
-    rng = random.Random(987654321)
-    densities = (0.02, 0.05, 0.1, 0.2, 0.35, 0.5)
-    n_max = 2048
-    for i in range(100):
-        density = densities[i % len(densities)]
-        mask = 0
-        for x in range(n_max + 1):
-            if rng.random() < density:
-                mask |= 1 << x
-        s = BoundedSet(n_max + 1, mask)
-        assert list(r2_profile(s, n_max)) == r2_profile_naive(s, n_max), i
+def test_criterion_8_kernel_oracle_equivalence_and_speed(report):
+    assert_passed(report, "kernel-oracle")
 
+    rng = random.Random(SEED)
+    for _ in range(FULL.kernel_sets * (FULL.kernel_n_max + 1)):  # the draws of kernel-oracle's sets
+        rng.random()
     big_n = 1 << 14
-    mask = 0
-    for x in range(big_n + 1):
-        if rng.random() < 0.5:
-            mask |= 1 << x
-    big = BoundedSet(big_n + 1, mask)
+    big = BoundedSet(big_n + 1, sum(1 << x for x in range(big_n + 1) if rng.random() < 0.5))
     t0 = time.perf_counter()
     fast = list(r2_profile(big, big_n))
     t1 = time.perf_counter()
@@ -204,5 +141,5 @@ def test_criterion_8_kernel_oracle_equivalence_and_speed():
     assert fast == slow
     ratio = (t2 - t1) / max(t1 - t0, 1e-9)
     assert ratio >= 10, f"kernel only {ratio:.1f}x faster than the oracle"
-    print(f"PASS criterion 8: kernel exact on 100 random sets at N=2048 and "
-          f"{ratio:.0f}x faster than the oracle at N=2^14")
+    print(f"PASS criterion 8: kernel exact on {FULL.kernel_sets} random sets at N={FULL.kernel_n_max} "
+          f"and {ratio:.0f}x faster than the oracle at N=2^14")

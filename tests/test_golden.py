@@ -26,6 +26,7 @@ from pathlib import Path
 import pytest
 
 from repbal import cli
+from repbal.verify import CHECK_IDS
 from support import call_main
 
 MANIFEST = Path(__file__).resolve().parent / "golden.tsv"
@@ -45,11 +46,6 @@ FIXTURES = {
 }
 
 TOKENS = ("s1t1:0", "s1t1:3", "s2t2:2", "s1t1+1:1", "xy", "uv")
-LEMMAS = (
-    "evil-odious-prefix", "family-balance", "family-complement", "window-pair",
-    "skip-one-partition", "four-term-identity", "step-identity",
-    "solver-family-agreement", "classification-grid", "kernel-oracle",
-)
 
 VECTORS = [
     # build: every token kind, text and JSON
@@ -109,7 +105,7 @@ VECTORS = [
     ("classify", "--m-max", "5", "--bound", "64", "--out", "no/such/grid.csv"),
     # verify: the quick profile, whole and per lemma, at two seeds, and --out
     *[("verify", "--bound-profile", "quick", "--seed", seed) for seed in ("1729", "7")],
-    *[("verify", "--lemma", lemma, "--seed", seed) for lemma in LEMMAS for seed in ("1729", "7")],
+    *[("verify", "--lemma", lemma, "--seed", seed) for lemma in CHECK_IDS for seed in ("1729", "7")],
     ("verify", "--seed", "7", "--out", "report.json"),
     ("verify", "--lemma", "skip-one-partition", "--out", "no/such/report.json"),
     # argparse usage errors
