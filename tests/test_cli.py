@@ -11,53 +11,40 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repbal import cli, solver, verify
-from repbal.cli import (
-    EXIT_COUNTEREXAMPLE,
-    EXIT_OK,
-    EXIT_USAGE,
-    main,
-)
+from repbal.cli import EXIT_COUNTEREXAMPLE, EXIT_OK, EXIT_USAGE
 from repbal.intset import BoundedSet
 from repbal.repfn import r1_profile, r2_profile, strict_counts
 from repbal.verify import CHECK_IDS, SuiteReport
 from support import call_main, never, peak_of
 
 
-def run(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
 class TestSolve:
-    def test_sets_output_matches_contract(self, capsys):
-        code, out, _ = run(capsys, "solve", "--r", "2", "--m", "3", "--bound", "14")
+    def test_sets_output_matches_contract(self):
+        code, out, _, _ = call_main(["solve", "--r", "2", "--m", "3", "--bound", "14"])
         assert code == EXIT_OK
         assert out == "A={0,4,7,9,13}\nB={1,3,6,10,12}\n"
 
-    def test_contradiction_reported(self, capsys):
-        code, out, _ = run(capsys, "solve", "--r", "1", "--m", "4", "--bound", "64")
+    def test_contradiction_reported(self):
+        code, out, _, _ = call_main(["solve", "--r", "1", "--m", "4", "--bound", "64"])
         assert code == EXIT_OK
         assert out.startswith("contradiction: sum=5 forced=1\n")
 
-    def test_json_emission(self, capsys):
-        code, out, _ = run(
-            capsys, "solve", "--r", "2", "--m", "3", "--bound", "14", "--emit", "json"
-        )
+    def test_json_emission(self):
+        code, out, _, _ = call_main(["solve", "--r", "2", "--m", "3", "--bound", "14", "--emit", "json"])
         payload = json.loads(out)
         assert payload["status"] == "completed"
         assert payload["a"] == [0, 4, 7, 9, 13]
         assert payload["anchor"] == 0
 
-    def test_huge_modulus_allocates_by_the_bound(self, capsys):
-        (code, out, _), peak = peak_of(run, capsys, "solve", "--r", "2", "--m", "1000000000000", "--bound", "64")
+    def test_huge_modulus_allocates_by_the_bound(self):
+        (code, out, _, _), peak = peak_of(call_main, ["solve", "--r", "2", "--m", "1000000000000", "--bound", "64"])
         assert code == EXIT_OK
         assert out == "contradiction: sum=8 forced=2\nA={0,4,6}\nB={1,3,5,7}\n"
         assert peak < 1 << 20
 
-    def test_contradiction_json_cuts_excluded_at_the_frontier(self, capsys):
+    def test_contradiction_json_cuts_excluded_at_the_frontier(self):
         # (1, 4) dies at position 5, so excluded runs over [0, 5), not over the bound
-        code, out, _ = run(capsys, "solve", "--r", "1", "--m", "4", "--bound", "64", "--emit", "json")
+        code, out, _, _ = call_main(["solve", "--r", "1", "--m", "4", "--bound", "64", "--emit", "json"])
         payload = {
             "a": [0],
             "anchor": 0,
@@ -72,39 +59,39 @@ class TestSolve:
         }
         assert (code, out) == (EXIT_OK, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
-    def test_huge_modulus_json_excludes_r_alone(self, capsys):
+    def test_huge_modulus_json_excludes_r_alone(self):
         argv = ("solve", "--r", "2", "--m", "1000000000000", "--bound", "64", "--emit", "json")
-        code, out, _ = run(capsys, *argv)
+        code, out, _, _ = call_main(argv)
         assert code == EXIT_OK
         assert json.loads(out)["excluded"] == [2]
 
 
 class TestBuild:
-    def test_family_text_blocks(self, capsys):
-        code, out, _ = run(capsys, "build", "s1t1:1", "--bound", "14")
+    def test_family_text_blocks(self):
+        code, out, _, _ = call_main(["build", "s1t1:1", "--bound", "14"])
         assert code == EXIT_OK
         assert "A:\nbound=14\n0,4,7,9,13\n" in out
         assert "T:\nbound=14\n2,5,8,11\n" in out
 
-    def test_uv_and_xy(self, capsys):
-        code, out, _ = run(capsys, "build", "uv", "--bound", "8")
+    def test_uv_and_xy(self):
+        code, out, _, _ = call_main(["build", "uv", "--bound", "8"])
         assert code == EXIT_OK and "U:\nbound=8\n0,3,5,6\n" in out
-        code, out, _ = run(capsys, "build", "xy", "--bound", "8", "--format", "json")
+        code, out, _, _ = call_main(["build", "xy", "--bound", "8", "--format", "json"])
         assert json.loads(out)["X"]["elements"] == [0, 5, 6, 7]
 
-    def test_ef_fixes_its_own_bound(self, capsys):
-        code, out, _ = run(capsys, "build", "ef:1")
+    def test_ef_fixes_its_own_bound(self):
+        code, out, _, _ = call_main(["build", "ef:1"])
         assert code == EXIT_OK and "E:\nbound=8\n0,4,6\n" in out
 
-    def test_huge_family_parameter_builds_the_capped_family(self, capsys):
+    def test_huge_family_parameter_builds_the_capped_family(self):
         # 2^(10^13) would take over a terabyte; at bound 64 every l >= 8 builds the same sets
-        _, expected, _ = run(capsys, "build", "s1t1:8", "--bound", "64")
-        (code, out, err), peak = peak_of(run, capsys, "build", "s1t1:10000000000000", "--bound", "64")
-        assert (code, out, err) == (EXIT_OK, expected, "")
+        expected = call_main(["build", "s1t1:8", "--bound", "64"])
+        result, peak = peak_of(call_main, ["build", "s1t1:10000000000000", "--bound", "64"])
+        assert result == expected == (EXIT_OK, expected[1], "", False)
         assert peak < 1 << 20
-        _, expected, _ = run(capsys, "repfn", "--family", "s2t2:8", "--bound", "64")
-        code, out, _ = run(capsys, "repfn", "--family", "s2t2:10000000000000", "--bound", "64")
-        assert (code, out) == (EXIT_OK, expected)
+        expected = call_main(["repfn", "--family", "s2t2:8", "--bound", "64"])
+        result = call_main(["repfn", "--family", "s2t2:10000000000000", "--bound", "64"])
+        assert result == expected == (EXIT_OK, expected[1], "", False)
 
 
 def _indented(text):
@@ -190,18 +177,18 @@ def single_rows(p1, p2):
 
 
 class TestRepfn:
-    def test_pair_csv(self, capsys):
-        code, out, _ = run(capsys, "repfn", "--family", "s1t1:1", "--bound", "14")
+    def test_pair_csv(self):
+        code, out, _, _ = call_main(["repfn", "--family", "s1t1:1", "--bound", "14"])
         lines = out.splitlines()
         assert code == EXIT_OK
         assert lines[0] == "n,R2_A,R2_B,equal"
         assert len(lines) == 15
         assert all(line.endswith(",1") for line in lines[1:])
 
-    def test_single_set_csv(self, capsys, tmp_path):
+    def test_single_set_csv(self, tmp_path):
         fixture = tmp_path / "set.txt"
         fixture.write_text("bound=8\n0,1,2,3\n")
-        code, out, _ = run(capsys, "repfn", "--input", str(fixture), "--n-max", "3")
+        code, out, _, _ = call_main(["repfn", "--input", str(fixture), "--n-max", "3"])
         assert code == EXIT_OK
         assert out.splitlines() == ["n,R1,R2,R3", "0,1,0,1", "1,2,1,1", "2,3,1,2", "3,4,2,2"]
 
@@ -213,16 +200,16 @@ class TestRepfn:
         ("uv", 64, 63),
         ("ef:4", None, 20),
     ])
-    def test_family_rows_match_one_fstring_per_row(self, capsys, token, bound, n_max):
+    def test_family_rows_match_one_fstring_per_row(self, token, bound, n_max):
         sets = [s for _, s in cli._build_sets(token, bound)[:2]]
         last = sets[0].bound - 1 if n_max is None else n_max
         argv = ["repfn", "--family", token] + ([] if bound is None else ["--bound", str(bound)])
         argv += [] if n_max is None else ["--n-max", str(n_max)]
-        code, out, _ = run(capsys, *argv)
+        code, out, _, _ = call_main(argv)
         assert code == EXIT_OK
         assert out == pair_rows(*(r2_profile(s, last) for s in sets))
 
-    def test_unequal_family_rows_match_one_fstring_per_row(self, capsys, monkeypatch, tmp_path):
+    def test_unequal_family_rows_match_one_fstring_per_row(self, monkeypatch, tmp_path):
         # a family's profiles balance, so B's profile is perturbed to print equal = 0 rows
         profiles = []
 
@@ -235,9 +222,8 @@ class TestRepfn:
 
         monkeypatch.setattr(cli, "r2_profile", perturbed)
         out_file = tmp_path / "rows.csv"
-        code, out, err = run(capsys, "repfn", "--family", "s2t2:2", "--bound", "64", "--out", str(out_file))
-        assert code == EXIT_OK and out == ""
-        assert err == f"wrote 64 rows to {out_file}\n"
+        result = call_main(["repfn", "--family", "s2t2:2", "--bound", "64", "--out", str(out_file)])
+        assert result == (EXIT_OK, "", f"wrote 64 rows to {out_file}\n", False)
         text = out_file.read_text()
         assert text == pair_rows(*profiles)
         assert [line[-1] for line in text.splitlines()[1:8]] == list("0111101")
@@ -245,13 +231,13 @@ class TestRepfn:
     @pytest.mark.parametrize("bound, density, n_max", [
         (1, 1.0, None), (10, 0.5, None), (100, 0.3, 57), (4096, 0.02, None), (10000, 1.0, 9998),
     ])
-    def test_single_set_rows_match_one_fstring_per_row(self, capsys, tmp_path, bound, density, n_max):
+    def test_single_set_rows_match_one_fstring_per_row(self, tmp_path, bound, density, n_max):
         rng = random.Random(bound)
         s = BoundedSet.from_elements([x for x in range(bound) if rng.random() < density], bound)
         fixture = tmp_path / "set.txt"
         fixture.write_text(s.to_text())
         argv = ["repfn", "--input", str(fixture)] + ([] if n_max is None else ["--n-max", str(n_max)])
-        code, out, _ = run(capsys, *argv)
+        code, out, _, _ = call_main(argv)
         p1 = r1_profile(s, bound - 1 if n_max is None else n_max)
         assert code == EXIT_OK
         assert out == single_rows(p1, strict_counts(p1, s.mask))
@@ -261,15 +247,15 @@ CSV_HEADER = "r,m,status,family,l,contradiction_at,forced_value"
 
 
 class TestClassify:
-    def test_csv_header_is_pinned(self, capsys):
+    def test_csv_header_is_pinned(self):
         # a renamed or reordered column would change classify's stdout
-        code, out, _ = run(capsys, "classify", "--m-max", "2", "--bound", "64")
+        code, out, _, _ = call_main(["classify", "--m-max", "2", "--bound", "64"])
         assert code == EXIT_OK
         assert out.splitlines()[0] == CSV_HEADER
 
-    def test_record_values_are_in_header_order(self, capsys):
+    def test_record_values_are_in_header_order(self):
         # a completed cell and a contradicted one, each read back by its header's column names
-        code, out, _ = run(capsys, "classify", "--m-max", "5", "--bound", "128")
+        code, out, _, _ = call_main(["classify", "--m-max", "5", "--bound", "128"])
         lines = out.splitlines()
         rows = {tuple(line.split(",")[:2]): dict(zip(CSV_HEADER.split(","), line.split(",")))
                 for line in lines[1:]}
@@ -283,19 +269,17 @@ class TestClassify:
             "contradiction_at": "5", "forced_value": "1",
         }
 
-    def test_csv_round_trip(self, capsys, tmp_path):
+    def test_csv_round_trip(self, tmp_path):
         # the --out file holds exactly the bytes classify prints without --out
         out_file = tmp_path / "grid.csv"
-        code, out, err = run(
-            capsys, "classify", "--m-max", "5", "--bound", "128", "--out", str(out_file)
-        )
-        assert (code, out, err) == (EXIT_OK, "", f"wrote 32 records to {out_file}\n")
-        code, out, _ = run(capsys, "classify", "--m-max", "5", "--bound", "128")
+        result = call_main(["classify", "--m-max", "5", "--bound", "128", "--out", str(out_file)])
+        assert result == (EXIT_OK, "", f"wrote 32 records to {out_file}\n", False)
+        code, out, _, _ = call_main(["classify", "--m-max", "5", "--bound", "128"])
         assert code == EXIT_OK
         assert out_file.read_bytes() == out.encode()
 
-    def test_completed_rows_match_prediction(self, capsys):
-        code, out, _ = run(capsys, "classify", "--m-max", "9", "--bound", "1024")
+    def test_completed_rows_match_prediction(self):
+        code, out, _, _ = call_main(["classify", "--m-max", "9", "--bound", "1024"])
         assert code == EXIT_OK
         lines = out.splitlines()
         assert lines[0] == CSV_HEADER
@@ -306,27 +290,25 @@ class TestClassify:
             (4, 5), (0, 5), (2, 5), (8, 9), (0, 9), (4, 9),
         }
 
-    def test_out_of_reach_grid_is_refused_before_any_record(self, capsys):
+    def test_out_of_reach_grid_is_refused_before_any_record(self):
         # runs come out r-major, so without an up-front check every r below 3 would
         # first write about three million rows
-        (code, out, err), peak = peak_of(run, capsys, "classify", "--m-max", "3000000", "--bound", "4")
-        assert code == EXIT_USAGE and out == ""
-        assert err == "repbal classify: bound 4 must reach past the first excluded value 3\n"
+        result, peak = peak_of(call_main, ["classify", "--m-max", "3000000", "--bound", "4"])
+        message = "repbal classify: bound 4 must reach past the first excluded value 3\n"
+        assert result == (EXIT_USAGE, "", message, False)
         assert peak < 8 << 20
 
-    def test_over_cap_grid_is_refused_before_any_extension(self, monkeypatch, capsys):
+    def test_over_cap_grid_is_refused_before_any_extension(self, monkeypatch):
         # 1,212,197 cells fit under the bound, but the cap bounds the rows one grid writes
         monkeypatch.setattr(solver, "forced_extend", never("ran an extension"))
-        (code, out, err), peak = peak_of(run, capsys, "classify", "--m-max", "1100", "--bound", "4096")
-        assert code == EXIT_USAGE and out == ""
-        assert err == f"repbal classify: grid of 1212197 cells exceeds {1 << 20}\n"
+        result, peak = peak_of(call_main, ["classify", "--m-max", "1100", "--bound", "4096"])
+        assert result == (EXIT_USAGE, "", f"repbal classify: grid of 1212197 cells exceeds {1 << 20}\n", False)
         assert peak < 8 << 20
 
-    def test_byte_determinism(self, capsys):
+    def test_byte_determinism(self):
         args = ("classify", "--m-max", "4", "--bound", "128")
-        _, first, _ = run(capsys, *args)
-        _, second, _ = run(capsys, *args)
-        assert first == second
+        first = call_main(args)
+        assert first == call_main(args) == (EXIT_OK, first[1], "", False)
 
 
 HUGE = 1 << 40  # a mask this wide would take 128 GiB
@@ -346,18 +328,17 @@ class TestBoundGuard:
     def test_bound_flag(self, monkeypatch, tmp_path, argv):
         _check_refusal(monkeypatch, tmp_path, argv, None, f"bound {HUGE} exceeds 16777216", NOTHING_BUILT)
 
-    def test_largest_window_is_accepted(self, monkeypatch, capsys):
+    def test_largest_window_is_accepted(self, monkeypatch):
         monkeypatch.setattr(cli, "build_xy", lambda bound: (BoundedSet(bound), BoundedSet(bound)))
-        code, _, _ = run(capsys, "build", "xy", "--bound", str(cli.MAX_BOUND))
+        code, _, _, _ = call_main(["build", "xy", "--bound", str(cli.MAX_BOUND)])
         assert code == EXIT_OK
 
 
 class TestVerify:
-    def test_quick_suite_exits_zero(self, capsys, tmp_path):
+    def test_quick_suite_exits_zero(self, tmp_path):
         report_file = tmp_path / "report.json"
-        code, out, _ = run(
-            capsys, "verify", "--lemma", "all", "--bound-profile", "quick",
-            "--out", str(report_file),
+        code, out, _, _ = call_main(
+            ["verify", "--lemma", "all", "--bound-profile", "quick", "--out", str(report_file)]
         )
         assert code == EXIT_OK
         assert "suite: PASS" in out
@@ -367,12 +348,12 @@ class TestVerify:
             "family-balance", "classification-grid", "kernel-oracle",
         }
 
-    def test_single_lemma(self, capsys):
-        code, out, _ = run(capsys, "verify", "--lemma", "skip-one-partition")
+    def test_single_lemma(self):
+        code, out, _, _ = call_main(["verify", "--lemma", "skip-one-partition"])
         assert code == EXIT_OK
         assert out.splitlines()[0].startswith("PASS skip-one-partition")
 
-    def test_counterexample_exits_two(self, monkeypatch, capsys, tmp_path):
+    def test_counterexample_exits_two(self, monkeypatch, tmp_path):
         # x and y each lose or gain 5, so their pair counts part at n = 5
         build_xy = verify.build_xy
 
@@ -381,9 +362,7 @@ class TestVerify:
 
         monkeypatch.setattr(verify, "build_xy", flipped)
         report_file = tmp_path / "report.json"
-        code, out, _ = run(
-            capsys, "verify", "--lemma", "skip-one-partition", "--out", str(report_file)
-        )
+        code, out, _, _ = call_main(["verify", "--lemma", "skip-one-partition", "--out", str(report_file)])
         assert code == EXIT_COUNTEREXAMPLE
         assert out == (
             'FAIL skip-one-partition (1/2) first failure: {"inputs": {"n": 5}, "lhs": 0, "rhs": 1}\n'
@@ -396,7 +375,7 @@ class TestVerify:
             {"lemma": "skip-one-partition", "instances": 2, "passed": 1, "first_failure": failure}
         ]
 
-    def test_every_profile_is_a_choice(self, monkeypatch, capsys):
+    def test_every_profile_is_a_choice(self, monkeypatch):
         # a profile added to verify.PROFILES reaches run_suite with no edit to the parser;
         # the parser is built once per process, so it is rebuilt around the patched PROFILES
         monkeypatch.setattr(cli, "PROFILES", {**cli.PROFILES, "deep": None})
@@ -409,7 +388,7 @@ class TestVerify:
         monkeypatch.setattr(cli, "run_suite", stub_suite)
         cli.build_parser.cache_clear()
         try:
-            code, out, _ = run(capsys, "verify", "--bound-profile", "deep")
+            code, out, _, _ = call_main(["verify", "--bound-profile", "deep"])
         finally:
             cli.build_parser.cache_clear()
         assert (code, out, seen) == (EXIT_OK, "suite: PASS\n", ["deep"])
@@ -445,11 +424,11 @@ class TestOutIntoAMissingDirectory:
         ("classify", "--m-max", "5", "--bound", "64"),
         ("verify", "--lemma", "skip-one-partition"),
     ])
-    def test_one_line_and_exit_one(self, capsys, tmp_path, argv):
+    def test_one_line_and_exit_one(self, tmp_path, argv):
         # the --out file is opened before any output, so stdout stays empty
         missing = tmp_path / "no" / "such" / "x.out"
-        code, out, err = run(capsys, *argv, "--out", str(missing))
-        assert (code, out) == (EXIT_USAGE, "")
+        code, out, err, usage = call_main([*argv, "--out", str(missing)])
+        assert (code, out, usage) == (EXIT_USAGE, "", False)
         assert err.startswith(f"repbal {argv[0]}: ") and err.count("\n") == 1
         assert str(missing) in err and "Traceback" not in err
 
@@ -467,22 +446,21 @@ class TestErrorBoundary:
 
     @pytest.mark.parametrize("error", [ValueError, OSError])
     @pytest.mark.parametrize("argv,call", CALLS, ids=[argv[0] for argv, _ in CALLS])
-    def test_domain_error_is_one_line(self, monkeypatch, capsys, argv, call, error):
+    def test_domain_error_is_one_line(self, monkeypatch, argv, call, error):
         def fail(*args, **kwargs):
             raise error("boom")
 
         monkeypatch.setattr(cli, call, fail)
-        assert run(capsys, *argv) == (EXIT_USAGE, "", f"repbal {argv[0]}: boom\n")
+        assert call_main(argv) == (EXIT_USAGE, "", f"repbal {argv[0]}: boom\n", False)
 
     @pytest.mark.parametrize("argv,call", CALLS, ids=[argv[0] for argv, _ in CALLS])
-    def test_internal_fault_propagates(self, monkeypatch, capsys, argv, call):
+    def test_internal_fault_propagates(self, monkeypatch, argv, call):
         def fail(*args, **kwargs):
             raise RuntimeError("odd pair count")
 
         monkeypatch.setattr(cli, call, fail)
         with pytest.raises(RuntimeError, match="odd pair count"):
-            main(list(argv))
-        capsys.readouterr()
+            call_main(argv)
 
 
 class TestUsage:

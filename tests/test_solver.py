@@ -1,4 +1,11 @@
-"""Forced extension: frozen outcomes, oracle agreement, matching, grids."""
+"""Forced extension: hand-checked cells, oracle agreement, matching, grids.
+
+A hand-checked outcome is one ``PINNED`` row.  The suite's instances (the solver against
+the builders on every family cell with m <= 9, and the 9/2/512 grid against its prediction)
+run once, in ``run_suite("quick")``; ``tests/test_verify.py`` pins that run.  Here each fast
+path meets its independent oracle: ``_forced_extend_bitparallel`` for the step loop and
+``_classify_grid_per_cell`` for the grid.
+"""
 
 import dataclasses
 
@@ -8,7 +15,6 @@ from hypothesis import strategies as st
 
 from repbal import solver
 from repbal.builders import FAMILIES, build_evil_odious, build_family, family_progression
-from repbal.cli import main
 from repbal.intset import ProgressionSpec, partition_fault, progression_set
 from repbal.repfn import r2_profile
 from repbal.solver import (
@@ -21,42 +27,29 @@ from repbal.solver import (
     match_family,
     predicted_solvable_cells,
 )
-from support import Row, cell_rows, never
+from support import Row, call_main, cell_rows, never
+
+
+# (r, m, bound): A and B of a completed extension, or (contradiction_at, forced_value) of a dead one
+PINNED = {
+    (2, 3, 14): ([0, 4, 7, 9, 13], [1, 3, 6, 10, 12]),
+    (1, 2, 16): ([0, 6, 10, 12], [2, 4, 8, 14]),  # the evil/odious split doubled
+    (0, 3, 16): ([1, 5, 8, 10, 14], [2, 4, 7, 11, 13]),  # anchored at 1
+    (1, 4, 64): (5, 1),  # sum 5 = 2 + 3 forces the excluded position 5
+    (1, 4, 5): ([0], [2, 3, 4]),  # the window ends where (1, 4) dies
+    (3, 4, 64): (3, 1),  # dies at its first excluded position, r
+    (0, 4, 64): (5, 1),  # dies at its first excluded position past the anchor, m
+}
 
 
 class TestForcedExtend:
-    def test_r2_m3_completes_to_the_known_pair(self):
-        out = forced_extend(ProgressionSpec(2, 3), 14)
-        assert out.status == STATUS_COMPLETED
-        assert out.anchor == 0
-        assert out.a.elements() == [0, 4, 7, 9, 13]
-        assert out.b.elements() == [1, 3, 6, 10, 12]
-
-    def test_r1_m2_completes_to_doubled_evil(self):
-        out = forced_extend(ProgressionSpec(1, 2), 16)
-        assert out.status == STATUS_COMPLETED
-        assert out.a.elements() == [0, 6, 10, 12]
-        assert out.b.elements() == [2, 4, 8, 14]
-
-    def test_r1_m4_contradicts_early(self):
-        # first inconsistency: sum 5 = 2 + 3 forces the excluded position 5
-        out = forced_extend(ProgressionSpec(1, 4), 64)
-        assert out.status == STATUS_CONTRADICTION
-        assert out.contradiction_at == 5
-        assert out.forced_value == 1
-
-    def test_r0_anchor_is_one(self):
-        out = forced_extend(ProgressionSpec(0, 3), 16)
-        assert out.anchor == 1
-        assert out.status == STATUS_COMPLETED
-        assert out.a.elements() == [1, 5, 8, 10, 14]
-        assert out.b.elements() == [2, 4, 7, 11, 13]
-
-    def test_anchor_always_in_a(self):
-        for r, m in [(0, 2), (0, 5), (1, 3), (2, 3), (4, 5), (3, 7)]:
-            out = forced_extend(ProgressionSpec(r, m), 64)
-            assert out.anchor == (0 if r else 1)
-            assert out.a.chi(out.anchor) == 1
+    @pytest.mark.parametrize("cell,pinned", PINNED.items(), ids=["-".join(map(str, cell)) for cell in PINNED])
+    def test_pinned_cell(self, cell, pinned):
+        out = forced_extend(ProgressionSpec(*cell[:2]), cell[2])
+        if out.status == STATUS_COMPLETED:
+            assert (out.a.elements(), out.b.elements()) == pinned
+        else:
+            assert (out.contradiction_at, out.forced_value) == pinned
 
     def test_anchor_is_read_from_the_spec(self):
         # the outcome keeps what the loop decided; the rest is read from it
@@ -70,11 +63,6 @@ class TestForcedExtend:
     def test_bound_too_small_rejected(self):
         with pytest.raises(ValueError):
             forced_extend(ProgressionSpec(9, 2), 10)
-
-    def test_determinism(self):
-        a = forced_extend(ProgressionSpec(2, 5), 512)
-        b = forced_extend(ProgressionSpec(2, 5), 512)
-        assert a == b
 
     @pytest.mark.parametrize("r,m", [(2, 3), (0, 3), (1, 3), (4, 5), (1, 5), (3, 4), (6, 7)])
     def test_prefix_property(self, r, m):
@@ -142,6 +130,12 @@ def _sides(frontier, mask_a, mask_b):
     return bytes(1 if mask_a >> x & 1 else 0xFF if mask_b >> x & 1 else 0 for x in range(frontier))
 
 
+# (family, l, bound): l = 2 around a power of two, and s1t1:1 far past the bit-parallel loop's reach;
+# the suite checks every family cell with l <= 3 at 1,024
+BUILDER_CELLS = [(family, 2, bound) for family in FAMILIES for bound in ((1 << 13) - 1, 1 << 13, (1 << 13) + 1)]
+BUILDER_CELLS.append(("s1t1", 1, 1 << 18))
+
+
 class TestResidueCounts:
     """The O(1)-per-step loop against the bit-parallel one it replaced, and against the builders."""
 
@@ -192,27 +186,12 @@ class TestResidueCounts:
         assert partition_fault(out.a.bound, out.a.mask, out.b.mask, t.mask) is None
         assert out.anchor in out.a
 
-    @pytest.mark.parametrize("r,m,at", [(3, 4, 3), (0, 4, 5)])
-    def test_contradiction_at_the_first_excluded_position(self, r, m, at):
-        out = forced_extend(ProgressionSpec(r, m), 64)
-        assert out.status == STATUS_CONTRADICTION
-        assert out.contradiction_at - out.anchor == (r or m)
-        assert (out.contradiction_at, out.forced_value) == (at, 1)
-
-    @pytest.mark.parametrize("bound", [(1 << 13) - 1, 1 << 13, (1 << 13) + 1])
-    @pytest.mark.parametrize("family", FAMILIES)
-    def test_completed_cell_equals_the_builders(self, family, bound):
-        out = forced_extend(family_progression(family, 2), bound)
-        a, b, excluded = build_family(family, 2, bound)
+    @pytest.mark.parametrize("family,l,bound", BUILDER_CELLS, ids=[f"{f}-{bound}" for f, _, bound in BUILDER_CELLS])
+    def test_completed_cell_equals_the_builders(self, family, l, bound):
+        out = forced_extend(family_progression(family, l), bound)
+        a, b, excluded = build_family(family, l, bound)
         assert out.status == STATUS_COMPLETED
         assert (out.a, out.b, progression_set(out.spec, out.a.bound)) == (a, b, excluded)
-
-    def test_two_to_the_eighteen(self):
-        bound = 1 << 18
-        out = forced_extend(ProgressionSpec(2, 3), bound)
-        a, b, _ = build_family("s1t1", 1, bound)
-        assert out.status == STATUS_COMPLETED
-        assert out.a == a and out.b == b
 
 
 def _resume_point(spec, bound, resume):
@@ -328,22 +307,11 @@ class TestMatchFamily:
         match = match_family(forced_extend(ProgressionSpec(0, (1 << 17) + 1), 256))
         assert match == ("s1t1+1", 17)
 
-    def test_solver_equals_builder_for_every_family(self):
-        for family in FAMILIES:
-            for l in range(0, 4):
-                spec = family_progression(family, l)
-                out = forced_extend(spec, 512)
-                assert out.status == STATUS_COMPLETED
-                a, b, _ = build_family(family, l, 512)
-                assert out.a == a and out.b == b
-
     def test_completed_cell_outside_every_family_matches_none(self):
-        # (1, 4) dies at position 5, so a window of 5 completes; m = 4 is no 2^l + 1
-        out = forced_extend(ProgressionSpec(1, 4), 5)
-        assert out.status == STATUS_COMPLETED
-        assert match_family(out) is None
+        # (1, 4) dies at position 5, so a window of 5 completes (a PINNED row); m = 4 is no 2^l + 1
+        assert match_family(forced_extend(ProgressionSpec(1, 4), 5)) is None
 
-    def test_completed_cell_its_family_does_not_reproduce_matches_none(self, monkeypatch, capsys):
+    def test_completed_cell_its_family_does_not_reproduce_matches_none(self, monkeypatch):
         # the family of (2, 3) is s1t1:1, but with one member of its A flipped the sets differ
         build = solver.build_family
 
@@ -353,8 +321,9 @@ class TestMatchFamily:
 
         monkeypatch.setattr(solver, "build_family", flipped)
         assert match_family(forced_extend(ProgressionSpec(2, 3), 256)) is None
-        assert main(["classify", "--m-max", "3", "--bound", "64"]) == 0
-        assert "2,3,completed,,,," in capsys.readouterr().out.splitlines()
+        code, out, err, usage = call_main(["classify", "--m-max", "3", "--bound", "64"])
+        assert (code, err, usage) == (0, "", False)
+        assert "2,3,completed,,,," in out.splitlines()
 
     def test_contradiction_outcome_rejected(self):
         out = forced_extend(ProgressionSpec(1, 4), 64)
@@ -363,23 +332,6 @@ class TestMatchFamily:
 
 
 class TestClassifyGrid:
-    def test_small_grid_against_prediction(self):
-        records = cell_rows(classify_grid(m_max=5, r_max_factor=2, bound=256))
-        assert len(records) == sum(2 * m + 1 for m in range(2, 6))
-        completed = {(rec.r, rec.m) for rec in records if rec.status == STATUS_COMPLETED}
-        assert completed == predicted_solvable_cells(5)
-        for rec in records:
-            if rec.status == STATUS_COMPLETED:
-                assert rec.family is not None and rec.l is not None
-            else:
-                assert rec.contradiction_at is not None
-                assert rec.forced_value is not None
-
-    def test_records_sorted_by_r_then_m(self):
-        records = cell_rows(classify_grid(m_max=4, r_max_factor=1, bound=64))
-        keys = [(rec.r, rec.m) for rec in records]
-        assert keys == sorted(keys)
-
     def test_predicted_cells_for_m_up_to_nine(self):
         assert predicted_solvable_cells(9) == {
             (1, 2), (0, 2),
@@ -429,6 +381,7 @@ def _recorded(monkeypatch):
 
 
 GRIDS = st.tuples(st.integers(2, 40), st.integers(0, 3), st.integers(2, 600))
+REACHABLE = GRIDS.filter(lambda grid: grid[1] * grid[0] < grid[2] - 1)  # (m_max, factor, bound) classify_grid runs
 
 
 class TestSharedCells:
@@ -475,11 +428,8 @@ class TestSharedCells:
     @example(grid=(40, 0, 12))  # row 0's top completes past the bound: one shared run
     @example(grid=(17, 1, 20))  # three rows complete with cells to share
     @example(grid=(33, 2, 70))
-    @given(GRIDS)
+    @given(REACHABLE)
     def test_completed_run_is_one_cell_with_its_own_spec(self, grid):
-        m_max, r_max_factor, bound = grid
-        if r_max_factor * m_max >= bound - 1:
-            return
         for r, m_lo, m_hi, out in classify_grid(*grid):
             if out.status == STATUS_COMPLETED:
                 assert (m_lo, out.spec) == (m_hi, ProgressionSpec(r, m_lo))
@@ -487,13 +437,11 @@ class TestSharedCells:
     @settings(deadline=None)
     @example(grid=(2, 1, 4))  # the least grid with diagonal cells: row 0 is its top alone
     @example(grid=(17, 1, 200))
-    @given(GRIDS.filter(lambda grid: grid[1] >= 1))
+    @given(REACHABLE.filter(lambda grid: grid[1] >= 1))
     def test_row_0_is_runs_of_one_below_its_top(self, grid):
         # below m, (0, m) excludes only 0: the evil/odious split moved up by one, which cannot
         # die there, so every diagonal cell (m - 1, m) finds its row-0 outcome kept
-        m_max, r_max_factor, bound = grid
-        if r_max_factor * m_max >= bound - 1:
-            return
+        m_max = grid[0]
         row0 = [(r, m_lo, m_hi) for r, m_lo, m_hi, _ in classify_grid(*grid) if r == 0]
         assert row0 == [(0, m, m) for m in range(2, m_max + 1)]
 

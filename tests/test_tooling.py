@@ -628,6 +628,60 @@ def test_all_rule_sees_a_stale_name():
     assert _all_mismatches((SRC / "verify.py").read_text()) is not None
 
 
+def _unused_imports(text):
+    """(line, name) of every name the module imports and never reads.
+
+    A read is a loaded ``Name`` anywhere in the module, or the name listed in its
+    ``__all__``.  ``from __future__`` and star imports bind nothing to read.
+    """
+    tree = ast.parse(text)
+    imported, read = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(node.lineno, alias.asname or alias.name.split(".")[0]) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [(node.lineno, alias.asname or alias.name) for alias in node.names if alias.name != "*"]
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return [(line, name) for line, name in imported if name not in read]
+
+
+def test_no_unused_import():
+    # a deleted test or helper takes its imports with it
+    unused = [
+        (f"{path.parent.name}/{path.name}", line, name)
+        for path in SOURCES + TESTS
+        for line, name in _unused_imports(path.read_text())
+    ]
+    assert unused == [], f"(file, line, name) of imports nothing reads: {unused}"
+
+
+LEFT_BEHIND = """
+from __future__ import annotations
+
+import json
+import os.path
+
+from repbal.cli import EXIT_OK, main
+from repbal.verify import *
+from support import call_main, peak_of as peak
+
+__all__ = ["peak"]
+
+
+def test_sets_output_matches_contract():
+    code, out, _, _ = call_main(["solve", "--r", "2", "--m", "3", "--bound", "14"])
+    assert (code, out) == (EXIT_OK, "A={0,4,7,9,13}\\nB={1,3,6,10,12}\\n")
+"""
+
+
+def test_import_rule_sees_what_a_deleted_runner_left():
+    # the imports a deleted runner leaves, with a dotted import; __all__, future and star imports count as used
+    assert _unused_imports(LEFT_BEHIND) == [(4, "json"), (5, "os"), (7, "main")]
+
+
 EXPORTING_MODULES = ("builders", "intset", "repfn", "solver", "verify")
 
 

@@ -1,5 +1,12 @@
-"""Identity checkers: valid instances pass, hypothesis violations are rejected,
-single-element mutations flip the verdict, injected faults give exact reports."""
+"""Identity checkers: hypothesis violations are rejected, single-element mutations flip the
+verdict, injected faults give exact reports, and each mask residual meets its per-element
+reference.
+
+That valid instances pass is checked once, by ``run_suite("quick")``: on each of its seven
+solvable cells it evaluates every point of the evil/odious battery and the whole step identity.
+``test_quick_profile_all_pass``, the ``FAULTS`` table (each row pins a check's instance count)
+and the golden corpus pin that run.
+"""
 
 import dataclasses
 import random
@@ -29,31 +36,11 @@ from repbal.verify import (
 from support import never
 
 
-def base_battery():
-    """The (r=2, m=3) partition paired with the evil/odious split on [0, 5)."""
-    spec = ProgressionSpec(2, 3)
-    out = forced_extend(spec, 5)
-    evil, odious = build_evil_odious(5)
-    t = progression_set(spec, 5)
-    return FourTermBattery(out.a, out.b, evil, odious, t, L=2, K=4)
+# The (r=2, m=3) partition paired with the evil/odious split on [0, 5), as the suite builds it
+BASE = evil_odious_battery(ProgressionSpec(2, 3))
 
 
 class TestFourTerm:
-    def test_base_instance_holds(self):
-        battery = base_battery()
-        validate_four_term(battery)
-        assert four_term_residual(battery, 3, 4) == 0
-
-    def test_epsilon_branch_at_doubled_cutoff(self):
-        assert four_term_residual(base_battery(), 4, 4) == 0  # N = 2L
-
-    def test_every_point_of_the_evil_odious_battery(self):
-        for r, m in [(2, 3), (1, 3), (4, 5), (2, 5), (8, 9)]:
-            battery = evil_odious_battery(ProgressionSpec(r, m))
-            validate_four_term(battery)
-            for n, N in battery.points():
-                assert four_term_residual(battery, n, N) == 0, (r, m, n, N)
-
     def test_window_pair_battery(self):
         saw_points = 0
         for u, m in [(2, 8), (3, 12), (3, 14)]:
@@ -66,18 +53,16 @@ class TestFourTerm:
 
     def test_mutation_flips_the_verdict(self):
         # dropping 4 from the second finite set breaks the identity at (n, N) = (4, 4)
-        battery = base_battery()
-        mutated = dataclasses.replace(battery, d=_flip(battery.d, 4))
+        mutated = dataclasses.replace(BASE, d=_flip(BASE.d, 4))
         assert four_term_residual(mutated, 4, 4) == 1
 
     def test_mutation_is_caught_by_validation(self):
-        battery = base_battery()
-        mutated = dataclasses.replace(battery, d=_flip(battery.d, 4))
+        mutated = dataclasses.replace(BASE, d=_flip(BASE.d, 4))
         with pytest.raises(InstanceError):
             validate_four_term(mutated)
 
     def test_bad_window_shape_rejected(self):
-        bad = dataclasses.replace(base_battery(), K=5)
+        bad = dataclasses.replace(BASE, K=5)
         with pytest.raises(InstanceError):
             validate_four_term(bad)
 
@@ -91,26 +76,11 @@ class TestFourTerm:
             evil_odious_battery(ProgressionSpec(3, 2))
 
     def test_points_cover_the_window_n_major(self):
-        battery = base_battery()
-        assert list(battery.points()) == [(2, 2), (2, 3), (2, 4), (3, 3), (3, 4), (4, 4)]
+        # N = 2L = 4 is the point where the epsilon term is 1
+        assert list(BASE.points()) == [(2, 2), (2, 3), (2, 4), (3, 3), (3, 4), (4, 4)]
 
 
 class TestStepIdentity:
-    @pytest.mark.parametrize("r,m", [(2, 3), (4, 5), (1, 2), (1, 3), (8, 9), (2, 5)])
-    def test_holds_on_solved_partitions(self, r, m):
-        assert step_identity_failure(ProgressionSpec(r, m)) is None
-
-    def test_epsilon_branch_is_reached(self):
-        # n = 2r - 1 = 7 sits inside the checked range for (4, 5)
-        spec = ProgressionSpec(4, 5)
-        out = forced_extend(spec, 9)
-        evil, _ = build_evil_odious(9)
-        assert step_identity_residual(out.a, progression_set(spec, 9), evil, 4, 7) == 0
-
-    def test_smallest_window(self):
-        # r = 1 checks only n = 1
-        assert step_identity_failure(ProgressionSpec(1, 2)) is None
-
     def test_mutation_flips_the_verdict(self):
         spec = ProgressionSpec(2, 3)
         out = forced_extend(spec, 5)
@@ -157,11 +127,6 @@ class TestSuite:
 
 
 class TestInstanceGeneratorsRespectWindows:
-    def test_evil_odious_instances_include_the_epsilon_point(self):
-        points = list(evil_odious_battery(ProgressionSpec(2, 3)).points())
-        assert (4, 4) in points  # N = 2L
-        assert (2, 2) in points
-
     @pytest.mark.parametrize("u", range(5))
     def test_window_pair_batteries_match_the_per_value_loop(self, u):
         seeds = tuple(range(5))
@@ -382,57 +347,50 @@ class TestFailureRecordOnTheSquarePath:
 class TestValidationMessages:
     """validate_four_term names the lowest offending value, overlap before coverage.
 
-    The base battery has a = {0, 4}, b = {1, 3}, t = {2}, c = {0, 3}, d = {1, 2, 4},
+    BASE has a = {0, 4}, b = {1, 3}, t = {2}, c = {0, 3}, d = {1, 2, 4},
     L = 2 and K = 4."""
 
     def _rejects(self, message, **changes):
-        bad = dataclasses.replace(base_battery(), **changes)
+        bad = dataclasses.replace(BASE, **changes)
         with pytest.raises(InstanceError, match=f"^{re.escape(message)}$"):
             validate_four_term(bad)
 
     def test_a_b_t_overlap_below_a_gap(self):
-        base = base_battery()
-        self._rejects("a, b and t overlap at 2", a=_flip(base.a, 4), b=_flip(base.b, 2))
+        self._rejects("a, b and t overlap at 2", a=_flip(BASE.a, 4), b=_flip(BASE.b, 2))
 
     def test_a_b_t_gap_below_an_overlap(self):
-        base = base_battery()
-        self._rejects("a, b and t leave 3 uncovered", b=_flip(_flip(base.b, 3), 4))
+        self._rejects("a, b and t leave 3 uncovered", b=_flip(_flip(BASE.b, 3), 4))
 
     def test_overlap(self):
-        base = base_battery()
-        self._rejects("c and d overlap at 3", d=_flip(base.d, 3))
+        self._rejects("c and d overlap at 3", d=_flip(BASE.d, 3))
 
     def test_overlap_below_a_coverage_gap(self):
-        base = base_battery()
-        self._rejects("c and d overlap at 3", d=_flip(_flip(base.d, 3), 4))
+        self._rejects("c and d overlap at 3", d=_flip(_flip(BASE.d, 3), 4))
 
     def test_coverage_gap(self):
-        base = base_battery()
-        self._rejects("c/d coverage wrong at 4", d=_flip(base.d, 4))
+        self._rejects("c/d coverage wrong at 4", d=_flip(BASE.d, 4))
 
     def test_coverage_gap_below_an_overlap(self):
-        base = base_battery()
-        self._rejects("c/d coverage wrong at 2", d=_flip(_flip(base.d, 2), 3))
+        self._rejects("c/d coverage wrong at 2", d=_flip(_flip(BASE.d, 2), 3))
 
     def test_disagreement_below_L(self):
-        base = base_battery()
         self._rejects(
             "the pairs must agree below L, they differ at 1",
-            c=_flip(base.c, 1), d=_flip(base.d, 1),
+            c=_flip(BASE.c, 1), d=_flip(BASE.d, 1),
         )
 
     @pytest.mark.parametrize("message,changes", [
-        ("a, b and t must share one window", lambda base: {"t": BoundedSet(6, base.t.mask)}),
-        ("a/b/t window must cover sums up to 4", lambda base: {
-            name: BoundedSet(4, getattr(base, name).mask & 0b1111) for name in "abt"
+        ("a, b and t must share one window", {"t": BoundedSet(6, BASE.t.mask)}),
+        ("a/b/t window must cover sums up to 4", {
+            name: BoundedSet(4, getattr(BASE, name).mask & 0b1111) for name in "abt"
         }),
-        ("c/d window must cover [0, 4]", lambda base: {"c": BoundedSet(6, base.c.mask)}),
-        ("L=2 must be excluded", lambda base: {"t": BoundedSet(5, 0)}),
-        ("0 must lie in a and in c", lambda base: {"a": _flip(base.a, 0)}),
-        ("0 must lie outside b and d", lambda base: {"d": _flip(base.d, 0)}),
+        ("c/d window must cover [0, 4]", {"c": BoundedSet(6, BASE.c.mask)}),
+        ("L=2 must be excluded", {"t": BoundedSet(5, 0)}),
+        ("0 must lie in a and in c", {"a": _flip(BASE.a, 0)}),
+        ("0 must lie outside b and d", {"d": _flip(BASE.d, 0)}),
     ], ids=["one-window", "a-b-t-reach-K", "c-d-cover", "L-excluded", "0-in-a-c", "0-outside-b-d"])
     def test_hypothesis_guard(self, message, changes):
-        self._rejects(message, **changes(base_battery()))
+        self._rejects(message, **changes)
 
     def test_window_pair_second_excluded_value_below_its_range(self):
         # u = 2, m = 5: the second excluded value 4 + 5 = 9 lies below 2^3 + 2 = 10
