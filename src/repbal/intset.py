@@ -13,6 +13,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 from typing import Iterable, Iterator
 
@@ -27,7 +28,7 @@ __all__ = [
 ]
 
 
-# The binary numeral's digits as 0/1 bytes: selectors for itertools.compress.
+# The binary numeral's digits as 0/1 bytes: selectors for itertools.compress, and chi's view.
 _DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 # Largest window a fixture may declare, and the command line may build:
@@ -124,11 +125,16 @@ class BoundedSet:
             digits[e] = one
         return cls.from_digits(bound, digits)
 
+    @cached_property
+    def _digits(self) -> bytes:
+        """One 0/1 byte per position of the window, highest first, built on the first chi call."""
+        return format(self.mask, f"0{self.bound}b").encode().translate(_DIGIT_BITS)
+
     def chi(self, t: int) -> int:
-        """Characteristic function: 1 iff t is a member, 0 otherwise."""
+        """Characteristic function: 1 iff t is a member, 0 otherwise; O(1) after the first call."""
         if not 0 <= t < self.bound:
             raise OutOfWindowError(f"chi({t}) outside the window [0, {self.bound})")
-        return (self.mask >> t) & 1
+        return self._digits[~t]
 
     def __contains__(self, t: int) -> bool:
         return self.chi(t) == 1

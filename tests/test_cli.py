@@ -433,6 +433,26 @@ class TestOutIntoAMissingDirectory:
         assert str(missing) in err and "Traceback" not in err
 
 
+class TestOnlyVerifyReadsChi:
+    """No command but verify reads membership one value at a time, so chi's cost stays in the suite."""
+
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--r", "2", "--m", "3", "--bound", "64"),
+        ("solve", "--r", "1", "--m", "4", "--bound", "64", "--emit", "json"),
+        ("classify", "--m-max", "9", "--bound", "64"),
+        ("repfn", "--family", "s1t1:2", "--bound", "64"),
+        ("repfn", "--input", "set.txt"),
+        ("build", "s2t2:2", "--bound", "64", "--format", "json"),
+        ("build", "ef:2"),
+    ])
+    def test_never_calls_chi(self, monkeypatch, tmp_path, argv):
+        (tmp_path / "set.txt").write_text("bound=64\n0,3,5,17,40,63\n")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("repbal.intset.BoundedSet.chi", never(f"{' '.join(argv)} read chi"))
+        code, out, _, _ = call_main(argv)
+        assert code == EXIT_OK and out
+
+
 class TestErrorBoundary:
     """cli.main alone turns a ValueError or OSError into one line and exit 1; other faults propagate."""
 

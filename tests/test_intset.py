@@ -1,5 +1,8 @@
 """Bounded-set primitives: the digit constructors, membership, truncation, text format."""
 
+import dataclasses
+import inspect
+import random
 import re
 
 import pytest
@@ -45,6 +48,27 @@ class TestChi:
         assert 2 in s and 3 not in s
         with pytest.raises(OutOfWindowError):
             4 in s
+
+    @given(small_sets(80), st.randoms(use_true_random=False))
+    @example(BoundedSet(1, 0), random.Random(0))  # one position, absent
+    @example(BoundedSet(1, 1), random.Random(0))  # one position, present
+    @example(BoundedSet(9, 0b101), random.Random(0))  # the top bit clear: the view pads to the bound
+    def test_reads_the_mask_bit_in_any_order(self, s, rng):
+        order = [*range(s.bound)] * 2
+        rng.shuffle(order)
+        assert [s.chi(t) for t in order] == [(s.mask >> t) & 1 for t in order]
+        for t in (-1, s.bound):
+            with pytest.raises(OutOfWindowError) as refused:
+                s.chi(t)
+            assert str(refused.value) == f"chi({t}) outside the window [0, {s.bound})"
+
+    def test_a_read_set_is_its_fields(self):
+        s = BoundedSet.from_elements([0, 3, 5], 8)
+        assert s.chi(3) == 1
+        fresh = BoundedSet(8, s.mask)
+        assert (s, hash(s), repr(s)) == (fresh, hash(fresh), repr(fresh))
+        assert [f.name for f in dataclasses.fields(BoundedSet)] == ["bound", "mask"]
+        assert inspect.isfunction(vars(BoundedSet)["chi"])  # where a tracer wraps and counts it
 
 
 class TestTruncate:

@@ -174,8 +174,12 @@ def _faulty(name, corrupt):
 
 
 A_LOSES_40 = ("build_family", lambda abt, *_: (_flip(abt[0], 40),) + abt[1:])
+# B gains 40 where A holds it, so 40 lies in both
+B_SHARES_40 = ("build_family", lambda abt, *_: (
+    abt[0], BoundedSet(abt[1].bound, abt[1].mask | abt[0].mask & 1 << 40), abt[2]))
 
-# (injected fault, check run at the quick profile, its exact report entry)
+# (injected fault, check run at the quick profile, its exact report entry); a row is named by
+# its check and the name it patches, or by its own id where another row has both
 FAULTS = [
     (
         A_LOSES_40,
@@ -188,6 +192,13 @@ FAULTS = [
         "family-complement",
         {"instances": 12, "passed": 0, "first_failure": {
             "inputs": {"family": "s1t1", "l": 0, "x": 40}, "lhs": 0, "rhs": 1}},
+    ),
+    pytest.param(
+        B_SHARES_40,
+        "family-complement",
+        {"instances": 12, "passed": 8, "first_failure": {
+            "inputs": {"family": "s1t1", "l": 0, "x": 40}, "lhs": 2, "rhs": 1}},
+        id="family-complement-overlap",
     ),
     (
         A_LOSES_40,
@@ -261,7 +272,9 @@ FAULTS = [
 class TestFailureRecords:
     """An injected fault yields exactly this report entry: counts and first failure."""
 
-    @pytest.mark.parametrize("fault,check,expected", FAULTS, ids=[f"{c}-{f[0]}" for f, c, _ in FAULTS])
+    @pytest.mark.parametrize(
+        "fault,check,expected", FAULTS, ids=[getattr(row, "id", None) or f"{row[1]}-{row[0][0]}" for row in FAULTS]
+    )
     def test_injected_fault(self, monkeypatch, fault, check, expected):
         name, corrupt = fault
         monkeypatch.setattr(verify, name, _faulty(name, corrupt))
