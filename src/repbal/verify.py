@@ -101,13 +101,14 @@ def validate_four_term(battery: FourTermBattery) -> None:
         raise InstanceError(f"a/b/t window must cover sums up to {K}")
     if c.bound != d.bound or c.bound < K + 1:
         raise InstanceError(f"c/d window must cover [0, {K}]")
-    if t.chi(L) != 1:
+    # the checks above put L and 0 inside every window, so single bits are read off the masks
+    if not t.mask >> L & 1:
         raise InstanceError(f"L={L} must be excluded")
-    if c.chi(L) != 0:
+    if c.mask >> L & 1:
         raise InstanceError(f"L={L} must lie outside c")
-    if a.chi(0) != 1 or c.chi(0) != 1:
+    if not a.mask & c.mask & 1:
         raise InstanceError("0 must lie in a and in c")
-    if b.chi(0) != 0 or d.chi(0) != 0:
+    if (b.mask | d.mask) & 1:
         raise InstanceError("0 must lie outside b and d")
     # a, b and t split the window, c and d split [0, K] less t below L: name the lowest bad value
     x = partition_fault(a.bound, a.mask, b.mask, t.mask)

@@ -44,6 +44,12 @@ def never(what):
     return refuse
 
 
+def random_set(rng, bound, density, low=0):
+    """The set of each x in [low, bound) for which ``rng.random() < density``: one draw per x,
+    in ascending order, so a seed and these arguments name one set."""
+    return BoundedSet.from_elements([x for x in range(low, bound) if rng.random() < density], bound)
+
+
 def small_sets(max_bound):
     """Bounded sets of every window from 1 to max_bound, with any mask."""
     return st.integers(1, max_bound).flatmap(

@@ -24,11 +24,10 @@ import time
 
 import pytest
 
-from repbal.intset import BoundedSet
 from repbal.repfn import r2_profile, r2_profile_naive
 from repbal.solver import GRID_R_MAX_FACTOR, STATUS_COMPLETED, STATUS_CONTRADICTION, classify_grid
 from repbal.verify import CHECK_IDS, PROFILES
-from support import call_main, cell_rows
+from support import call_main, cell_rows, random_set
 
 FULL = PROFILES["full"]
 SEED = 987654321  # kernel-oracle's sets, and after them criterion 8's timed set
@@ -132,7 +131,7 @@ def test_criterion_8_kernel_oracle_equivalence_and_speed(report):
     for _ in range(FULL.kernel_sets * (FULL.kernel_n_max + 1)):  # the draws of kernel-oracle's sets
         rng.random()
     big_n = 1 << 14
-    big = BoundedSet(big_n + 1, sum(1 << x for x in range(big_n + 1) if rng.random() < 0.5))
+    big = random_set(rng, big_n + 1, 0.5)
     t0 = time.perf_counter()
     fast = list(r2_profile(big, big_n))
     t1 = time.perf_counter()

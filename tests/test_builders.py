@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from repbal import builders
+from repbal import builders, cli
 from repbal.builders import (
     FAMILIES,
     S1T1,
@@ -53,38 +53,40 @@ def shifted_by_one(s):
     return BoundedSet(s.bound, (s.mask << 1) & ((1 << s.bound) - 1))
 
 
-class TestEvilOdious:
-    def test_first_eight(self):
-        evil, odious = build_evil_odious(8)
-        assert evil.elements() == [0, 3, 5, 6]
-        assert odious.elements() == [1, 2, 4, 7]
+# Hand-checked sets, keyed by (family token as on the command line, window); ef:<u> fixes its own
+# window, 3 * 2^u + 2.
+PINNED = {
+    ("uv", 4): {"U": [0, 3], "V": [1, 2]},
+    ("uv", 8): {"U": [0, 3, 5, 6], "V": [1, 2, 4, 7]},
+    ("xy", 8): {"X": [0, 5, 6, 7], "Y": [2, 3, 4]},
+    ("s1t1:0", 16): {"A": [0, 6, 10, 12], "B": [2, 4, 8, 14], "T": [1, 3, 5, 7, 9, 11, 13, 15]},  # doubled evil
+    ("s1t1:1", 14): {"A": [0, 4, 7, 9, 13], "B": [1, 3, 6, 10, 12], "T": [2, 5, 8, 11]},
+    ("s2t2:1", 13): {"A": [0, 5, 8, 9], "B": [2, 3, 6, 11, 12], "T": [1, 4, 7, 10]},
+    ("s1t1+1:0", 8): {"A": [1, 7], "B": [3, 5], "T": [0, 2, 4, 6]},
+    ("ef:0", 5): {"E": [0], "F": [2, 3, 4]},
+    ("ef:1", 8): {"E": [0, 4, 6], "F": [1, 3, 5, 7]},
+}
 
+
+@pytest.mark.parametrize("token,bound", PINNED)
+def test_pinned_sets(token, bound):
+    built = cli._build_sets(token, None if token.startswith("ef:") else bound)
+    assert [(label, s.bound, s.elements()) for label, s in built] == [
+        (label, bound, elements) for label, elements in PINNED[token, bound].items()
+    ]
+
+
+class TestEvilOdious:
     def test_empty_window(self):
         evil, odious = build_evil_odious(0)
         assert evil == odious == BoundedSet(0)
 
-    def test_zero_is_evil(self):
-        evil, _ = build_evil_odious(1)
-        assert 0 in evil
-
-    def test_prefix_pair_l2(self):
-        evil, odious = build_evil_odious(4)
-        assert evil.elements() == [0, 3] and odious.elements() == [1, 2]
-
     def test_matches_popcount_enumeration(self):
+        # 0 is evil, the two split the window, and each holds half of every [0, 2^l)
         evil, odious = build_evil_odious(3000)
         for n in range(3000):
             assert evil.chi(n) == (1 - digit_sum_2(n) % 2)
             assert odious.chi(n) == digit_sum_2(n) % 2
-
-    def test_partition(self):
-        evil, odious = build_evil_odious(513)
-        assert partition_fault(513, evil.mask, odious.mask) is None
-
-    @pytest.mark.parametrize("l", range(1, 11))
-    def test_prefix_density_is_exactly_half(self, l):
-        evil, _ = build_evil_odious(1 << l)
-        assert len(evil) == 1 << (l - 1)
 
     def test_only_the_evil_odious_splits_balance(self):
         # Kiss, Theorem 3, by enumeration: a split C, D of [0, m] with 0 in C has equal strict
@@ -147,16 +149,6 @@ class TestWeightSequences:
 
 
 class TestParitySets:
-    def test_s1_l1_example(self):
-        even, odd = build_parity_sets(family_weights(S1T1, 1, 14), 14)
-        assert even.elements() == [0, 4, 7, 9, 13]
-        assert odd.elements() == [1, 3, 6, 10, 12]
-        assert even.mask & odd.mask == 0
-
-    def test_s1_l0_is_doubled_evil(self):
-        even, _ = build_parity_sets(family_weights(S1T1, 0, 16), 16)
-        assert even.elements() == [0, 6, 10, 12]
-
     def test_single_weight(self):
         even, odd = build_parity_sets([1], 4)
         assert even.elements() == [0]
@@ -181,20 +173,6 @@ class TestParitySets:
 
     @given(st.lists(st.integers(1, 70), max_size=9), st.integers(0, 130))
     def test_random_weights_match_brute_force(self, weights, bound):
-        even, odd = build_parity_sets(weights, bound)
-        assert (set(even), set(odd)) == brute_parity_sums(weights, bound)
-
-    @pytest.mark.parametrize("kind,l", [("s1", 0), ("s1", 1), ("s1", 2), ("s1", 3),
-                                        ("s2", 1), ("s2", 2), ("s2", 3)])
-    def test_matches_brute_force(self, kind, l):
-        bound = 300
-        weights = family_weights(SEQUENCE_FAMILY[kind], l, bound)
-        even, odd = build_parity_sets(weights, bound)
-        assert (set(even), set(odd)) == brute_parity_sums(weights, bound)
-
-    def test_xy_matches_brute_force(self):
-        bound = 200
-        weights = doubling_weights((2, 3), 4, bound)
         even, odd = build_parity_sets(weights, bound)
         assert (set(even), set(odd)) == brute_parity_sums(weights, bound)
 
@@ -284,35 +262,9 @@ class TestFamilyLookup:
 
 
 class TestBuildFamily:
-    def test_s1t1_l1(self):
-        a, b, t = build_family(S1T1, 1, 14)
-        assert a.elements() == [0, 4, 7, 9, 13]
-        assert b.elements() == [1, 3, 6, 10, 12]
-        assert t.elements() == [2, 5, 8, 11]
-
-    def test_s2t2_l1(self):
-        a, b, t = build_family(S2T2, 1, 13)
-        assert a.elements() == [0, 5, 8, 9]
-        assert b.elements() == [2, 3, 6, 11, 12]
-        assert t.elements() == [1, 4, 7, 10]
-
-    def test_shifted_l0(self):
-        a, b, t = build_family(S1T1_SHIFTED, 0, 8)
-        assert a.elements() == [1, 7]
-        assert b.elements() == [3, 5]
-        assert t.elements() == [0, 2, 4, 6]
-
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             build_family("nope", 0, 16)
-
-    @pytest.mark.parametrize("family", FAMILIES)
-    @pytest.mark.parametrize("l", range(0, 5))
-    def test_pair_plus_progression_partitions_window(self, family, l):
-        bound = 1 << 10
-        a, b, t = build_family(family, l, bound)
-        assert partition_fault(bound, a.mask, b.mask, t.mask) is None
-        assert t == progression_set(family_progression(family, l), bound)
 
     @given(st.sampled_from(FAMILIES), st.integers(1, 5000), st.integers(0, 20))
     @example(S2T2, 63, 7)  # a cap of bit_length() alone would build s2(6) here
@@ -325,11 +277,6 @@ class TestBuildFamily:
         if l > cap:
             assert built == build_family(family, cap, bound)
 
-    def test_s2_zero_equals_s1_zero(self):
-        a1, b1, _ = build_family(S1T1, 0, 512)
-        a2, b2, _ = build_family(S2T2, 0, 512)
-        assert a1 == a2 and b1 == b2
-
     def test_progression_predictions(self):
         assert family_progression(S1T1, 3).r == 8 and family_progression(S1T1, 3).m == 9
         assert family_progression(S1T1_SHIFTED, 3).r == 0
@@ -338,16 +285,6 @@ class TestBuildFamily:
 
 
 class TestBuildEF:
-    def test_u0(self):
-        e, f = build_ef(0)
-        assert e.elements() == [0]
-        assert f.elements() == [2, 3, 4]
-
-    def test_u1(self):
-        e, f = build_ef(1)
-        assert e.elements() == [0, 4, 6]
-        assert f.elements() == [1, 3, 5, 7]
-
     def test_formula_against_direct_assembly(self):
         # independent assembly from evil/odious translates, via plain python sets
         for u in range(0, 13):
@@ -386,11 +323,6 @@ class TestBuildEF:
 
 
 class TestBuildXY:
-    def test_bound_eight(self):
-        x, y = build_xy(8)
-        assert x.elements() == [0, 5, 6, 7]
-        assert y.elements() == [2, 3, 4]
-
     def test_one_is_skipped(self):
         x, y = build_xy(1024)
         assert 1 not in x and 1 not in y

@@ -15,7 +15,7 @@ from repbal.cli import EXIT_COUNTEREXAMPLE, EXIT_OK, EXIT_USAGE
 from repbal.intset import BoundedSet
 from repbal.repfn import r1_profile, r2_profile, strict_counts
 from repbal.verify import CHECK_IDS, SuiteReport
-from support import call_main, never, peak_of
+from support import call_main, never, peak_of, random_set
 
 
 class TestSolve:
@@ -232,8 +232,7 @@ class TestRepfn:
         (1, 1.0, None), (10, 0.5, None), (100, 0.3, 57), (4096, 0.02, None), (10000, 1.0, 9998),
     ])
     def test_single_set_rows_match_one_fstring_per_row(self, tmp_path, bound, density, n_max):
-        rng = random.Random(bound)
-        s = BoundedSet.from_elements([x for x in range(bound) if rng.random() < density], bound)
+        s = random_set(random.Random(bound), bound, density)
         fixture = tmp_path / "set.txt"
         fixture.write_text(s.to_text())
         argv = ["repfn", "--input", str(fixture)] + ([] if n_max is None else ["--n-max", str(n_max)])
@@ -588,6 +587,9 @@ REFUSALS = [
      "ef:<u> fixes its own bound; drop --bound", NOTHING_BUILT),
     ("TestRepfn::test_negative_fixture_bound_exits_one", ("repfn", "--input", "set.txt"), "bound=-20\n3\n",
      "bound must be >= 0, got -20", NOTHING_BUILT),
+    # two lines, the first no bound=<N>; golden.tsv's one-line no_header.txt takes the line-count branch
+    ("TestRepfn::test_fixture_without_a_bound_header_exits_one", ("repfn", "--input", "set.txt"), "size=8\n1\n",
+     "expected two lines: 'bound=<N>' then the elements", NOTHING_BUILT),
     # the fixture's own bound=8 line fixes the window, as ef:<u> fixes its own
     ("TestRepfn::test_fixture_refuses_bound", ("repfn", "--input", "set.txt", "--bound", "3"), "bound=8\n0,1,2,3\n",
      "a fixture fixes its own bound; drop --bound", NOTHING_BUILT),

@@ -27,15 +27,13 @@ import pytest
 
 from repbal import cli
 from repbal.verify import CHECK_IDS
-from support import call_main
+from support import call_main, random_set
 
 MANIFEST = Path(__file__).resolve().parent / "golden.tsv"
 SUBCOMMANDS = ("build", "solve", "repfn", "classify", "verify")
 
-_rng = random.Random(20)  # the --input fixture is a fixed half-density set
-_half = [x for x in range(512) if _rng.random() < 0.5]
 FIXTURES = {
-    "half.txt": "bound=512\n" + ",".join(map(str, _half)) + "\n",
+    "half.txt": random_set(random.Random(20), 512, 0.5).to_text(),  # a fixed half-density set
     "empty.txt": "bound=64\n\n",
     "unsorted.txt": "bound=16\n3,1\n",
     "outside.txt": "bound=16\n3,16\n",

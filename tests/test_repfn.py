@@ -1,6 +1,7 @@
 """Representation-count functions: single sums, truncated counts, profiles."""
 
 import decimal
+import operator
 import random
 
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repbal import repfn
-from repbal.builders import build_evil_odious, build_family
 from repbal.intset import MAX_BOUND, BoundedSet, OutOfWindowError
 from repbal.repfn import (
     first_r2_difference,
@@ -19,7 +19,7 @@ from repbal.repfn import (
     r2_profile_naive,
     strict_counts,
 )
-from support import never, small_sets
+from support import never, random_set, small_sets
 
 
 def direct_counts(s, n):
@@ -33,103 +33,50 @@ def direct_counts(s, n):
     )
 
 
+def assert_profiles_match_the_oracles(s, n_max):
+    """R1, R2 and the weak counts at every sum up to n_max against member-by-member enumeration,
+    R2 against the pair-enumerating oracle too; the profiles square, and never loop pairs_at."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(repfn, "pairs_at", never("the square path looped pairs_at"))
+        p1, p2 = r1_profile(s, n_max), r2_profile(s, n_max)
+    ordered, strict, weak = zip(*(direct_counts(s, n) for n in range(n_max + 1)))
+    assert p1 == ordered == tuple(map(operator.add, strict, weak))
+    assert p2 == strict == tuple(r2_profile_naive(s, n_max))
+
+
 class TestPointwise:
-    """Single sums read off the profiles, against hand and member-by-member enumeration."""
+    """Single sums read off the profiles: hand-enumerated, and refused outside the window."""
 
     def test_strict_pairs_hand_enumerated(self):
         s = BoundedSet.from_elements([0, 1, 2, 3], 8)
         assert r2_profile(s, 3)[3] == 2  # (0,3), (1,2)
-
-    def test_variant_split_at_two(self):
-        s = BoundedSet.from_elements([0, 1, 2, 3], 8)
-        assert direct_counts(s, 2) == (3, 1, 2)
+        assert direct_counts(s, 2) == (3, 1, 2)  # (0,2), (1,1), (2,0)
         assert (r1_profile(s, 2)[2], r2_profile(s, 2)[2]) == (3, 1)
-
-    def test_family_prefix_at_13(self):
-        a, _, _ = build_family("s1t1", 1, 14)
-        assert a.elements() == [0, 4, 7, 9, 13]
-        assert r2_profile(a, 13)[13] == 2  # (0,13), (4,9)
-
-    @given(small_sets(96), st.data())
-    def test_ordered_splits_into_strict_and_weak(self, s, data):
-        n = data.draw(st.integers(0, s.bound - 1))
-        ordered, strict, weak = direct_counts(s, n)
-        assert ordered == strict + weak
-        assert (r1_profile(s, n)[n], r2_profile(s, n)[n]) == (ordered, strict)
+        s1t1_a = BoundedSet.from_elements([0, 4, 7, 9, 13], 14)  # s1t1:1's A, pinned in test_builders
+        assert r2_profile(s1t1_a, 13)[13] == 2  # (0,13), (4,9)
+        assert r2_prefix(BoundedSet.from_elements([0, 3, 5, 9], 16), 5, 8) == 1  # (3,5)
 
     def test_exhaustive_split_small_bound(self):
         for mask in range(1 << 10):
-            s = BoundedSet(10, mask)
-            p1, p2 = r1_profile(s, 9), r2_profile(s, 9)
-            for n in range(10):
-                ordered, strict, weak = direct_counts(s, n)
-                assert p1[n] == ordered == strict + weak and p2[n] == strict
+            assert_profiles_match_the_oracles(BoundedSet(10, mask), 9)
 
     def test_window_errors(self):
+        # a sum or a truncation at the bound is refused, and a larger window admits the sum
         s = BoundedSet.from_elements([0, 1], 4)
-        for fn in (r1_profile, r2_profile, r2_profile_naive):
+        for fn, args in [(r1_profile, (4,)), (r2_profile, (4,)), (r2_profile_naive, (4,)),
+                         (r2_prefix, (1, 4)), (r2_prefix, (4, 1))]:
             with pytest.raises(OutOfWindowError):
-                fn(s, 4)
-        with pytest.raises(OutOfWindowError):
-            r2_prefix(s, 1, 4)
-
-    def test_larger_bound_permits_larger_sums(self):
-        s = BoundedSet.from_elements([0, 1], 4)
+                fn(s, *args)
         assert r2_profile(BoundedSet(8, s.mask), 5)[5] == 0
 
 
-class TestPrefix:
-    def test_identity_when_truncation_covers_window(self):
-        s = BoundedSet.from_elements([0, 3, 5, 9], 16)
-        for n in range(10, 16):
-            assert r2_prefix(s, 15, n) == direct_counts(s, n)[1]
-
-    def test_hand_enumerated(self):
-        s = BoundedSet.from_elements([0, 3, 5, 9], 16)
-        assert r2_prefix(s, 5, 8) == 1  # (3,5)
-
-    @given(small_sets(96), st.data())
-    def test_count_at_n_needs_only_the_prefix(self, s, data):
-        n = data.draw(st.integers(0, s.bound - 1))
-        assert r2_prefix(s, n, n) == direct_counts(s, n)[1]
-
-    def test_truncation_beyond_sum_is_identity(self):
-        s = BoundedSet.from_elements([0, 3, 5, 9], 16)
-        assert r2_prefix(s, 9, 8) == direct_counts(s, 8)[1]
-
-    @given(small_sets(96), st.data())
-    def test_matches_pointwise_count_on_the_truncated_set(self, s, data):
-        x = data.draw(st.integers(0, s.bound - 1))
-        n = data.draw(st.integers(0, s.bound - 1))
-        assert r2_prefix(s, x, n) == direct_counts(s.truncate(x), n)[1]
-
-    def test_truncation_outside_window_rejected(self):
-        s = BoundedSet.from_elements([0, 3], 16)
-        with pytest.raises(OutOfWindowError):
-            r2_prefix(s, 16, 8)
-
-
 class TestProfiles:
-    @given(small_sets(96))
-    def test_kernel_matches_naive_oracle(self, s):
-        n_max = s.bound - 1
-        assert list(r2_profile(s, n_max)) == r2_profile_naive(s, n_max)
-
-    @given(small_sets(96), st.data())
-    def test_kernel_matches_pointwise(self, s, data):
-        n_max = data.draw(st.integers(0, s.bound - 1))
-        profile = r2_profile(s, n_max)
-        for n in range(n_max + 1):
-            assert profile[n] == direct_counts(s, n)[1]
-
-    @given(small_sets(96), st.data())
-    def test_ordered_profile_splits_into_strict_and_weak(self, s, data):
-        n_max = data.draw(st.integers(0, s.bound - 1))
-        p1, p2 = r1_profile(s, n_max), r2_profile(s, n_max)
-        assert len(p1) == len(p2) == n_max + 1
-        for n in range(n_max + 1):
-            ordered, _, weak = direct_counts(s, n)
-            assert p1[n] == ordered == p2[n] + weak
+    @given(small_sets(96).flatmap(lambda s: st.tuples(st.just(s), st.integers(0, s.bound - 1))))
+    @example((BoundedSet(64), 63))  # the empty set: every count is 0
+    @example((BoundedSet.from_elements([1, 4], 64), 63))  # no pair sums past twice the maximum
+    @example((BoundedSet(96, (1 << 96) - 1), 95))  # the full set: n + 1 ordered pairs, (n + 1) // 2 strict
+    def test_kernel_matches_naive_oracle(self, case):
+        assert_profiles_match_the_oracles(*case)
 
     def test_odd_off_diagonal_count_is_refused(self, monkeypatch):
         # ordered pairs off the diagonal come in mirrored twos; an odd count means a broken kernel
@@ -137,32 +84,23 @@ class TestProfiles:
         with pytest.raises(RuntimeError, match="^odd count 1 of off-diagonal ordered pairs at sum 0$"):
             r2_profile(BoundedSet.from_elements([1], 4), 3)
 
-    def test_empty_set_all_zero(self):
-        assert set(r2_profile(BoundedSet(64), 63)) == {0}
 
-    def test_zero_beyond_twice_the_maximum(self):
-        s = BoundedSet.from_elements([1, 4], 64)
-        profile = r2_profile(s, 63)
-        assert all(profile[n] == 0 for n in range(2 * 4 + 1, 64))
+PREFIX_SET = BoundedSet.from_elements([0, 3, 5, 9], 16)
 
-    @given(small_sets(96))
-    def test_strict_count_at_most_half_of_n(self, s):
-        profile = r2_profile(s, s.bound - 1)
-        for n in range(s.bound):
-            assert profile[n] <= (n + 1) // 2
 
-    def test_evil_odious_prefix_profiles_equal(self):
-        # the two halves of [0, 2^l) balance exactly, for every l
-        for l in range(0, 8):
-            bound = max(2 ** (l + 1) - 1, 1)
-            evil, odious = build_evil_odious(bound)
-            pe = r2_profile(evil.truncate(2**l - 1), bound - 1)
-            po = r2_profile(odious.truncate(2**l - 1), bound - 1)
-            assert pe == po
-
-    def test_window_error(self):
-        with pytest.raises(OutOfWindowError):
-            r2_profile(BoundedSet(8), 8)
+class TestPrefix:
+    @given(small_sets(96).flatmap(
+        lambda s: st.tuples(st.just(s), st.integers(0, s.bound - 1), st.integers(0, s.bound - 1))
+    ))
+    @example((PREFIX_SET, 9, 9))  # x = n: the count at n needs only the prefix up to n
+    @example((PREFIX_SET, 9, 8))  # x > n
+    @example((PREFIX_SET, 15, 10))  # x = bound - 1: truncation covers the window
+    def test_matches_pointwise_count_on_the_truncated_set(self, case):
+        s, x, n = case
+        strict = direct_counts(s.truncate(x), n)[1]
+        assert r2_prefix(s, x, n) == strict
+        if x >= n:  # members above n take no part in the count at n
+            assert strict == direct_counts(s, n)[1]
 
 
 class TestPairCount:
@@ -173,11 +111,6 @@ class TestPairCount:
         # x and y mostly hold bits above n, which must count for nothing
         expected = sum(1 for a in range(n + 1) if (x >> a) & 1 and (y >> (n - a)) & 1)
         assert pairs_at(x, y, n) == expected
-
-
-def sparse_set(bound, seed, density=0.05):
-    rng = random.Random(seed)
-    return BoundedSet.from_elements([x for x in range(bound) if rng.random() < density], bound)
 
 
 def ordered_from_oracle(s, n_max):
@@ -207,20 +140,20 @@ class TestSquarePath:
 
     @pytest.mark.parametrize("width", [(1 << 13) - 1, 1 << 13, (1 << 13) + 1, 1 << 14])
     def test_sparse_sets_match_naive_oracle(self, width):
-        s = sparse_set(width, seed=width)
+        s = random_set(random.Random(width), width, 0.05)
         assert list(r2_profile(s, width - 1)) == r2_profile_naive(s, width - 1)
         assert list(r1_profile(s, width - 1)) == ordered_from_oracle(s, width - 1)
 
     @pytest.mark.parametrize("n_max", [(1 << 13) - 1, 1 << 13, 9000, 3 * (1 << 13) - 2])
     def test_elements_above_n_max_take_no_part(self, n_max):
         bound = 3 * (1 << 13)
-        s = sparse_set(bound, seed=n_max, density=0.03)
+        s = random_set(random.Random(n_max), bound, 0.03)
         s = BoundedSet(bound, s.mask | 1 << (bound - 1))
         assert list(r2_profile(s, n_max)) == r2_profile_naive(s, n_max)
         assert r1_profile(s, n_max) == r1_profile(s.truncate(n_max), n_max)
 
     def test_the_callers_decimal_context_is_ignored(self):
-        s = sparse_set(1 << 14, seed=3, density=0.3)
+        s = random_set(random.Random(3), 1 << 14, 0.3)
         expected = r2_profile(s, (1 << 14) - 1)
         with decimal.localcontext() as ctx:
             ctx.prec = 5
@@ -228,16 +161,6 @@ class TestSquarePath:
             assert r2_profile(s, (1 << 14) - 1) == expected
             assert decimal.getcontext().prec == 5
         assert list(expected) == r2_profile_naive(s, (1 << 14) - 1)
-
-    @given(small_sets(96), st.data())
-    def test_square_matches_oracle_at_every_small_width(self, s, data):
-        # every width, and every field width d it needs, goes down the square path
-        n_max = data.draw(st.integers(0, s.bound - 1))
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(repfn, "pairs_at", None)
-            p1, p2 = r1_profile(s, n_max), r2_profile(s, n_max)
-        assert list(p2) == r2_profile_naive(s, n_max)
-        assert list(p1) == ordered_from_oracle(s, n_max)
 
 
 def fields_by_int(numeral, width, d):
@@ -270,14 +193,12 @@ class TestLaneReadOut:
     @example(10000, 1.0, 0, 0)
     @example(1, 1.0, 0, 0)
     def test_profile_matches_one_int_per_field(self, width, density, extra, seed):
-        rng = random.Random(seed)
-        bound = width + extra  # members above n_max take no part
-        s = BoundedSet(bound, sum(1 << x for x in range(bound) if rng.random() < density))
+        s = random_set(random.Random(seed), width + extra, density)  # members above n_max take no part
         assert repfn._ordered_counts(s, width - 1) == ordered_counts_by_int(s, width - 1)
 
     @pytest.mark.parametrize("density", [0.5, 1.0])
     def test_profile_at_2_16(self, density):
-        s = sparse_set(1 << 16, seed=16, density=density)
+        s = random_set(random.Random(16), 1 << 16, density)
         assert repfn._ordered_counts(s, (1 << 16) - 1) == ordered_counts_by_int(s, (1 << 16) - 1)
 
     @given(st.integers(1, 8), st.integers(1, 40), st.text("0123456789", min_size=1, max_size=400))
@@ -320,7 +241,7 @@ def set_pairs(draw):
     density = draw(st.sampled_from([0.02, 0.3, 0.5, 0.9]))
 
     def random_mask(low=0):
-        return sum(1 << x for x in range(low, bound) if rng.random() < density)
+        return random_set(rng, bound, density, low).mask
 
     if kind == "diagonal":
         # s = {a} plus members b with a + b > n_max: up to n_max, a changes r1 at 2a alone and r2 nowhere
@@ -389,7 +310,7 @@ class TestFirstDifference:
                 first_r2_difference(t, s, n_max)
 
     def test_the_callers_decimal_context_is_ignored(self):
-        s = sparse_set(1 << 14, seed=4, density=0.3)
+        s = random_set(random.Random(4), 1 << 14, 0.3)
         t = BoundedSet(s.bound, s.mask ^ 1 << 9000)
         with decimal.localcontext() as ctx:
             ctx.prec = 5

@@ -581,6 +581,51 @@ def test_caller_rule_sees_a_method_only_its_own_body_calls():
     assert _public_names_without_caller(SPARE_METHOD) == ["kernel.Window.spare"]
 
 
+def _unread_helpers(sources):
+    """``module.name`` of every module-level def, class or assigned name that no module reads,
+    pytest's ``test_*`` functions and ``Test*`` classes aside.
+
+    ``sources`` maps module names to source text.  A read is a loaded ``Name`` or
+    ``Attribute`` outside the name's own definition, or a parameter of that name:
+    pytest hands a fixture to the parameter that names it.  An import is not a read.
+    """
+    defined, read = [], set()
+    for module, text in sources.items():
+        for node in ast.parse(text).body:
+            if isinstance(node, DEFINITIONS):
+                names = [node.name]
+            else:
+                names = [t.id for t in getattr(node, "targets", []) if isinstance(t, ast.Name)]
+            defined += [(f"{module}.{name}", name) for name in names if not name.startswith(("test_", "Test"))]
+            for _, site in _sites(node, lambda n: _is_load(n) or isinstance(n, ast.arg)):
+                name = site.arg if isinstance(site, ast.arg) else getattr(site, "attr", None) or site.id
+                if name not in names:
+                    read.add(name)
+    return [label for label, name in defined if name not in read]
+
+
+def test_every_test_helper_has_a_reader():
+    # the test-side twin of the library's caller rule: a deleted test takes its helpers with it
+    unread = _unread_helpers({p.stem: p.read_text() for p in TESTS})
+    assert unread == [], f"{unread} are read by no test module; delete them with the tests they served"
+
+
+LEFT_HELPERS = {
+    "support": "def never(what):\n    return what\n\n\ndef small_sets(max_bound):\n    return max_bound\n",
+    "test_repfn": "from support import never, small_sets\n\n"
+    "WIDTHS = [1, 2]\nSPARE = WIDTHS\n\n\n"
+    "def ordered_from_oracle(s, n_max):\n"
+    "    return ordered_from_oracle(s, n_max - 1) + [s.mask >> n_max & 1] if n_max else []\n\n\n"
+    "@pytest.fixture\ndef no_pairs_at(monkeypatch):\n    monkeypatch.setattr(repfn, 'pairs_at', never('a loop'))\n\n\n"
+    "class TestSquarePath:\n    def test_wide(self, no_pairs_at):\n        assert WIDTHS\n",
+}
+
+
+def test_helper_rule_sees_what_deleted_tests_left():
+    # an import and a call inside its own body do not count as readers; a fixture's parameter does
+    assert _unread_helpers(LEFT_HELPERS) == ["support.small_sets", "test_repfn.SPARE", "test_repfn.ordered_from_oracle"]
+
+
 def _all_mismatches(text):
     """Names in ``__all__`` the module does not define, then public module-level
     defs and classes missing from it; None for a module without ``__all__``.

@@ -400,8 +400,11 @@ class TestValidationMessages:
         ("c/d window must cover [0, 4]", {"c": BoundedSet(6, BASE.c.mask)}),
         ("L=2 must be excluded", {"t": BoundedSet(5, 0)}),
         ("0 must lie in a and in c", {"a": _flip(BASE.a, 0)}),
+        ("0 must lie in a and in c", {"c": _flip(BASE.c, 0)}),
+        ("0 must lie outside b and d", {"b": _flip(BASE.b, 0)}),
         ("0 must lie outside b and d", {"d": _flip(BASE.d, 0)}),
-    ], ids=["one-window", "a-b-t-reach-K", "c-d-cover", "L-excluded", "0-in-a-c", "0-outside-b-d"])
+    ], ids=["one-window", "a-b-t-reach-K", "c-d-cover", "L-excluded", "0-in-a-c", "0-in-c", "0-outside-b",
+            "0-outside-b-d"])
     def test_hypothesis_guard(self, message, changes):
         self._rejects(message, **changes)
 
