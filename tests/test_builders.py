@@ -82,11 +82,16 @@ class TestEvilOdious:
         assert evil == odious == BoundedSet(0)
 
     def test_matches_popcount_enumeration(self):
-        # 0 is evil, the two split the window, and each holds half of every [0, 2^l)
+        # 0 is evil and the two split the window
         evil, odious = build_evil_odious(3000)
         for n in range(3000):
             assert evil.chi(n) == (1 - digit_sum_2(n) % 2)
             assert odious.chi(n) == digit_sum_2(n) % 2
+
+    @pytest.mark.parametrize("l", range(1, 11))
+    def test_prefix_density_is_exactly_half(self, l):
+        evil, _ = build_evil_odious(1 << l)
+        assert len(evil) == 1 << (l - 1)
 
     def test_only_the_evil_odious_splits_balance(self):
         # Kiss, Theorem 3, by enumeration: a split C, D of [0, m] with 0 in C has equal strict
@@ -173,6 +178,14 @@ class TestParitySets:
 
     @given(st.lists(st.integers(1, 70), max_size=9), st.integers(0, 130))
     def test_random_weights_match_brute_force(self, weights, bound):
+        even, odd = build_parity_sets(weights, bound)
+        assert (set(even), set(odd)) == brute_parity_sums(weights, bound)
+
+    @pytest.mark.parametrize("kind,l", [("s1", 0), ("s1", 1), ("s1", 2), ("s1", 3),
+                                        ("s2", 1), ("s2", 2), ("s2", 3)])
+    def test_matches_brute_force(self, kind, l):
+        bound = 300
+        weights = family_weights(SEQUENCE_FAMILY[kind], l, bound)
         even, odd = build_parity_sets(weights, bound)
         assert (set(even), set(odd)) == brute_parity_sums(weights, bound)
 
