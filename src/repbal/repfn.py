@@ -3,8 +3,9 @@
 Single sums of a truncated set are counted by one bit-parallel primitive,
 ``pairs_at``, over plain masks.  A whole profile, at every width, is one
 exact square of the set's indicator packed into decimal digit fields, read
-back one field per integer lane; an independent pair-enumeration oracle is
-kept alongside it.  Whether two sets balance, and where they first do not,
+back one field per 32-bit lane; the strict counts are taken from those lanes
+by a subtraction, an odd check and a halving of whole integers, not sum by
+sum.  An independent pair-enumeration oracle is kept alongside.  Whether two sets balance, and where they first do not,
 is one product of the same packed indicators.  All counts are exact
 integers and every query outside a set's materialized window is refused
 rather than answered partially.
@@ -15,7 +16,6 @@ from __future__ import annotations
 import array
 import bisect
 import decimal
-import operator
 import sys
 from typing import Sequence
 
@@ -70,22 +70,29 @@ def strict_counts(ordered: Sequence[int], mask: int) -> tuple[int, ...]:
 
     Ordered pairs off the diagonal come in mirrored twos, so each count less the
     diagonal pair (n/2, n/2) halves exactly; an odd remainder means a broken kernel.
-    The diagonal is bit n/2 of the mask as a 0/1 byte at each even n, read from one
-    binary numeral, and the subtraction, halving and odd check are C loops.
+    Count n goes into lane n of one integer, and bit a of the mask into lane 2a of
+    another, by one strided slice.  Three whole-number operations do the rest: the
+    difference, its AND with the low bit of every lane (the odd check), and its
+    shift right by one.  A lane borrows from the next only where its count is 0 and
+    its diagonal pair is there, an off-diagonal count of -1, which is odd; so after
+    a passing check every lane is exact and even, and the shift moves only zero bits
+    from one lane into the next.  A count no lane holds, negative or 2^32 and above,
+    raises OverflowError rather than wrap into a neighbour.  Only a failed check
+    scans the counts one sum at a time, to name the lowest odd one.
     """
-    if not ordered:
+    width = len(ordered)
+    if not width:
         return ()
-    half = (len(ordered) + 1) // 2
-    bits = format(mask & ((1 << half) - 1), f"0{half}b")[::-1]  # bits[a] is bit a
-    diagonal = bytearray(2 * half)
-    diagonal[::2] = bits.encode().translate(_DIGIT_VALUES)
-    halves = tuple(map((1).__rrshift__, map(operator.sub, ordered, diagonal)))
-    # Each count less twice its half is its low bit, so the sums differ iff a count is odd.
-    if sum(ordered) - sum(diagonal) != 2 * sum(halves):
-        off = list(map(operator.sub, ordered, diagonal))
-        n = next(n for n, count in enumerate(off) if count % 2)
-        raise RuntimeError(f"odd count {off[n]} of off-diagonal ordered pairs at sum {n}")
-    return halves
+    half = (width + 1) // 2
+    diagonal = format(mask & ((1 << half) - 1), f"0{half}b")[::-1].encode().translate(_DIGIT_VALUES)
+    lanes = bytearray(_LANE * width)
+    lanes[_LOW_BYTE::2 * _LANE] = diagonal  # diagonal[a] is bit a, the diagonal pair of sum 2a
+    off = _from_lanes(array.array("I", ordered)) - _from_lanes(lanes)
+    if off & _from_lanes(_LOW_BIT * width):
+        counts = (count - (n % 2 == 0 and diagonal[n // 2]) for n, count in enumerate(ordered))
+        n, count = next((n, count) for n, count in enumerate(counts) if count % 2)
+        raise RuntimeError(f"odd count {count} of off-diagonal ordered pairs at sum {n}")
+    return tuple(_to_lanes(off >> 1, width))
 
 
 # Exact integer arithmetic at any size, whatever the calling thread's context.
@@ -97,7 +104,18 @@ _DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
 # A profile is read out through lanes, native unsigned ints of _LANE bytes, one count
 # per lane; a digit written at byte _LOW_BYTE of a lane adds its value to that lane.
 _LANE = array.array("I").itemsize
-_LOW_BYTE = array.array("I", [1]).tobytes().index(1)
+_LOW_BIT = array.array("I", [1]).tobytes()  # one lane holding 1
+_LOW_BYTE = _LOW_BIT.index(1)
+
+
+def _from_lanes(buffer: bytes | bytearray | array.array) -> int:
+    """A buffer of lanes as one integer: lane n is the integer's digit n in base 2^(8 * _LANE)."""
+    return int.from_bytes(buffer, sys.byteorder)
+
+
+def _to_lanes(total: int, width: int) -> array.array:
+    """The lowest width lanes of a nonnegative integer, the inverse of _from_lanes."""
+    return array.array("I", total.to_bytes(_LANE * width, sys.byteorder))
 
 
 def _packed(mask: int, width: int, doubled: bool = False) -> tuple[decimal.Decimal, int]:
@@ -114,8 +132,8 @@ def _packed(mask: int, width: int, doubled: bool = False) -> tuple[decimal.Decim
     return _EXACT.create_decimal(("0" * (stride - 1)).join(digits)), d
 
 
-def _fields(numeral: str, width: int, d: int) -> list[int]:
-    """The lowest width d-digit fields of a decimal numeral, lowest first.
+def _fields(numeral: str, width: int, d: int) -> array.array:
+    """The lowest width d-digit fields of a decimal numeral, lowest first, one per lane.
 
     The fields are read in C loops.  Reversed, the low digits hold digit k
     of field n at index n*d + k.  Column k, the digits [k::d], goes into the
@@ -131,11 +149,11 @@ def _fields(numeral: str, width: int, d: int) -> list[int]:
     total = 0
     for k in range(d):
         lanes[_LOW_BYTE::_LANE] = digits[k::d]
-        total += int.from_bytes(lanes, sys.byteorder) * 10**k
-    return array.array("I", total.to_bytes(_LANE * width, sys.byteorder)).tolist()
+        total += _from_lanes(lanes) * 10**k
+    return _to_lanes(total, width)
 
 
-def _ordered_counts(s: BoundedSet, n_max: int) -> list[int]:
+def _ordered_counts(s: BoundedSet, n_max: int) -> array.array:
     """Ordered-pair counts for every sum 0..n_max, from one square.
 
     With the mask packed by _packed, squaring puts the ordered count of sum n

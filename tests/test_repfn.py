@@ -194,25 +194,25 @@ class TestLaneReadOut:
     @example(1, 1.0, 0, 0)
     def test_profile_matches_one_int_per_field(self, width, density, extra, seed):
         s = random_set(random.Random(seed), width + extra, density)  # members above n_max take no part
-        assert repfn._ordered_counts(s, width - 1) == ordered_counts_by_int(s, width - 1)
+        assert repfn._ordered_counts(s, width - 1).tolist() == ordered_counts_by_int(s, width - 1)
 
     @pytest.mark.parametrize("density", [0.5, 1.0])
     def test_profile_at_2_16(self, density):
         s = random_set(random.Random(16), 1 << 16, density)
-        assert repfn._ordered_counts(s, (1 << 16) - 1) == ordered_counts_by_int(s, (1 << 16) - 1)
+        assert repfn._ordered_counts(s, (1 << 16) - 1).tolist() == ordered_counts_by_int(s, (1 << 16) - 1)
 
     @given(st.integers(1, 8), st.integers(1, 40), st.text("0123456789", min_size=1, max_size=400))
     @example(8, 3, "9" * 24)
     @example(3, 5, "7")  # fewer digits than fields: the missing high fields are 0
     def test_any_numeral_matches_one_int_per_field(self, d, width, numeral):
-        assert repfn._fields(numeral, width, d) == fields_by_int(numeral, width, d)
+        assert repfn._fields(numeral, width, d).tolist() == fields_by_int(numeral, width, d)
 
     def test_the_widest_field_fits_a_lane(self):
         # a window up to MAX_BOUND has fields of len(str(MAX_BOUND)) digits
         d = len(str(MAX_BOUND))
         widest = 10**d - 1
-        assert repfn._fields("9" * 3 * d, 3, d) == [widest] * 3
-        assert repfn._fields(str(widest) + "0" * d + str(widest), 3, d) == [widest, 0, widest]
+        assert repfn._fields("9" * 3 * d, 3, d).tolist() == [widest] * 3
+        assert repfn._fields(str(widest) + "0" * d + str(widest), 3, d).tolist() == [widest, 0, widest]
 
     def test_a_field_too_wide_for_a_lane_is_refused(self):
         with pytest.raises(OverflowError):
@@ -319,7 +319,57 @@ class TestFirstDifference:
         assert found == first_profile_difference(s, t, (1 << 14) - 1)
 
 
+# The largest count a field holds in a window up to MAX_BOUND, and so the largest ordered count.
+WIDEST_FIELD = 10 ** len(str(MAX_BOUND)) - 1
+
+
+def diagonal_at(mask, n):
+    """1 if the diagonal pair (n/2, n/2) is in the set with this mask, else 0."""
+    return int(n % 2 == 0 and (mask >> (n // 2)) & 1)
+
+
+@st.composite
+def strict_profiles(draw):
+    """(strict counts, mask, ordered counts 2 * strict + diagonal, a few sums, an even sum)
+    at a width of either parity; the sums are where a fault goes in."""
+    width = draw(st.integers(1, 300) | st.sampled_from(FIELD_STEP_WIDTHS))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    top = draw(st.sampled_from([0, 1, 255, 1 << 16, (WIDEST_FIELD - 1) // 2]))
+    strict = [rng.randint(0, top) for _ in range(width)]
+    mask = rng.getrandbits(width + 8)  # bits past half the width are no sum's diagonal
+    ordered = [2 * c + diagonal_at(mask, n) for n, c in enumerate(strict)]
+    sums = draw(st.lists(st.integers(0, width - 1), min_size=1, max_size=3))
+    return strict, mask, ordered, sums, 2 * draw(st.integers(0, (width - 1) // 2))
+
+
 class TestStrictCounts:
+    @settings(deadline=None)
+    @given(strict_profiles())
+    @example(([WIDEST_FIELD // 2] * 3, 0b11, [WIDEST_FIELD, WIDEST_FIELD - 1, WIDEST_FIELD], [2, 1], 2))
+    def test_lanes_match_the_per_sum_formula(self, case):
+        strict, mask, ordered, sums, even = case
+        assert strict_counts(ordered, mask) == tuple(strict)
+        assert [(count - diagonal_at(mask, n)) // 2 for n, count in enumerate(ordered)] == strict
+        # one more ordered pair at a few sums: the lowest of them is named
+        odd = [count + (n in sums) for n, count in enumerate(ordered)]
+        n = min(sums)
+        off = odd[n] - diagonal_at(mask, n)
+        with pytest.raises(RuntimeError, match=f"^odd count {off} of off-diagonal ordered pairs at sum {n}$"):
+            strict_counts(odd, mask)
+        # no ordered pair at an even sum whose diagonal pair is there: its lane borrows from the next
+        zero = ordered[:even] + [0] + ordered[even + 1:]
+        with pytest.raises(RuntimeError, match=f"^odd count -1 of off-diagonal ordered pairs at sum {even}$"):
+            strict_counts(zero, mask | 1 << (even // 2))
+
+    @pytest.mark.parametrize("count", [-1, 2**32, 2**64 + 2])
+    @pytest.mark.parametrize("n", [0, 1, 4, 5])
+    def test_a_count_no_lane_holds_is_refused(self, count, n):
+        # a lane holds 0 to 2^32 - 1, and past that a count would spill into lane n + 1; the odd
+        # check alone would pass 2^32, and -1 less a diagonal pair, which is -2
+        for mask in (0, 0b111):
+            with pytest.raises(OverflowError):
+                strict_counts([count if i == n else 2 + diagonal_at(mask, i) for i in range(6)], mask)
+
     def test_mask_shorter_than_half_the_profile(self):
         s = BoundedSet.from_elements([0, 1], 64)
         ordered = r1_profile(s, 63)

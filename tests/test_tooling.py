@@ -109,6 +109,20 @@ def _replaces_a_spec(node):
     )
 
 
+def _packs_lanes(node):
+    """An ``int.from_bytes`` or ``.to_bytes`` call, or an ``array("I", ...)`` of native 32-bit lanes."""
+    if not isinstance(node, ast.Call):
+        return False
+    if ast.unparse(node.func) == "int.from_bytes" or getattr(node.func, "attr", None) == "to_bytes":
+        return True
+    return (
+        ast.unparse(node.func) in ("array", "array.array")
+        and bool(node.args)
+        and isinstance(node.args[0], ast.Constant)
+        and node.args[0].value == "I"
+    )
+
+
 class Rule(NamedTuple):
     test: str  # the placement test, per file in scope
     reason: str
@@ -240,6 +254,17 @@ class TestArgumentVectors:
                     code, usage = exc.code, True
 """
 
+LANE_R3 = """
+def cmd_repfn(args):
+    p1 = r1_profile(sets[0], n_max)
+    p2 = strict_counts(p1, sets[0].mask)
+    r1 = int.from_bytes(array.array("I", p1), sys.byteorder)
+    r3 = r1 - int.from_bytes(array("I", p2), sys.byteorder)
+    p3 = array.array("I", r3.to_bytes(4 * (n_max + 1), sys.byteorder))
+    side = array("b", bytes(3))
+    side.frombytes(side.tobytes())
+"""
+
 SOLVER = "solver.py"
 
 RULES = [
@@ -338,6 +363,14 @@ RULES = [
         # the shift coded outside cell and a replace of an outcome; a string's replace is not one
         selftest="test_outcome_rule_sees_a_helper_beside_the_grid", parent=PARENT_MOVED_DOWN,
         parent_as=SOLVER, flags=[(("_moved_down",), 11), (("_renamed",), 20)],
+    ),
+    Rule(
+        "test_lane_layout_only_in_repfn",
+        "repfn alone knows how counts sit in the 32-bit lanes of one integer; elsewhere a profile is a tuple",
+        files=SOURCES, match=_packs_lanes, places=[("repfn.py", None)],
+        # R3 = R1 - R2 by lane subtraction; solver's signed bytes, tobytes and frombytes are no lanes
+        selftest="test_lane_rule_sees_a_lane_subtraction_in_cli", parent=LANE_R3, parent_as="cli.py",
+        flags=[(("cmd_repfn",), line) for line in (5, 5, 6, 6, 7, 7)],
     ),
     Rule(
         "test_peak_traced_only_in_peak_of", "support.peak_of is the one tracemalloc block the tests write",
