@@ -3,12 +3,13 @@
 Single sums of a truncated set are counted by one bit-parallel primitive,
 ``pairs_at``, over plain masks.  A whole profile, at every width, is one
 exact square of the set's indicator packed into decimal digit fields, read
-back one field per 32-bit lane; the strict counts are taken from those lanes
-by a subtraction, an odd check and a halving of whole integers, not sum by
-sum.  An independent pair-enumeration oracle is kept alongside.  Whether two sets balance, and where they first do not,
-is one product of the same packed indicators.  All counts are exact
-integers and every query outside a set's materialized window is refused
-rather than answered partially.
+back one field per 32-bit lane; the strict counts are taken from those
+lanes by a subtraction, an odd check and a halving of whole integers, not
+sum by sum.  An independent pair-enumeration oracle is kept alongside.
+Whether two sets balance, and where they first do not, is one product of
+the same packed indicators.  All counts are exact integers and every query
+outside a set's materialized window is refused rather than answered
+partially.
 """
 
 from __future__ import annotations

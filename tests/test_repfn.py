@@ -113,10 +113,15 @@ class TestPairCount:
         assert pairs_at(x, y, n) == expected
 
 
+def diagonal_at(mask, n):
+    """1 if the diagonal pair (n/2, n/2) is in the set with this mask, else 0."""
+    return int(n % 2 == 0 and (mask >> (n // 2)) & 1)
+
+
 def ordered_from_oracle(s, n_max):
     # every strict pair counts twice, and an element a counts once more at 2a
     strict = r2_profile_naive(s, n_max)
-    return [2 * strict[n] + (n % 2 == 0 and (s.mask >> (n // 2)) & 1) for n in range(n_max + 1)]
+    return [2 * strict[n] + diagonal_at(s.mask, n) for n in range(n_max + 1)]
 
 
 class TestSquarePath:
@@ -323,11 +328,6 @@ class TestFirstDifference:
 WIDEST_FIELD = 10 ** len(str(MAX_BOUND)) - 1
 
 
-def diagonal_at(mask, n):
-    """1 if the diagonal pair (n/2, n/2) is in the set with this mask, else 0."""
-    return int(n % 2 == 0 and (mask >> (n // 2)) & 1)
-
-
 @st.composite
 def strict_profiles(draw):
     """(strict counts, mask, ordered counts 2 * strict + diagonal, a few sums, an even sum)
@@ -348,8 +348,8 @@ class TestStrictCounts:
     @example(([WIDEST_FIELD // 2] * 3, 0b11, [WIDEST_FIELD, WIDEST_FIELD - 1, WIDEST_FIELD], [2, 1], 2))
     def test_lanes_match_the_per_sum_formula(self, case):
         strict, mask, ordered, sums, even = case
-        assert strict_counts(ordered, mask) == tuple(strict)
-        assert [(count - diagonal_at(mask, n)) // 2 for n, count in enumerate(ordered)] == strict
+        per_sum = tuple((count - diagonal_at(mask, n)) // 2 for n, count in enumerate(ordered))
+        assert strict_counts(ordered, mask) == per_sum == tuple(strict)
         # one more ordered pair at a few sums: the lowest of them is named
         odd = [count + (n in sums) for n, count in enumerate(ordered)]
         n = min(sums)
